@@ -2,22 +2,33 @@
 
 Sources are uncorrelated circular complex Gaussians on a far-field
 half-wavelength grid; directions are the normalized DOA
-theta' = (d/lambda) sin(theta) in [-0.5, 0.5].  The pipeline is:
+theta' = (d/lambda) sin(theta) in [-0.5, 0.5), a circular domain: 0.5
+and -0.5 give the same steering vector.  The pipeline is:
 snapshots -> sample covariance -> coarray autocorrelation -> Hermitian
 Toeplitz augmentation on the central ULA segment -> MUSIC pseudospectrum
 -> peak picking -> RMSE over Monte-Carlo trials.
+
+Everything that depends only on the array (the ordered-pair lag index and
+the coarray summary) or only on the matrix dimension and grid size (the
+grid steering matrix) is computed once and kept in small, bounded,
+read-only caches, so a Monte-Carlo batch pays for it on its first trial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import InvalidParameterError
-from .coarray import difference_coarray, summarize
+from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 8192
+# Cache bounds.  A steering entry holds dim x grid_size complex values
+# (16 bytes each): 24 MB for the 48-sensor NFA (dim 181) at 8192 points.
+_PLAN_CACHE_SIZE = 32
+_STEERING_CACHE_SIZE = 4
 
 
 class CoarrayHoleError(ValueError):
@@ -30,7 +41,11 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class SourceScene:
-    """Normalized DOAs with per-source powers and a common noise power."""
+    """Normalized DOAs with per-source powers and a common noise power.
+
+    DOAs lie in the half-open [-0.5, 0.5): the domain is circular, so 0.5
+    would be a second name for -0.5.
+    """
 
     normalized_doas: tuple
     powers: tuple
@@ -42,8 +57,8 @@ class SourceScene:
         if len(doas) == 0 or len(doas) != len(powers):
             raise InvalidParameterError(
                 "need matching, non-empty DOA and power lists")
-        if any(not -0.5 <= t <= 0.5 for t in doas):
-            raise InvalidParameterError("normalized DOAs must lie in [-0.5, 0.5]")
+        if any(not -0.5 <= t < 0.5 for t in doas):
+            raise InvalidParameterError("normalized DOAs must lie in [-0.5, 0.5)")
         if len(set(doas)) != len(doas):
             raise InvalidParameterError("normalized DOAs must be distinct")
         if any(p <= 0 for p in powers) or self.noise_power < 0:
@@ -64,18 +79,31 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     The default separation of two grid steps keeps neighbouring sources
     from merging into one pseudospectrum peak.  SNR is per source against
     unit source power, so SNR 0 dB means sigma_i^2 = sigma^2 = 1.
+
+    The DOAs are drawn uniformly from the feasible sorted configurations
+    in [-0.5, 0.5) without rejection: m sorted uniform draws from the
+    slack 1 - (m-1) * min_separation, the i-th shifted by
+    i * min_separation.  This takes O(m log m) however tight the
+    separation is.  The separation is padded, and the slack trimmed, by
+    a few rounding errors, so that the rounded DOAs keep the separation
+    and stay below 0.5; a separation within that margin of the limit is
+    rejected as not fitting.
     """
     if min_separation is None:
         min_separation = 2.0 / grid_size
-    if (m - 1) * min_separation >= 1.0:
+    if m < 1 or not min_separation >= 0:
         raise InvalidParameterError(
-            "%d sources with separation %g do not fit in [-0.5, 0.5]"
+            "need at least one source and a non-negative separation")
+    pad = 4 * np.finfo(float).eps
+    step = min_separation + pad
+    slack = 1.0 - (m - 1) * step - pad
+    if not slack > 0.0:
+        raise InvalidParameterError(
+            "%d sources with separation %g do not fit in [-0.5, 0.5)"
             % (m, min_separation))
     rng = np.random.default_rng(seed)
-    while True:
-        doas = np.sort(rng.uniform(-0.5, 0.5, m))
-        if m == 1 or np.min(np.diff(doas)) >= min_separation:
-            break
+    gaps = np.sort(rng.uniform(0.0, slack, m))
+    doas = -0.5 + gaps + np.arange(m) * step
     noise = 10.0 ** (-snr_db / 10.0)
     return SourceScene(tuple(doas), (1.0,) * m, noise)
 
@@ -108,6 +136,17 @@ def steering_vector(s, theta_norm):
 
 def _steering_matrix(positions, thetas):
     return np.exp(2j * np.pi * np.outer(positions, np.asarray(thetas)))
+
+
+@lru_cache(maxsize=_STEERING_CACHE_SIZE)
+def _grid_steering(dim, grid_size):
+    """The theta' grid over [-0.5, 0.5) and the dim x grid_size steering
+    matrix of a ULA with dim sensors on it, both read-only."""
+    grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+    a = _steering_matrix(np.arange(dim), grid)
+    grid.flags.writeable = False
+    a.flags.writeable = False
+    return grid, a
 
 
 def _complex_gaussian(rng, shape):
@@ -146,26 +185,60 @@ def expected_covariance(s, scene):
             + scene.noise_power * np.eye(len(pos)))
 
 
+@dataclass(frozen=True)
+class _CoarrayPlan:
+    """Per-array data shared by every trial: the sorted coarray lags, their
+    ordered-pair counts, the index into ``lags`` of each ordered pair
+    (i, j) in row-major order, and the coarray summary."""
+
+    lags: np.ndarray
+    counts: np.ndarray
+    pair_lags: np.ndarray
+    summary: CoarraySummary
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _coarray_plan(positions):
+    p = np.asarray(positions)
+    lags, pair_lags, counts = np.unique((p[:, None] - p[None, :]).ravel(),
+                                        return_inverse=True,
+                                        return_counts=True)
+    for a in (lags, counts, pair_lags):
+        a.flags.writeable = False
+    return _CoarrayPlan(lags=lags, counts=counts, pair_lags=pair_lags,
+                        summary=summarize(difference_coarray(positions)))
+
+
+def _capacity_summary(s, m):
+    """The coarray summary of s, after checking that it supports m sources."""
+    summary = _coarray_plan(s.positions).summary
+    if m > summary.max_sources:
+        raise CapacityError(
+            "%d sources exceed the coarray capacity of %d"
+            % (m, summary.max_sources))
+    return summary
+
+
 def coarray_autocorrelation(r, s):
     """Average covariance entries over all sensor pairs at each lag.
 
     Returns a lag -> complex map on the full difference coarray.  Averaging
     with the weight function keeps conjugate symmetry exact for Hermitian
-    input.
+    input.  The sums run over the pairs in row-major order, real and
+    imaginary parts separately.
     """
-    pos = list(s.positions)
-    if r.shape != (len(pos), len(pos)):
+    n = len(s.positions)
+    if r.shape != (n, n):
         raise InvalidParameterError(
-            "covariance shape %s does not match %d sensors"
-            % (r.shape, len(pos)))
-    acc = {}
-    counts = {}
-    for i, a in enumerate(pos):
-        for j, b in enumerate(pos):
-            k = a - b
-            acc[k] = acc.get(k, 0.0) + r[i, j]
-            counts[k] = counts.get(k, 0) + 1
-    return {k: acc[k] / counts[k] for k in acc}
+            "covariance shape %s does not match %d sensors" % (r.shape, n))
+    plan = _coarray_plan(s.positions)
+    size = len(plan.lags)
+    sums = np.empty(size, dtype=complex)
+    sums.real = np.bincount(plan.pair_lags, weights=r.real.ravel(),
+                            minlength=size)
+    sums.imag = np.bincount(plan.pair_lags, weights=r.imag.ravel(),
+                            minlength=size)
+    return dict(zip(plan.lags.tolist(), sums / plan.counts))
 
 
 def toeplitz_augment(ac, ula_segment):
@@ -184,12 +257,11 @@ def toeplitz_augment(ac, ula_segment):
         raise CoarrayHoleError(
             "lags %s missing from the central segment [-%d, %d]"
             % (missing, u, u))
-    col = np.array([ac[k] for k in range(0, u + 1)])
-    t = np.empty((u + 1, u + 1), dtype=complex)
-    for p in range(u + 1):
-        for q in range(u + 1):
-            t[p, q] = col[p - q] if p >= q else np.conj(col[q - p])
-    return t
+    col = np.array([ac[k] for k in range(0, u + 1)], dtype=complex)
+    # values[u + k] is ac(k) for k >= 0 and conj(ac(-k)) for k < 0.
+    values = np.concatenate((col[:0:-1].conj(), col))
+    idx = np.arange(u + 1)
+    return values[idx[:, None] - idx[None, :] + u]
 
 
 def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
@@ -206,8 +278,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
             % (m, dim))
     _, vecs = np.linalg.eigh(t)
     noise = vecs[:, :dim - m]
-    grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-    a = _steering_matrix(np.arange(dim), grid)
+    grid, a = _grid_steering(dim, grid_size)
     denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
     spectrum = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     spectrum = spectrum / spectrum.max()
@@ -232,11 +303,7 @@ def pick_peaks(result, m):
 
 def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     """Full coarray-MUSIC pass from a covariance matrix to DOA estimates."""
-    summary = summarize(difference_coarray(s))
-    if m > summary.max_sources:
-        raise CapacityError(
-            "%d sources exceed the coarray capacity of %d"
-            % (m, summary.max_sources))
+    summary = _capacity_summary(s, m)
     ac = coarray_autocorrelation(r, s)
     t = toeplitz_augment(ac, summary.ula_segment)
     return pick_peaks(music_spectrum(t, m, grid_size), m)
@@ -250,7 +317,11 @@ def _rmse(estimates, truths):
 
 @dataclass(frozen=True)
 class TrialBatchResult:
-    """Aggregate Monte-Carlo outcome for one array/scene configuration."""
+    """Aggregate Monte-Carlo outcome for one array/scene configuration.
+
+    ``first_trial`` is trial 0's full MusicResult (spectrum and picked
+    peaks); only that one spectrum is kept.
+    """
 
     rmse: float
     per_trial_rmse: tuple
@@ -258,6 +329,7 @@ class TrialBatchResult:
     resolved_trials: int
     trials: int
     seed: int
+    first_trial: MusicResult = field(default=None, compare=False, repr=False)
 
     @property
     def resolved_fraction(self):
@@ -275,17 +347,19 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
     snapshot simulation and uses the exact model covariance (a noiseless
     sanity path).
     """
+    if trials < 1:
+        raise InvalidParameterError("need at least one trial")
+    if covariance not in ("sample", "expected"):
+        raise InvalidParameterError(
+            "covariance must be 'sample' or 'expected', got %r" % (covariance,))
     m = scene.source_count
-    summary = summarize(difference_coarray(s))
-    if m > summary.max_sources:
-        raise CapacityError(
-            "%d sources exceed the coarray capacity of %d"
-            % (m, summary.max_sources))
+    _capacity_summary(s, m)
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     per_rmse = []
     per_est = []
     resolved = 0
     pooled_sq = []
+    first = None
     for child in child_seeds:
         if covariance == "expected":
             r = expected_covariance(s, scene)
@@ -294,6 +368,8 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
                              np.random.default_rng(child).integers(2 ** 63))
             r = sample_covariance(batch)
         result = estimate_doas(s, r, m, grid_size)
+        if first is None:
+            first = result
         per_est.append(result.estimates)
         if result.under_resolved:
             per_rmse.append(float("inf"))
@@ -308,4 +384,5 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
                             per_trial_estimates=tuple(per_est),
                             resolved_trials=resolved,
                             trials=trials,
-                            seed=seed)
+                            seed=seed,
+                            first_trial=first)

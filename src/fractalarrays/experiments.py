@@ -19,9 +19,10 @@ from . import geometry
 from .geometry import (InvalidParameterError, SensorArray,
                        UnsupportedParameterError)
 from .coarray import difference_coarray, summarize
-from .doasim import (CapacityError, DEFAULT_GRID_SIZE, estimate_doas,
+from .doasim import (CapacityError, DEFAULT_GRID_SIZE,
+                     coarray_autocorrelation, music_spectrum, pick_peaks,
                      random_scene, run_trial_batch, sample_covariance,
-                     simulate)
+                     simulate, toeplitz_augment)
 from .robustness import fragility_profile, robustness_report, \
     write_fragility_csv
 
@@ -234,8 +235,6 @@ def cmd_music(args):
     if override_used:
         # Force the pipeline with a clamped signal-subspace dimension and
         # report the unavoidable under-resolution.
-        from .doasim import (coarray_autocorrelation, music_spectrum,
-                             pick_peaks, toeplitz_augment)
         batch = simulate(arr, scene, args.snapshots, args.seed)
         r = sample_covariance(batch)
         ac = coarray_autocorrelation(r, arr)
@@ -252,8 +251,7 @@ def cmd_music(args):
         batch_result = run_trial_batch(arr, scene, args.snapshots,
                                        args.trials, args.seed,
                                        grid_size=args.grid_size)
-        r = sample_covariance(simulate(arr, scene, args.snapshots, args.seed))
-        result = estimate_doas(arr, r, m, args.grid_size)
+        result = batch_result.first_trial
         report = {
             "label": arr.label, "M": m, "snapshots": args.snapshots,
             "snr_db": args.snr, "trials": args.trials,

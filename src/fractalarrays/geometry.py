@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass, replace
 from math import comb, gcd
 
+from .coarray import lag_set
+
 
 class InvalidParameterError(ValueError):
     """A generator was called with parameters outside its domain."""
@@ -25,7 +27,8 @@ class UnsupportedParameterError(ValueError):
 class SensorArray:
     """An immutable, named set of integer sensor positions.
 
-    Positions are strictly increasing non-negative integers in units of d1.
+    Positions are strictly increasing non-negative integers in units of d1;
+    a non-integer position such as 1.7 is rejected, not truncated.
     ``kind`` is a free-form family tag (ULA, Nested, Coprime, ANA1, ANA2,
     SuperNested, Cantor, SFA, or custom).
     """
@@ -35,7 +38,14 @@ class SensorArray:
     label: str = ""
 
     def __post_init__(self):
-        pos = tuple(int(p) for p in self.positions)
+        raw = tuple(self.positions)
+        try:
+            pos = tuple(int(p) for p in raw)
+        except (TypeError, ValueError, OverflowError):
+            pos = None
+        if pos is None or pos != raw:
+            raise InvalidParameterError(
+                "sensor positions must be integers, got %s" % list(raw))
         if len(pos) == 0:
             raise InvalidParameterError("sensor array must be non-empty")
         if any(p < 0 for p in pos):
@@ -180,10 +190,6 @@ def gen_super_nested(n1, n2):
 _SEARCH_LIMIT = 2_000_000
 
 
-def _lag_set(positions):
-    return frozenset(a - b for a in positions for b in positions)
-
-
 def _unit_pairs(positions, k):
     return sum(1 for a, b in itertools.combinations(sorted(positions), 2)
                if b - a == k)
@@ -191,7 +197,7 @@ def _unit_pairs(positions, k):
 
 def _super_nested_search(n1, n2, sparse, top):
     parent = gen_nested(n1 + n2)
-    target = _lag_set(parent.positions)
+    target = lag_set(parent)
     pool = [p for p in range(1, top + 1) if p not in sparse]
     if comb(len(pool), n1 + 1) > _SEARCH_LIMIT:
         raise UnsupportedParameterError(
@@ -201,7 +207,7 @@ def _super_nested_search(n1, n2, sparse, top):
     best = None
     for extra in itertools.combinations(pool, n1 + 1):
         pos = sparse | set(extra)
-        if _lag_set(pos) != target:
+        if lag_set(pos) != target:
             continue
         key = (_unit_pairs(pos, 1), _unit_pairs(pos, 2), tuple(sorted(pos)))
         if best is None or key < best:

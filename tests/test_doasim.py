@@ -1,9 +1,14 @@
+import random as pyrandom
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
-                                  SourceScene, coarray_autocorrelation,
+                                  MusicResult, SourceScene,
+                                  coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
                                   music_spectrum, pick_peaks, random_scene,
                                   run_trial_batch, sample_covariance,
@@ -16,6 +21,102 @@ from fractalarrays.geometry import (InvalidParameterError, SensorArray,
 @pytest.fixture(scope="module")
 def nfa():
     return make_sfa("nested", {"n": 6}, 1)
+
+
+# Reference implementations: the direct loops the library's cached and
+# vectorised pipeline must reproduce bit for bit.
+
+def ref_coarray_autocorrelation(r, s):
+    pos = list(s.positions)
+    acc = {}
+    counts = {}
+    for i, a in enumerate(pos):
+        for j, b in enumerate(pos):
+            k = a - b
+            acc[k] = acc.get(k, 0.0) + r[i, j]
+            counts[k] = counts.get(k, 0) + 1
+    return {k: acc[k] / counts[k] for k in acc}
+
+
+def ref_toeplitz_augment(ac, ula_segment):
+    u = ula_segment[1]
+    col = np.array([ac[k] for k in range(0, u + 1)])
+    t = np.empty((u + 1, u + 1), dtype=complex)
+    for p in range(u + 1):
+        for q in range(u + 1):
+            t[p, q] = col[p - q] if p >= q else np.conj(col[q - p])
+    return t
+
+
+def ref_music_spectrum(t, m, grid_size):
+    dim = t.shape[0]
+    _, vecs = np.linalg.eigh(t)
+    noise = vecs[:, :dim - m]
+    grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+    a = np.exp(2j * np.pi * np.outer(np.arange(dim), grid))
+    denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
+    spectrum = 1.0 / np.maximum(denom, np.finfo(float).tiny)
+    return grid, spectrum / spectrum.max()
+
+
+def _exactness_arrays():
+    """NFA r=1 and r=3, plus random arrays whose coarray has holes."""
+    arrays = [make_sfa("nested", {"n": 6}, 1), make_sfa("nested", {"n": 6}, 3)]
+    rng = pyrandom.Random(2024)
+    while len(arrays) < 8:
+        arr = SensorArray(tuple(sorted(rng.sample(range(40),
+                                                  rng.randint(3, 10)))))
+        summary = summarize(difference_coarray(arr))
+        if not summary.hole_free and summary.max_sources >= 2:
+            arrays.append(arr)
+    return arrays
+
+
+@pytest.mark.parametrize("arr", _exactness_arrays(),
+                         ids=lambda a: "%d-sensors" % len(a))
+def test_pipeline_matches_reference_bit_for_bit(arr):
+    u = summarize(difference_coarray(arr)).max_sources
+    m = max(1, u // 2)
+    doas = tuple(np.linspace(-0.45, 0.45, m) + 0.001)
+    scene = SourceScene(doas, (1.0,) * m, 1.0)
+    for seed in range(3):
+        r = sample_covariance(simulate(arr, scene, 50, seed=seed))
+        ac = coarray_autocorrelation(r, arr)
+        ref_ac = ref_coarray_autocorrelation(r, arr)
+        assert ac == ref_ac
+        assert all(np.array_equal(ac[k], ref_ac[k]) for k in ref_ac)
+        t = toeplitz_augment(ac, (-u, u))
+        ref_t = ref_toeplitz_augment(ref_ac, (-u, u))
+        assert t.dtype == ref_t.dtype and np.array_equal(t, ref_t)
+        for grid_size in (512, 8192):
+            result = music_spectrum(t, m, grid_size)
+            grid, spectrum = ref_music_spectrum(ref_t, m, grid_size)
+            assert np.array_equal(result.grid, grid)
+            assert np.array_equal(result.spectrum, spectrum)
+            ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum),
+                                   m)
+            assert pick_peaks(result, m).estimates == ref_peaks.estimates
+
+
+def test_toeplitz_real_autocorrelation_is_complex():
+    t = toeplitz_augment({-1: 0.5, 0: 2.0, 1: 0.5}, (-1, 1))
+    assert t.dtype == complex
+    assert np.array_equal(t, ref_toeplitz_augment({0: 2.0, 1: 0.5}, (-1, 1)))
+
+
+def test_cached_grid_cannot_be_corrupted_through_a_result(nfa):
+    scene = SourceScene((0.2, -0.1), (1.0, 1.0), 0.1)
+    r = sample_covariance(simulate(nfa, scene, 100, seed=8))
+    t = toeplitz_augment(coarray_autocorrelation(r, nfa), (-24, 24))
+    first = music_spectrum(t, 2, grid_size=1024)
+    grid_before = first.grid.copy()
+    with pytest.raises(ValueError):
+        first.grid[0] = 0.25
+    first.spectrum[:] = 0.0  # the spectrum is the caller's own array
+    again = music_spectrum(t, 2, grid_size=1024)
+    assert np.array_equal(again.grid, grid_before)
+    _, spectrum = ref_music_spectrum(t, 2, 1024)
+    assert np.array_equal(again.spectrum, spectrum)
 
 
 def test_steering_zero_is_all_ones(nfa):
@@ -38,6 +139,8 @@ def test_scene_validation():
     with pytest.raises(InvalidParameterError):
         SourceScene((0.7,), (1.0,), 1.0)
     with pytest.raises(InvalidParameterError):
+        SourceScene((float("nan"),), (1.0,), 1.0)
+    with pytest.raises(InvalidParameterError):
         SourceScene((0.1, 0.1), (1.0, 1.0), 1.0)
     with pytest.raises(InvalidParameterError):
         SourceScene((0.1,), (1.0, 1.0), 1.0)
@@ -50,6 +153,56 @@ def test_random_scene_separation():
     doas = np.asarray(scene.normalized_doas)
     assert np.min(np.diff(doas)) >= 0.03
     assert scene.noise_power == 1.0  # SNR 0 dB
+
+
+def test_scene_domain_is_half_open():
+    # -0.5 and 0.5 are the same direction on the circular theta' domain.
+    with pytest.raises(InvalidParameterError):
+        SourceScene((-0.5, 0.5), (1.0, 1.0), 1.0)
+    with pytest.raises(InvalidParameterError):
+        SourceScene((0.5,), (1.0,), 1.0)
+    assert SourceScene((-0.5,), (1.0,), 1.0).normalized_doas == (-0.5,)
+
+
+def test_random_scene_tight_separation_returns_promptly():
+    # Feasible ((m - 1) * 0.039 = 0.897 < 1) but far too tight for
+    # rejection sampling of m uniform draws.
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(random_scene(24, 1, min_separation=0.039)),
+        daemon=True)
+    start = time.perf_counter()
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "random_scene did not return within 5 s"
+    assert time.perf_counter() - start < 5.0
+    doas = np.asarray(out[0].normalized_doas)
+    assert len(doas) == 24
+    assert np.min(np.diff(doas)) >= 0.039
+    assert doas[0] >= -0.5 and doas[-1] < 0.5
+
+
+@pytest.mark.parametrize("m, sep", [(1, 0.0), (2, 0.999), (24, 0.0434),
+                                    (50, 0.0201), (300, 1.0 / 300),
+                                    (2, 1.0 - 1e-13), (100, (1 - 1e-12) / 99),
+                                    (40, 0.0)])
+def test_random_scene_feasible_inputs_stay_in_domain(m, sep):
+    for seed in range(20):
+        doas = np.asarray(random_scene(m, seed, min_separation=sep)
+                          .normalized_doas)
+        assert len(doas) == m
+        assert doas[0] >= -0.5 and doas[-1] < 0.5
+        if m > 1:
+            assert np.min(np.diff(doas)) >= sep
+
+
+def test_random_scene_rejects_infeasible_input():
+    with pytest.raises(InvalidParameterError):
+        random_scene(11, 0, min_separation=0.1)
+    with pytest.raises(InvalidParameterError):
+        random_scene(0, 0)
+    with pytest.raises(InvalidParameterError):
+        random_scene(3, 0, min_separation=-0.1)
 
 
 def test_simulate_deterministic(nfa):
@@ -160,7 +313,6 @@ def test_music_boundary_source_count():
 def test_pick_peaks_tie_determinism():
     grid = np.linspace(-0.5, 0.5, 9, endpoint=False)
     spec = np.array([0.1, 0.9, 0.1, 0.1, 0.9, 0.1, 0.2, 0.1, 0.1])
-    from fractalarrays.doasim import MusicResult
     picked = pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
     assert picked.estimates == (grid[1], grid[4])
     assert not picked.under_resolved
@@ -169,7 +321,6 @@ def test_pick_peaks_tie_determinism():
 def test_pick_peaks_under_resolution():
     grid = np.linspace(-0.5, 0.5, 8, endpoint=False)
     spec = np.array([0.1, 0.9, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001])
-    from fractalarrays.doasim import MusicResult
     picked = pick_peaks(MusicResult(grid=grid, spectrum=spec), 3)
     assert picked.under_resolved
     assert len(picked.estimates) == 1
@@ -196,6 +347,28 @@ def test_trial_batch_deterministic(nfa):
     b = run_trial_batch(nfa, scene, 200, 5, seed=99)
     assert a.rmse == b.rmse
     assert a.per_trial_rmse == b.per_trial_rmse
+
+
+def test_trial_batch_keeps_first_trial(nfa):
+    scene = random_scene(4, seed=6)
+    result = run_trial_batch(nfa, scene, 200, 3, seed=99)
+    first = result.first_trial
+    assert first.estimates == result.per_trial_estimates[0]
+    assert first.spectrum.shape == first.grid.shape == (8192,)
+    r = sample_covariance(simulate(
+        nfa, scene, 200,
+        np.random.default_rng(np.random.SeedSequence(99).spawn(1)[0])
+        .integers(2 ** 63)))
+    alone = estimate_doas(nfa, r, 4)
+    assert np.array_equal(first.spectrum, alone.spectrum)
+
+
+def test_trial_batch_rejects_bad_arguments(nfa):
+    scene = random_scene(4, seed=6)
+    with pytest.raises(InvalidParameterError):
+        run_trial_batch(nfa, scene, 200, 0, seed=1)
+    with pytest.raises(InvalidParameterError):
+        run_trial_batch(nfa, scene, 200, 1, seed=1, covariance="exact")
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):

@@ -1,8 +1,13 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
+from fractalarrays.doasim import (MusicResult, pick_peaks, random_scene,
+                                  run_trial_batch)
 from fractalarrays.experiments import PAPER_CASES, main
+from fractalarrays.geometry import make_sfa
 
 
 def run(capsys, *argv):
@@ -83,6 +88,25 @@ def test_music_noiseless_on_grid(capsys, tmp_path):
     assert trial["M"] == 4 and trial["seed"] == 12
     header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
     assert header == "theta_norm,power"
+
+
+def test_music_spectrum_csv_is_trial_zero_of_the_batch(capsys, tmp_path):
+    code, _, _ = run(capsys, "music", "--kind", "sfa", "--sub", "nested",
+                     "--n", "6", "--r", "1", "--sources", "6",
+                     "--snr", "0", "--snapshots", "200", "--trials", "3",
+                     "--seed", "5", "--out-dir", str(tmp_path),
+                     "--grid-size", "2048")
+    assert code == 0
+    rows = list(csv.reader((tmp_path / "spectrum.csv").open()))[1:]
+    grid = np.array([float(theta) for theta, _ in rows])
+    power = np.array([float(p) for _, p in rows])
+    peaks = pick_peaks(MusicResult(grid=grid, spectrum=power), 6).estimates
+
+    arr = make_sfa("nested", {"n": 6}, 1)
+    scene = random_scene(6, 5, snr_db=0.0, grid_size=2048)
+    batch = run_trial_batch(arr, scene, 200, 3, 5, grid_size=2048)
+    assert peaks == tuple(float("%.8f" % e)
+                          for e in batch.per_trial_estimates[0])
 
 
 def test_music_capacity_guard(capsys, tmp_path):

@@ -31,6 +31,19 @@ def test_sensor_array_rejects_empty():
         SensorArray(())
 
 
+@pytest.mark.parametrize("positions", [(0, 1.7, 3), (0, 1, 2.5),
+                                       (0, float("nan")), (0, float("inf")),
+                                       (0, "1")])
+def test_sensor_array_rejects_non_integers(positions):
+    with pytest.raises(InvalidParameterError):
+        SensorArray(positions)
+
+
+def test_sensor_array_accepts_integral_values():
+    assert SensorArray((0, 1.0, 3)).positions == (0, 1, 3)
+    assert all(type(p) is int for p in SensorArray((0, 1.0, 3)).positions)
+
+
 def test_sensor_array_json_round_trip():
     arr = gen_nested(6)
     again = SensorArray.from_dict(arr.to_dict())
