@@ -72,6 +72,12 @@ class SourceScene:
         return len(self.normalized_doas)
 
 
+def _check_grid_size(grid_size):
+    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+        raise InvalidParameterError(
+            "grid size must be a positive integer, got %r" % (grid_size,))
+
+
 def random_scene(m, seed, snr_db=0.0, min_separation=None,
                  grid_size=DEFAULT_GRID_SIZE):
     """Equal-power random scene with a minimum DOA separation.
@@ -89,6 +95,7 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     and stay below 0.5; a separation within that margin of the limit is
     rejected as not fitting.
     """
+    _check_grid_size(grid_size)
     if min_separation is None:
         min_separation = 2.0 / grid_size
     if m < 1 or not min_separation >= 0:
@@ -276,6 +283,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         raise InvalidParameterError(
             "need 1 <= sources < matrix dimension, got m=%d, dim=%d"
             % (m, dim))
+    _check_grid_size(grid_size)
     _, vecs = np.linalg.eigh(t)
     noise = vecs[:, :dim - m]
     grid, a = _grid_steering(dim, grid_size)
@@ -288,13 +296,16 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
 def pick_peaks(result, m):
     """The m largest strict local maxima of the grid spectrum.
 
-    Fewer than m maxima is flagged as under-resolution rather than raised;
-    ties are broken by grid index so the output is deterministic.
+    The grid is circular, like the theta' domain: the first and last points
+    are neighbours, so a peak on either end is found.  Fewer than m maxima
+    is flagged as under-resolution rather than raised; ties are broken by
+    grid index so the output is deterministic.
     """
     spec = result.spectrum
-    inner = np.where((spec[1:-1] > spec[:-2]) & (spec[1:-1] > spec[2:]))[0] + 1
-    order = np.argsort(spec[inner], kind="stable")[::-1]
-    chosen = np.sort(inner[order[:m]])
+    ring = np.concatenate((spec[-1:], spec, spec[:1]))
+    maxima = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
+    order = np.argsort(spec[maxima], kind="stable")[::-1]
+    chosen = np.sort(maxima[order[:m]])
     estimates = tuple(result.grid[chosen])
     under = len(chosen) < m
     return MusicResult(grid=result.grid, spectrum=spec,

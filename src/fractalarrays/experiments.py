@@ -19,10 +19,9 @@ from . import geometry
 from .geometry import (InvalidParameterError, SensorArray,
                        UnsupportedParameterError)
 from .coarray import difference_coarray, summarize
-from .doasim import (CapacityError, DEFAULT_GRID_SIZE,
-                     coarray_autocorrelation, music_spectrum, pick_peaks,
+from .doasim import (CapacityError, DEFAULT_GRID_SIZE, estimate_doas,
                      random_scene, run_trial_batch, sample_covariance,
-                     simulate, toeplitz_augment)
+                     simulate)
 from .robustness import fragility_profile, robustness_report, \
     write_fragility_csv
 
@@ -132,43 +131,26 @@ def _write_spectrum_csv(path, result):
             writer.writerow(["%.8f" % theta, "%.10g" % power])
 
 
+# Array kinds that `generate` and `music` build directly from flags: every
+# SFA subarray family (spelt with "-" on the command line) plus Cantor.
+# ``--kind sfa`` takes its family from ``--sub``.
+_KINDS = {name.replace("_", "-"): spec
+          for name, spec in geometry._SFA_FAMILIES.items()}
+_KINDS["cantor"] = (geometry.gen_cantor, ("r",))
+
+
 def _build_from_flags(args):
-    kind = args.kind
-    if kind == "ula":
-        return geometry.gen_ula(_require(args, "n"))
-    if kind == "nested":
-        return geometry.gen_nested(_require(args, "n"))
-    if kind == "coprime":
-        return geometry.gen_coprime(_require(args, "m"), _require(args, "n"))
-    if kind == "ana1":
-        return geometry.gen_ana1(_require(args, "n"))
-    if kind == "ana2":
-        return geometry.gen_ana2(_require(args, "n"))
-    if kind == "super-nested":
-        return geometry.gen_super_nested(_require(args, "n1"),
-                                         _require(args, "n2"))
-    if kind == "cantor":
-        return geometry.gen_cantor(_require(args, "r"))
-    if kind == "sfa":
-        sub = args.sub
-        if sub is None:
-            raise UsageError("--kind sfa requires --sub")
-        params = {"nested": lambda: {"n": _require(args, "n")},
-                  "ula": lambda: {"n": _require(args, "n")},
-                  "coprime": lambda: {"m": _require(args, "m"),
-                                      "n": _require(args, "n")},
-                  "ana1": lambda: {"n": _require(args, "n")},
-                  "ana2": lambda: {"n": _require(args, "n")},
-                  "super_nested": lambda: {"n1": _require(args, "n1"),
-                                           "n2": _require(args, "n2")}}
-        if sub not in params:
-            raise UsageError("unknown SFA subarray family %r" % sub)
-        return geometry.make_sfa(sub, params[sub](), args.r or 1)
-    raise UsageError("unknown array kind %r" % kind)
+    if args.kind == "sfa":
+        _, names = geometry._SFA_FAMILIES[_require(args, "sub")]
+        params = {name: _require(args, name) for name in names}
+        return geometry.make_sfa(args.sub, params,
+                                 1 if args.r is None else args.r)
+    generator, names = _KINDS[args.kind]
+    return generator(*(_require(args, name) for name in names))
 
 
 def _require(args, name):
-    value = getattr(args, name.replace("-", "_"), None)
+    value = getattr(args, name)
     if value is None:
         raise UsageError("--kind %s requires --%s" % (args.kind, name))
     return value
@@ -212,16 +194,14 @@ def cmd_music(args):
         arr = _load_geometry(args.geometry)
     else:
         arr = _build_from_flags(args)
-    summary = summarize(difference_coarray(arr))
     m = args.sources
-    capacity = summary.max_sources
-    override_used = False
-    if m > capacity:
+    capacity = summarize(difference_coarray(arr)).max_sources
+    override = m > capacity
+    if override:
         if not args.override_capacity:
             raise CapacityError(
                 "%d sources exceed the coarray capacity of %d "
                 "(pass --override-capacity to attempt anyway)" % (m, capacity))
-        override_used = True
         sys.stderr.write(
             "warning: attempting %d sources beyond capacity %d\n"
             % (m, capacity))
@@ -232,34 +212,24 @@ def cmd_music(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if override_used:
-        # Force the pipeline with a clamped signal-subspace dimension and
-        # report the unavoidable under-resolution.
-        batch = simulate(arr, scene, args.snapshots, args.seed)
-        r = sample_covariance(batch)
-        ac = coarray_autocorrelation(r, arr)
-        t = toeplitz_augment(ac, summary.ula_segment)
-        m_eff = min(m, t.shape[0] - 1)
-        result = pick_peaks(music_spectrum(t, m_eff, args.grid_size), m)
-        report = {
-            "label": arr.label, "M": m, "snapshots": args.snapshots,
-            "snr_db": args.snr, "trials": 1, "rmse": None,
-            "seed": args.seed, "under_resolved": True,
-            "capacity": capacity, "override": True,
-        }
+    report = {"label": arr.label, "M": m, "snapshots": args.snapshots,
+              "snr_db": args.snr, "seed": args.seed, "capacity": capacity,
+              "override": override}
+    if override:
+        # Run one pass at full capacity and report the unavoidable
+        # under-resolution.
+        r = sample_covariance(simulate(arr, scene, args.snapshots, args.seed))
+        result = estimate_doas(arr, r, capacity, args.grid_size)
+        report.update(trials=1, rmse=None, under_resolved=True)
     else:
         batch_result = run_trial_batch(arr, scene, args.snapshots,
                                        args.trials, args.seed,
                                        grid_size=args.grid_size)
         result = batch_result.first_trial
-        report = {
-            "label": arr.label, "M": m, "snapshots": args.snapshots,
-            "snr_db": args.snr, "trials": args.trials,
-            "rmse": batch_result.rmse, "seed": args.seed,
-            "under_resolved": batch_result.resolved_trials < args.trials,
-            "resolved_fraction": batch_result.resolved_fraction,
-            "capacity": capacity, "override": False,
-        }
+        report.update(
+            trials=args.trials, rmse=batch_result.rmse,
+            under_resolved=batch_result.resolved_trials < args.trials,
+            resolved_fraction=batch_result.resolved_fraction)
 
     _write_spectrum_csv(out_dir / "spectrum.csv", result)
     _write_json(out_dir / "trial.json", report)
@@ -300,11 +270,22 @@ def _reproduce_case(tag, out_dir, k_max):
     return comparisons
 
 
+def _unexplained(tag, comparisons):
+    return ["%s %s" % (tag, f) for f, c in comparisons.items()
+            if not c["match"] and not c["oracle_refuted"]]
+
+
 def cmd_reproduce(args):
     tag = args.tag
     if tag not in REPRODUCE_TAGS:
         raise UsageError("unknown tag %r; valid tags: %s"
                          % (tag, ", ".join(REPRODUCE_TAGS)))
+    cases = [case for case in PAPER_CASES if tag in (case, "table1")]
+    needed = max((k for case in cases for k in PAPER_CASES[case]["fragility"]),
+                 default=0)
+    if args.k_max < needed:
+        raise UsageError("reproduce %s compares published F_k up to k=%d; "
+                         "it needs --k-max %d or more" % (tag, needed, needed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     unexplained = []
@@ -322,20 +303,17 @@ def cmd_reproduce(args):
     elif tag in PAPER_CASES:
         comparisons = _reproduce_case(tag, out_dir, args.k_max)
         _dump({tag: comparisons})
-        unexplained += ["%s %s" % (tag, f) for f, c in comparisons.items()
-                        if not c["match"] and not c["oracle_refuted"]]
+        unexplained += _unexplained(tag, comparisons)
     elif tag == "table1":
         rows = []
-        for case_tag in ("nfa", "cfa", "auggen1", "auggen2", "snfa"):
+        for case_tag in PAPER_CASES:
             comparisons = _reproduce_case(case_tag, out_dir, args.k_max)
             row = {"array": PAPER_CASES[case_tag]["name"]}
             for field in ("essential", "F1", "F2", "F3"):
                 if field in comparisons:
                     row[field] = comparisons[field]
             rows.append(row)
-            unexplained += ["%s %s" % (case_tag, f) for f, c
-                            in comparisons.items()
-                            if not c["match"] and not c["oracle_refuted"]]
+            unexplained += _unexplained(case_tag, comparisons)
         _write_json(out_dir / "table1.json", rows)
         _dump(rows)
     elif tag == "fragility-figures":
@@ -363,8 +341,7 @@ def _twelve_sensor_gallery():
         ("SuperNested(5,7)", geometry.gen_super_nested(5, 7)),
         ("Coprime(3,7)", geometry.gen_coprime(3, 7)),
     ]
-    for tag in ("nfa", "cfa", "auggen1", "auggen2", "snfa"):
-        case = PAPER_CASES[tag]
+    for case in PAPER_CASES.values():
         gallery.append((case["name"], case["build"]()))
     return gallery
 
@@ -379,11 +356,9 @@ def _build_parser():
 
     def add_geometry_flags(p, kind_required=True):
         p.add_argument("--kind", required=kind_required,
-                       choices=["ula", "nested", "coprime", "ana1", "ana2",
-                                "super-nested", "cantor", "sfa"])
+                       choices=[*_KINDS, "sfa"])
         p.add_argument("--sub", help="SFA subarray family",
-                       choices=["ula", "nested", "coprime", "ana1", "ana2",
-                                "super_nested"])
+                       choices=list(geometry._SFA_FAMILIES))
         p.add_argument("--n", type=int)
         p.add_argument("--m", type=int)
         p.add_argument("--n1", type=int)

@@ -246,31 +246,38 @@ def cross_sum(a, b):
     return SensorArray(tuple(sums), kind="custom", label=label)
 
 
+# Sparse subarray families of an SFA: generator and its parameter names.
 _SFA_FAMILIES = {
-    "ula": lambda params: gen_ula(params["n"]),
-    "nested": lambda params: gen_nested(params["n"]),
-    "coprime": lambda params: gen_coprime(params["m"], params["n"]),
-    "ana1": lambda params: gen_ana1(params["n"]),
-    "ana2": lambda params: gen_ana2(params["n"]),
-    "super_nested": lambda params: gen_super_nested(params["n1"],
-                                                    params["n2"]),
+    "ula": (gen_ula, ("n",)),
+    "nested": (gen_nested, ("n",)),
+    "coprime": (gen_coprime, ("m", "n")),
+    "ana1": (gen_ana1, ("n",)),
+    "ana2": (gen_ana2, ("n",)),
+    "super_nested": (gen_super_nested, ("n1", "n2")),
 }
 
 
 def make_sfa(kind, params, fractal_scale=1):
     """Sparse fractal array: subarray 1 cross-summed with a scaled Cantor set.
 
-    Subarray 2 is gen_cantor(fractal_scale) expanded by d2 = 2M + 1 where
-    M is the sensor count of subarray 1, so the two lattices interleave
-    without wasting aperture.
+    Subarray 1 is family ``kind`` built from ``params``, which must name
+    exactly that family's parameters.  Subarray 2 is
+    gen_cantor(fractal_scale) expanded by d2 = 2M + 1 where M is the sensor
+    count of subarray 1, so the two lattices interleave without wasting
+    aperture.
     """
     if kind not in _SFA_FAMILIES:
         raise InvalidParameterError(
             "unknown subarray family %r (choose from %s)"
             % (kind, sorted(_SFA_FAMILIES)))
+    generator, names = _SFA_FAMILIES[kind]
+    if set(params) != set(names):
+        raise InvalidParameterError(
+            "subarray family %r takes parameters %s, got %s"
+            % (kind, list(names), list(params)))
     if fractal_scale < 1:
         raise InvalidParameterError("fractal scale must be >= 1")
-    sub1 = _SFA_FAMILIES[kind](params)
+    sub1 = generator(*(params[p] for p in names))
     d2 = 2 * len(sub1) + 1
     cantor = gen_cantor(fractal_scale)
     sub2 = SensorArray(tuple(p * d2 for p in cantor.positions),

@@ -205,6 +205,21 @@ def test_random_scene_rejects_infeasible_input():
         random_scene(3, 0, min_separation=-0.1)
 
 
+@pytest.mark.parametrize("grid_size", [0, -8, 2048.0, "2048", None])
+def test_random_scene_rejects_bad_grid_size(grid_size):
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        random_scene(3, 0, grid_size=grid_size)
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        random_scene(3, 0, min_separation=0.01, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("grid_size", [0, -8, 2048.0, "2048", None])
+def test_music_spectrum_rejects_bad_grid_size(grid_size):
+    t = np.eye(4, dtype=complex)
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        music_spectrum(t, 1, grid_size)
+
+
 def test_simulate_deterministic(nfa):
     scene = random_scene(3, seed=1)
     a = simulate(nfa, scene, 64, seed=42)
@@ -324,6 +339,27 @@ def test_pick_peaks_under_resolution():
     picked = pick_peaks(MusicResult(grid=grid, spectrum=spec), 3)
     assert picked.under_resolved
     assert len(picked.estimates) == 1
+
+
+def test_pick_peaks_wraps_the_circular_grid():
+    grid = np.linspace(-0.5, 0.5, 8, endpoint=False)
+    spec = np.array([0.9, 0.1, 0.2, 0.1, 0.05, 0.3, 0.1, 0.8])
+    picked = pick_peaks(MusicResult(grid=grid, spectrum=spec), 4)
+    # grid[7] is not a maximum: its neighbour across the wrap is larger
+    assert picked.estimates == (grid[0], grid[2], grid[5])
+    assert picked.under_resolved
+    assert pick_peaks(MusicResult(grid=grid, spectrum=spec[::-1]),
+                      1).estimates == (grid[7],)
+
+
+def test_noiseless_source_on_the_first_grid_point_is_exact(nfa):
+    grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
+    scene = SourceScene(tuple(grid[[0, 2400, 4000, 5600, 7200]]),
+                        (1.0,) * 5, 0.0)
+    result = run_trial_batch(nfa, scene, 1, 1, seed=0,
+                             covariance="expected")
+    assert result.rmse == 0.0
+    assert result.per_trial_estimates[0][0] == -0.5
 
 
 def test_estimate_doas_noiseless_multi(nfa):

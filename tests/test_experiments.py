@@ -1,13 +1,17 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from fractalarrays.doasim import (MusicResult, pick_peaks, random_scene,
-                                  run_trial_batch)
+from fractalarrays.doasim import (MusicResult, estimate_doas, pick_peaks,
+                                  random_scene, run_trial_batch,
+                                  sample_covariance, simulate)
 from fractalarrays.experiments import PAPER_CASES, main
-from fractalarrays.geometry import make_sfa
+from fractalarrays.geometry import (gen_ana1, gen_ana2, gen_cantor,
+                                    gen_coprime, gen_nested,
+                                    gen_super_nested, gen_ula, make_sfa)
 
 
 def run(capsys, *argv):
@@ -31,10 +35,77 @@ def test_generate_cantor(capsys):
     assert json.loads(out)["positions"] == [0, 1, 3, 4]
 
 
+# One spelling per --kind choice and per --sub family of --kind sfa, with the
+# library call the CLI must reproduce.
+KIND_CASES = {
+    "ula": (["--n", "5"], lambda: gen_ula(5)),
+    "nested": (["--n", "7"], lambda: gen_nested(7)),
+    "coprime": (["--m", "2", "--n", "5"], lambda: gen_coprime(2, 5)),
+    "ana1": (["--n", "6"], lambda: gen_ana1(6)),
+    "ana2": (["--n", "7"], lambda: gen_ana2(7)),
+    "super-nested": (["--n1", "3", "--n2", "4"],
+                     lambda: gen_super_nested(3, 4)),
+    "cantor": (["--r", "3"], lambda: gen_cantor(3)),
+}
+SUB_CASES = {
+    "ula": (["--n", "4", "--r", "2"], lambda: make_sfa("ula", {"n": 4}, 2)),
+    "nested": (["--n", "6"], lambda: make_sfa("nested", {"n": 6}, 1)),
+    "coprime": (["--m", "2", "--n", "3", "--r", "2"],
+                lambda: make_sfa("coprime", {"m": 2, "n": 3}, 2)),
+    "ana1": (["--n", "6", "--r", "1"], lambda: make_sfa("ana1", {"n": 6}, 1)),
+    "ana2": (["--n", "6"], lambda: make_sfa("ana2", {"n": 6}, 1)),
+    "super_nested": (["--n1", "3", "--n2", "3", "--r", "2"],
+                     lambda: make_sfa("super_nested", {"n1": 3, "n2": 3}, 2)),
+}
+
+
+def _choices(capsys, *argv):
+    """The choice list argparse prints for an invalid value, in order."""
+    code, _, err = run(capsys, "generate", *argv)
+    assert code == 1
+    return re.findall(r"[\w-]+", err.split("choose from", 1)[1])
+
+
+def test_generate_choice_sets_are_pinned(capsys):
+    kinds = _choices(capsys, "--kind", "bogus")
+    assert kinds == ["ula", "nested", "coprime", "ana1", "ana2",
+                     "super-nested", "cantor", "sfa"]
+    assert set(kinds) == set(KIND_CASES) | {"sfa"}
+    subs = _choices(capsys, "--kind", "sfa", "--sub", "bogus")
+    assert subs == ["ula", "nested", "coprime", "ana1", "ana2",
+                    "super_nested"]
+    assert set(subs) == set(SUB_CASES)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CASES))
+def test_generate_kind_matches_library(capsys, kind):
+    flags, build = KIND_CASES[kind]
+    code, out, err = run(capsys, "generate", "--kind", kind, *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == build().to_dict()
+
+
+@pytest.mark.parametrize("sub", sorted(SUB_CASES))
+def test_generate_sfa_sub_matches_library(capsys, sub):
+    flags, build = SUB_CASES[sub]
+    code, out, err = run(capsys, "generate", "--kind", "sfa", "--sub", sub,
+                         *flags)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == build().to_dict()
+
+
 def test_generate_invalid_exits_nonzero(capsys):
     code, _, err = run(capsys, "generate", "--kind", "ula", "--n", "0")
     assert code == 2
     assert err
+
+
+def test_generate_sfa_rejects_zero_fractal_scale(capsys):
+    # a given --r 0 reaches make_sfa; only an absent --r means scale 1
+    code, out, err = run(capsys, "generate", "--kind", "sfa", "--sub",
+                         "nested", "--n", "6", "--r", "0")
+    assert code == 2
+    assert out == "" and "fractal scale" in err
 
 
 def test_generate_missing_param_is_usage_error(capsys):
@@ -125,6 +196,52 @@ def test_music_capacity_override_flags_under_resolution(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["under_resolved"] is True
     assert "warning" in err
+
+
+def test_music_override_spectrum_is_estimate_doas_at_capacity(capsys,
+                                                              tmp_path):
+    code, _, _ = run(capsys, "music", "--kind", "sfa", "--sub", "coprime",
+                     "--m", "2", "--n", "3", "--sources", "22",
+                     "--override-capacity", "--snapshots", "300",
+                     "--seed", "4", "--grid-size", "2048",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    arr = make_sfa("coprime", {"m": 2, "n": 3}, 1)
+    scene = random_scene(22, 4, snr_db=0.0, grid_size=2048)
+    r = sample_covariance(simulate(arr, scene, 300, 4))
+    expected = estimate_doas(arr, r, 20, 2048)
+    rows = list(csv.reader((tmp_path / "spectrum.csv").open()))[1:]
+    assert rows == [["%.8f" % theta, "%.10g" % power] for theta, power
+                    in zip(expected.grid, expected.spectrum)]
+
+
+def test_music_rejects_zero_grid_size(capsys, tmp_path):
+    code, _, err = run(capsys, "music", "--kind", "sfa", "--sub", "nested",
+                       "--n", "6", "--sources", "4", "--grid-size", "0",
+                       "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: grid size must be a positive integer")
+
+
+@pytest.mark.parametrize("tag, needed", [("table1", 3), ("nfa", 3),
+                                         ("auggen1", 2), ("snfa", 2)])
+def test_reproduce_k_max_below_published_fragility(capsys, tmp_path, tag,
+                                                   needed):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "reproduce", tag, "--k-max",
+                         str(needed - 1), "--out-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:")
+    assert "--k-max %d" % needed in err
+    assert not out_dir.exists()
+
+
+def test_reproduce_k_max_at_published_fragility(capsys, tmp_path):
+    code, out, _ = run(capsys, "reproduce", "auggen1", "--k-max", "2",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["auggen1"]["F2"]["match"] is True
 
 
 def test_reproduce_example1(capsys, tmp_path):

@@ -224,6 +224,23 @@ def test_make_sfa_errors_propagate():
         make_sfa("nested", {"n": 6}, 0)
     with pytest.raises(InvalidParameterError):
         make_sfa("moebius", {"n": 6}, 1)
+    with pytest.raises(InvalidParameterError, match="cantor"):
+        make_sfa("cantor", {"r": 2}, 1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("nested", {}),
+    ("coprime", {"m": 2}),
+    ("nested", {"n": 6, "r": 2}),
+    ("super_nested", {"n1": 3, "n2": 3, "n": 6}),
+])
+def test_make_sfa_params_must_name_exactly_the_family_parameters(kind,
+                                                                 params):
+    with pytest.raises(InvalidParameterError) as err:
+        make_sfa(kind, params, 1)
+    required = {"nested": "['n']", "coprime": "['m', 'n']",
+                "super_nested": "['n1', 'n2']"}[kind]
+    assert required in str(err.value)
 
 
 @pytest.mark.parametrize("build", [
