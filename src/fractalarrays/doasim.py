@@ -321,9 +321,20 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
 
 
 def _rmse(estimates, truths):
+    """RMSE on the circle [-0.5, 0.5): the sorted estimates are matched to
+    the sorted truths under the cyclic shift with the least squared error,
+    and each difference is wrapped to the nearest turn.  Wrapping leaves a
+    difference below 0.5 in size unchanged, so when the unshifted match is
+    best the result is the linear sorted-order RMSE bit for bit."""
     est = np.sort(np.asarray(estimates))
     tru = np.sort(np.asarray(truths))
-    return float(np.sqrt(np.mean((est - tru) ** 2)))
+    m = len(est)
+    # Row s matches est rolled by s places to the sorted truths.
+    shifts = (np.arange(m) - np.arange(m)[:, None]) % m
+    d = est[shifts] - tru
+    d -= np.rint(d)
+    best = int(np.argmin(np.sum(d ** 2, axis=1)))
+    return float(np.sqrt(np.mean(d[best] ** 2)))
 
 
 @dataclass(frozen=True)
@@ -354,7 +365,9 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
     Per-trial seeds are spawned deterministically from the batch seed, so
     the result does not depend on evaluation order.  The aggregate RMSE
     pools squared errors of all resolved trials, with estimates matched to
-    the truth by sorted order.  ``covariance="expected"`` bypasses the
+    the truth in sorted order around the circle (the cyclic shift with the
+    least error) and errors wrapped to the nearest turn.
+    ``covariance="expected"`` bypasses the
     snapshot simulation and uses the exact model covariance (a noiseless
     sanity path).
     """

@@ -417,6 +417,40 @@ def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):
     assert result.resolved_trials == 3
 
 
+def test_trial_batch_rmse_wraps_around_the_circle(nfa):
+    # The source just below 0.5 is picked at -0.5, less than one grid step
+    # away on the circle; matched in linear sorted order it counted as an
+    # error of almost 1 (RMSE 0.337).
+    scene = SourceScene((-0.2, 0.1, 0.49995), (1.0,) * 3, 0.0)
+    result = run_trial_batch(nfa, scene, 1, 1, seed=0, covariance="expected")
+    assert result.per_trial_estimates[0][0] == -0.5
+    assert result.rmse < 1 / 8192
+
+
+def test_trial_batch_rmse_against_linear_sorted_matching(nfa):
+    # The circular RMSE never exceeds the linear sorted-order one, and it is
+    # the same number, bit for bit, when every estimate lies within half the
+    # smallest circular gap between truths of its own truth: then every
+    # other cyclic shift makes each error larger.
+    checked = 0
+    for scene_seed in range(6):
+        scene = random_scene(6, seed=scene_seed)
+        tru = np.sort(np.asarray(scene.normalized_doas))
+        gap = np.min(np.diff(np.append(tru, tru[0] + 1.0)))
+        result = run_trial_batch(nfa, scene, 100, 4, seed=scene_seed)
+        for est, rmse in zip(result.per_trial_estimates,
+                             result.per_trial_rmse):
+            if len(est) < len(tru):
+                continue
+            linear = np.sort(np.asarray(est)) - tru
+            linear_rmse = float(np.sqrt(np.mean(linear ** 2)))
+            assert rmse <= linear_rmse
+            if np.max(np.abs(linear)) < gap / 2:
+                assert rmse == linear_rmse
+                checked += 1
+    assert checked >= 12
+
+
 def test_steering_unit_modulus_random_arrays():
     import random as pyrandom
     rng = pyrandom.Random(31)

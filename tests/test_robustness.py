@@ -1,14 +1,131 @@
 import itertools
+import threading
+import time
+from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fractalarrays import robustness
 from fractalarrays.coarray import lag_set
+from fractalarrays.experiments import PAPER_CASES
 from fractalarrays.geometry import (InvalidParameterError, SensorArray,
-                                    gen_nested, gen_ula, make_sfa)
+                                    gen_coprime, gen_nested,
+                                    gen_super_nested, gen_ula, make_sfa)
 from fractalarrays.robustness import (essential_sensors, fragility_profile,
                                       k_fragility, robustness_report,
                                       write_fragility_csv)
+
+
+# Reference implementations: the exhaustive enumeration the vertex-cover
+# kernel must reproduce exactly.  Each removal rebuilds the lag set.
+
+def ref_essential(positions):
+    full = lag_set(positions)
+    essential = tuple(x for x in positions
+                      if lag_set([p for p in positions if p != x]) != full)
+    inessential = tuple(x for x in positions if x not in essential)
+    return essential, inessential
+
+
+def ref_k_fragility(positions, k):
+    full = lag_set(positions)
+    count = 0
+    for removed in itertools.combinations(positions, k):
+        drop = set(removed)
+        if lag_set([p for p in positions if p not in drop]) != full:
+            count += 1
+    return count, comb(len(positions), k)
+
+
+@dataclass(frozen=True)
+class Positions:
+    """Strictly increasing positions that may be negative, which SensorArray
+    rejects; the robustness functions read only the positions and length."""
+
+    positions: tuple
+
+    def __len__(self):
+        return len(self.positions)
+
+
+def assert_matches_reference(arr, k_max):
+    ess = essential_sensors(arr)
+    assert (ess.essential, ess.inessential) == ref_essential(arr.positions)
+    profile = fragility_profile(arr, k_max)
+    assert [r.k for r in profile] == list(range(1, k_max + 1))
+    for r in profile:
+        count, total = ref_k_fragility(arr.positions, r.k)
+        assert (r.essential_subset_count, r.total_subsets) == (count, total)
+        assert r.fragility == Fraction(count, total)
+        assert k_fragility(arr, r.k) == r
+
+
+# The Table-1 arrays and the other arrays of the fragility gallery.
+GALLERY = [case["build"]() for case in PAPER_CASES.values()] + [
+    gen_ula(12), gen_nested(12), gen_super_nested(5, 7), gen_coprime(3, 7),
+    gen_super_nested(2, 4), gen_super_nested(4, 4)]
+
+
+@pytest.mark.parametrize("arr", GALLERY, ids=lambda a: a.label)
+def test_gallery_matches_reference(arr):
+    assert_matches_reference(arr, min(3, len(arr) - 1))
+
+
+def test_nfa_r2_matches_reference_to_k4():
+    assert_matches_reference(make_sfa("nested", {"n": 6}, 2), 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=2, max_size=12, unique=True))
+def test_random_arrays_match_reference_at_every_k(positions):
+    assert_matches_reference(Positions(tuple(sorted(positions))),
+                             len(positions) - 1)
+
+
+def test_nfa48_counts():
+    # All four equal the exhaustive enumeration; k = 4 (194580 subsets,
+    # about 30 s) is too slow to enumerate in this suite.
+    arr = make_sfa("nested", {"n": 6}, 3)
+    counts = [r.essential_subset_count for r in fragility_profile(arr, 4)]
+    assert counts == [7, 310, 6955, 103240]
+
+
+def test_kept_sensors_spanning_every_lag_exactly():
+    # Four kept sensors have six pairs, as many as ULA(7) has positive lags,
+    # so only a perfect Golomb ruler keeps the coarray: {0, 1, 4, 6} and its
+    # mirror {0, 2, 5, 6}.  Every other 3-subset is essential.
+    r = k_fragility(gen_ula(7), 3)
+    assert (r.essential_subset_count, r.total_subsets) == (33, 35)
+    assert ref_k_fragility(gen_ula(7).positions, 3) == (33, 35)
+
+
+@pytest.mark.parametrize("arr", [make_sfa("nested", {"n": 6}, 1),
+                                 gen_ula(7), SensorArray((0, 1)),
+                                 SensorArray((3, 10, 11))],
+                         ids=lambda a: a.label or str(a.positions))
+def test_all_but_one_removed_is_fully_fragile(arr):
+    n = len(arr)
+    r = k_fragility(arr, n - 1)
+    assert (r.essential_subset_count, r.total_subsets) == (n, n)
+    assert r.fragility == 1
+
+
+@pytest.mark.parametrize("arr", GALLERY[:5], ids=lambda a: a.label)
+@pytest.mark.parametrize("flip", [False, True])
+@pytest.mark.parametrize("shift", [-50, 0, 7])
+def test_counts_invariant_under_translation_and_mirroring(arr, flip, shift):
+    sign = -1 if flip else 1
+    moved = Positions(tuple(sorted(sign * p + shift for p in arr.positions)))
+    counts = [(r.essential_subset_count, r.total_subsets)
+              for r in fragility_profile(arr, 3)]
+    assert [(r.essential_subset_count, r.total_subsets)
+            for r in fragility_profile(moved, 3)] == counts
+    ess = {sign * p + shift for p in essential_sensors(arr).essential}
+    assert set(essential_sensors(moved).essential) == ess
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +271,26 @@ def test_fragility_csv(tmp_path, cfa):
     assert lines[0] == "label,k,F_k"
     assert lines[1] == "CFA,1,0.5000"
     assert lines[2] == "CFA,2,0.8182"
+
+
+def test_profile_checks_every_k_before_computing(monkeypatch):
+    def no_count(graphs, pool, r):
+        raise AssertionError("counted before the limit check")
+
+    monkeypatch.setattr(robustness, "_count_uncovering", no_count)
+    big = SensorArray(tuple(range(40)))
+    out = []
+
+    def attempt():
+        try:
+            fragility_profile(big, 8)
+        except InvalidParameterError as exc:
+            out.append(exc)
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    start = time.perf_counter()
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "fragility_profile did not return"
+    assert time.perf_counter() - start < 1.0
+    assert len(out) == 1 and "C(40, 7)" in str(out[0])
