@@ -9,9 +9,14 @@ Toeplitz augmentation on the central ULA segment -> MUSIC pseudospectrum
 -> peak picking -> RMSE over Monte-Carlo trials.
 
 Everything that depends only on the array (the ordered-pair lag index and
-the coarray summary) or only on the matrix dimension and grid size (the
-grid steering matrix) is computed once and kept in small, bounded,
-read-only caches, so a Monte-Carlo batch pays for it on its first trial.
+the coarray summary) or only on the grid size (the theta' grid) is
+computed once and kept in small, bounded, read-only caches, so a
+Monte-Carlo batch pays for it on its first trial.
+
+The MUSIC denominator a(theta)^H E E^H a(theta) is a trigonometric
+polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
+Barabell 1983), so it is evaluated on the whole grid by one FFT of its
+coefficients instead of a dim x grid_size steering-matrix product.
 """
 
 from __future__ import annotations
@@ -22,13 +27,12 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import InvalidParameterError
-from .coarray import CoarraySummary, difference_coarray, summarize
+from .coarray import Coarray, CoarraySummary, summarize
 
 DEFAULT_GRID_SIZE = 8192
-# Cache bounds.  A steering entry holds dim x grid_size complex values
-# (16 bytes each): 24 MB for the 48-sensor NFA (dim 181) at 8192 points.
+# Cache bounds.  A grid entry holds grid_size floats: 64 kB at 8192 points.
 _PLAN_CACHE_SIZE = 32
-_STEERING_CACHE_SIZE = 4
+_GRID_CACHE_SIZE = 4
 
 
 class CoarrayHoleError(ValueError):
@@ -86,14 +90,16 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     from merging into one pseudospectrum peak.  SNR is per source against
     unit source power, so SNR 0 dB means sigma_i^2 = sigma^2 = 1.
 
-    The DOAs are drawn uniformly from the feasible sorted configurations
-    in [-0.5, 0.5) without rejection: m sorted uniform draws from the
-    slack 1 - (m-1) * min_separation, the i-th shifted by
-    i * min_separation.  This takes O(m log m) however tight the
-    separation is.  The separation is padded, and the slack trimmed, by
-    a few rounding errors, so that the rounded DOAs keep the separation
-    and stay below 0.5; a separation within that margin of the limit is
-    rejected as not fitting.
+    The separation holds on the circle: the last source and the first one,
+    one turn on, are at least min_separation apart too, so m sources fit
+    only when m * min_separation < 1.  The DOAs are drawn uniformly from
+    the feasible sorted configurations starting in [-0.5, 0.5) without
+    rejection: m sorted uniform draws from the slack
+    1 - m * min_separation, the i-th shifted by i * min_separation.  This
+    takes O(m log m) however tight the separation is.  The separation is
+    padded, and the slack trimmed, by a few rounding errors, so that the
+    rounded DOAs keep the separation and stay below 0.5; a separation
+    within that margin of the limit is rejected as not fitting.
     """
     _check_grid_size(grid_size)
     if min_separation is None:
@@ -103,7 +109,7 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
             "need at least one source and a non-negative separation")
     pad = 4 * np.finfo(float).eps
     step = min_separation + pad
-    slack = 1.0 - (m - 1) * step - pad
+    slack = 1.0 - m * step - pad
     if not slack > 0.0:
         raise InvalidParameterError(
             "%d sources with separation %g do not fit in [-0.5, 0.5)"
@@ -145,15 +151,12 @@ def _steering_matrix(positions, thetas):
     return np.exp(2j * np.pi * np.outer(positions, np.asarray(thetas)))
 
 
-@lru_cache(maxsize=_STEERING_CACHE_SIZE)
-def _grid_steering(dim, grid_size):
-    """The theta' grid over [-0.5, 0.5) and the dim x grid_size steering
-    matrix of a ULA with dim sensors on it, both read-only."""
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid(grid_size):
+    """The theta' grid over [-0.5, 0.5), read-only."""
     grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
-    a = _steering_matrix(np.arange(dim), grid)
     grid.flags.writeable = False
-    a.flags.writeable = False
-    return grid, a
+    return grid
 
 
 def _complex_gaussian(rng, shape):
@@ -212,8 +215,12 @@ def _coarray_plan(positions):
                                         return_counts=True)
     for a in (lags, counts, pair_lags):
         a.flags.writeable = False
+    keys = lags.tolist()
+    coarray = Coarray(lags=tuple(keys),
+                      weights=dict(zip(keys, counts.tolist())),
+                      source_cardinality=len(p))
     return _CoarrayPlan(lags=lags, counts=counts, pair_lags=pair_lags,
-                        summary=summarize(difference_coarray(positions)))
+                        summary=summarize(coarray))
 
 
 def _capacity_summary(s, m):
@@ -274,9 +281,16 @@ def toeplitz_augment(ac, ula_segment):
 def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     """MUSIC pseudospectrum of a Hermitian matrix with m signal dimensions.
 
-    The noise subspace is spanned by the eigenvectors of the dim - m
+    The noise subspace is spanned by the eigenvectors E of the dim - m
     smallest eigenvalues; the spectrum is normalized to peak at 1 on a
     uniform theta' grid over [-0.5, 0.5).
+
+    With P = E E^H and c_k the sum of P's k-th subdiagonal, the denominator
+    a(theta)^H P a(theta) is c_0 + 2 Re sum_{k>0} c_k exp(-2 pi j k theta).
+    On grid point g, theta = -0.5 + g / grid_size, so it is the real part
+    of the length-grid_size DFT of h_0 = c_0, h_k = 2 (-1)^k c_k.  Folding
+    h modulo grid_size first makes this exact for any grid size, including
+    one smaller than dim.
     """
     dim = t.shape[0]
     if not 1 <= m < dim:
@@ -286,11 +300,24 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     _check_grid_size(grid_size)
     _, vecs = np.linalg.eigh(t)
     noise = vecs[:, :dim - m]
-    grid, a = _grid_steering(dim, grid_size)
-    denom = np.sum(np.abs(noise.conj().T @ a) ** 2, axis=0)
+    proj = noise @ noise.conj().T
+    # Diagonal index p - q of each entry (p, q), offset to start at 0; the
+    # subdiagonal sums c_k (k >= 0) are the upper half of the bins.
+    idx = np.arange(dim)
+    diag = (idx[:, None] - idx[None, :] + (dim - 1)).ravel()
+    h = np.empty(dim, dtype=complex)
+    h.real = np.bincount(diag, weights=proj.real.ravel())[dim - 1:]
+    h.imag = np.bincount(diag, weights=proj.imag.ravel())[dim - 1:]
+    h[1:] *= 2.0
+    h[1::2] *= -1.0
+    bins = idx % grid_size
+    folded = np.empty(grid_size, dtype=complex)
+    folded.real = np.bincount(bins, weights=h.real, minlength=grid_size)
+    folded.imag = np.bincount(bins, weights=h.imag, minlength=grid_size)
+    denom = np.fft.fft(folded).real
     spectrum = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     spectrum = spectrum / spectrum.max()
-    return MusicResult(grid=grid, spectrum=spectrum)
+    return MusicResult(grid=_grid(grid_size), spectrum=spectrum)
 
 
 def pick_peaks(result, m):

@@ -7,7 +7,7 @@ import pytest
 
 from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
-                                  MusicResult, SourceScene,
+                                  MusicResult, SourceScene, _coarray_plan,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
                                   music_spectrum, pick_peaks, random_scene,
@@ -24,7 +24,13 @@ def nfa():
 
 
 # Reference implementations: the direct loops the library's cached and
-# vectorised pipeline must reproduce bit for bit.
+# vectorised pipeline must reproduce.  The autocorrelation and Toeplitz
+# matrix match bit for bit; the spectrum is the grid formula
+# |E^H a(theta)|^2, which the library evaluates as one FFT of the
+# polynomial's coefficients, summing before squaring.  It matches to a
+# relative 1e-5 (1.6e-9 at worst on these arrays; up to 2.4e-4 was seen on
+# the 12-sensor NFA with one noise eigenvector, where the deepest null that
+# sets the normalisation loses digits) and the picked peaks match exactly.
 
 def ref_coarray_autocorrelation(r, s):
     pos = list(s.positions)
@@ -92,10 +98,20 @@ def test_pipeline_matches_reference_bit_for_bit(arr):
             result = music_spectrum(t, m, grid_size)
             grid, spectrum = ref_music_spectrum(ref_t, m, grid_size)
             assert np.array_equal(result.grid, grid)
-            assert np.array_equal(result.spectrum, spectrum)
+            assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
             ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum),
                                    m)
             assert pick_peaks(result, m).estimates == ref_peaks.estimates
+
+
+@pytest.mark.parametrize("arr", _exactness_arrays() + [gen_ula(1)],
+                         ids=lambda a: "%d-sensors" % len(a))
+def test_coarray_plan_summary_matches_difference_coarray(arr):
+    plan = _coarray_plan(arr.positions)
+    co = difference_coarray(arr)
+    assert plan.summary == summarize(co)
+    assert tuple(plan.lags.tolist()) == co.lags
+    assert dict(zip(plan.lags.tolist(), plan.counts.tolist())) == co.weights
 
 
 def test_toeplitz_real_autocorrelation_is_complex():
@@ -116,7 +132,23 @@ def test_cached_grid_cannot_be_corrupted_through_a_result(nfa):
     again = music_spectrum(t, 2, grid_size=1024)
     assert np.array_equal(again.grid, grid_before)
     _, spectrum = ref_music_spectrum(t, 2, 1024)
-    assert np.array_equal(again.spectrum, spectrum)
+    assert np.allclose(again.spectrum, spectrum, rtol=1e-5, atol=0)
+
+
+@pytest.mark.parametrize("r, grid_sizes", [(1, (7, 16, 25)), (3, (100, 181))])
+def test_spectrum_fold_matches_reference_below_and_around_dim(r, grid_sizes):
+    # The polynomial has dim coefficients (25 for r = 1, 181 for r = 3);
+    # on a grid of fewer points they are folded modulo the grid size.
+    arr = make_sfa("nested", {"n": 6}, r)
+    u = summarize(difference_coarray(arr)).max_sources
+    scene = random_scene(u // 3, seed=r, min_separation=0.01)
+    r_hat = sample_covariance(simulate(arr, scene, 200, seed=r))
+    t = toeplitz_augment(coarray_autocorrelation(r_hat, arr), (-u, u))
+    for grid_size in grid_sizes:
+        result = music_spectrum(t, scene.source_count, grid_size)
+        grid, spectrum = ref_music_spectrum(t, scene.source_count, grid_size)
+        assert np.array_equal(result.grid, grid)
+        assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
 
 
 def test_steering_zero_is_all_ones(nfa):
@@ -165,8 +197,8 @@ def test_scene_domain_is_half_open():
 
 
 def test_random_scene_tight_separation_returns_promptly():
-    # Feasible ((m - 1) * 0.039 = 0.897 < 1) but far too tight for
-    # rejection sampling of m uniform draws.
+    # Feasible (m * 0.039 = 0.936 < 1) but far too tight for rejection
+    # sampling of m uniform draws.
     out = []
     worker = threading.Thread(
         target=lambda: out.append(random_scene(24, 1, min_separation=0.039)),
@@ -179,12 +211,17 @@ def test_random_scene_tight_separation_returns_promptly():
     doas = np.asarray(out[0].normalized_doas)
     assert len(doas) == 24
     assert np.min(np.diff(doas)) >= 0.039
+    assert doas[0] + 1 - doas[-1] >= 0.039
     assert doas[0] >= -0.5 and doas[-1] < 0.5
 
 
-@pytest.mark.parametrize("m, sep", [(1, 0.0), (2, 0.999), (24, 0.0434),
-                                    (50, 0.0201), (300, 1.0 / 300),
-                                    (2, 1.0 - 1e-13), (100, (1 - 1e-12) / 99),
+# Near the circular limit m * sep < 1, plus (24, 0.03), where the linear
+# sampler put the last source within 0.03 of the first across the wrap
+# for 155 of seeds 0-199.
+@pytest.mark.parametrize("m, sep", [(1, 0.0), (24, 0.03), (2, 0.4999),
+                                    (24, 0.0416),
+                                    (50, 0.0199), (300, 1.0 / 301),
+                                    (2, 0.5 - 1e-13), (100, (1 - 1e-12) / 100),
                                     (40, 0.0)])
 def test_random_scene_feasible_inputs_stay_in_domain(m, sep):
     for seed in range(20):
@@ -194,11 +231,19 @@ def test_random_scene_feasible_inputs_stay_in_domain(m, sep):
         assert doas[0] >= -0.5 and doas[-1] < 0.5
         if m > 1:
             assert np.min(np.diff(doas)) >= sep
+            # the gap across the wrap, from the last source to the first
+            assert doas[0] + 1 - doas[-1] >= sep
 
 
 def test_random_scene_rejects_infeasible_input():
     with pytest.raises(InvalidParameterError):
         random_scene(11, 0, min_separation=0.1)
+    # These fit on the line, (m - 1) * sep < 1, but not on the circle: the
+    # last source would be closer than sep to the first across the wrap.
+    for m, sep in [(2, 0.999), (24, 0.0434), (50, 0.0201), (300, 1.0 / 300),
+                   (2, 1.0 - 1e-13), (100, (1 - 1e-12) / 99)]:
+        with pytest.raises(InvalidParameterError, match="do not fit"):
+            random_scene(m, 0, min_separation=sep)
     with pytest.raises(InvalidParameterError):
         random_scene(0, 0)
     with pytest.raises(InvalidParameterError):
@@ -415,6 +460,17 @@ def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):
                              covariance="expected")
     assert result.rmse == 0.0
     assert result.resolved_trials == 3
+
+
+def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
+    # 40 sources on the 48-sensor NFA (dim 181), noiseless and on the grid.
+    arr = make_sfa("nested", {"n": 6}, 3)
+    grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
+    scene = SourceScene(tuple(grid[100 + 200 * np.arange(40)]),
+                        (1.0,) * 40, 0.0)
+    result = run_trial_batch(arr, scene, 1, 1, seed=0, covariance="expected")
+    assert result.resolved_trials == 1
+    assert result.rmse == 0.0
 
 
 def test_trial_batch_rmse_wraps_around_the_circle(nfa):
