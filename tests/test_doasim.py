@@ -215,15 +215,24 @@ def test_random_scene_tight_separation_returns_promptly():
     assert doas[0] >= -0.5 and doas[-1] < 0.5
 
 
-# Near the circular limit m * sep < 1, plus (24, 0.03), where the linear
-# sampler put the last source within 0.03 of the first across the wrap
-# for 155 of seeds 0-199.
-@pytest.mark.parametrize("m, sep", [(1, 0.0), (24, 0.03), (2, 0.4999),
+# Every case fits on the line, (m - 1) * sep < 1.  The circle-feasible ones
+# sit near the limit m * sep < 1, plus (24, 0.03), where the linear sampler
+# put the last source within 0.03 of the first across the wrap for 155 of
+# seeds 0-199.  The rest, (2, 0.999) to (100, (1 - 1e-12) / 99), fit only on
+# the line: the last source would be closer than sep to the first across the
+# wrap, so random_scene must refuse them rather than draw a scene.
+@pytest.mark.parametrize("m, sep", [(1, 0.0), (2, 0.999), (24, 0.0434),
+                                    (50, 0.0201), (300, 1.0 / 300),
+                                    (2, 1.0 - 1e-13), (100, (1 - 1e-12) / 99),
+                                    (40, 0.0), (24, 0.03), (2, 0.4999),
                                     (24, 0.0416),
                                     (50, 0.0199), (300, 1.0 / 301),
-                                    (2, 0.5 - 1e-13), (100, (1 - 1e-12) / 100),
-                                    (40, 0.0)])
+                                    (2, 0.5 - 1e-13), (100, (1 - 1e-12) / 100)])
 def test_random_scene_feasible_inputs_stay_in_domain(m, sep):
+    if m * sep >= 1:
+        with pytest.raises(InvalidParameterError, match="do not fit"):
+            random_scene(m, 0, min_separation=sep)
+        return
     for seed in range(20):
         doas = np.asarray(random_scene(m, seed, min_separation=sep)
                           .normalized_doas)
@@ -238,12 +247,6 @@ def test_random_scene_feasible_inputs_stay_in_domain(m, sep):
 def test_random_scene_rejects_infeasible_input():
     with pytest.raises(InvalidParameterError):
         random_scene(11, 0, min_separation=0.1)
-    # These fit on the line, (m - 1) * sep < 1, but not on the circle: the
-    # last source would be closer than sep to the first across the wrap.
-    for m, sep in [(2, 0.999), (24, 0.0434), (50, 0.0201), (300, 1.0 / 300),
-                   (2, 1.0 - 1e-13), (100, (1 - 1e-12) / 99)]:
-        with pytest.raises(InvalidParameterError, match="do not fit"):
-            random_scene(m, 0, min_separation=sep)
     with pytest.raises(InvalidParameterError):
         random_scene(0, 0)
     with pytest.raises(InvalidParameterError):
