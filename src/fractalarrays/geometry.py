@@ -8,11 +8,8 @@ by the rest of the library.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from math import comb, gcd
-
-from .coarray import lag_set
+from math import gcd
 
 
 class InvalidParameterError(ValueError):
@@ -87,6 +84,11 @@ class SensorArray:
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict; ``d`` must be a dict with a positions list."""
+        if not isinstance(d, dict) or not isinstance(d.get("positions"),
+                                                     (list, tuple)):
+            raise InvalidParameterError(
+                "geometry must be an object with a 'positions' list")
         return cls(tuple(d["positions"]), kind=d.get("kind", "custom"),
                    label=d.get("label", ""))
 
@@ -158,65 +160,44 @@ def _gen_ana(n, right_heavy, kind):
 
 
 def gen_super_nested(n1, n2):
-    """Two-level super-nested array with the nested(n1+n2) coarray.
+    """Second-order super-nested array with the nested(n1, n2) coarray.
 
-    The dense segment and the first sparse element of the parent nested
-    array are rearranged to cut down unit-spacing sensor pairs while the
-    difference coarray is preserved.  Odd n1 has a closed form: odd
-    positions 1,3,.. at the left, even positions below 2(n1+1) at the
-    right of the first gap, and one sensor at n2(n1+1)-1.  Even n1 falls
-    back to a deterministic exhaustive search over coarray-preserving
-    rearrangements (smallest unit-pair count, lexicographic tie-break),
-    guarded against combinatorial blow-up.
+    Liu & Vaidyanathan, "Super Nested Arrays: Linear Sparse Arrays With
+    Reduced Mutual Coupling -- Part I", IEEE TSP 2016.  The dense ULA
+    {1..n1} of the parent nested(n1, n2) array is rearranged into four runs
+    of spacing 2, two on either side of n1+1, and the first sparse element
+    n1+1 moves to n2(n1+1)-1, next to the last one.  The difference
+    coarray is unchanged, while the unit-spacing pairs drop to one (odd
+    n1) or two (even n1) once n1 >= 4 and n2 >= 3.  With g = n1+1 and
+    (A1, B1, A2, B2) set by n1 mod 4, the positions are
+    {1+2l : l <= A1}, {g-1-2l : l <= B1}, {g+2+2l : l <= A2},
+    {2g-2-2l : l <= B2}, {lg : 2 <= l <= n2} and {n2 g - 1}, all l >= 0.
+    n1 = 2 leaves nothing to rearrange, so it returns the parent nested
+    array itself.
     """
     if n1 < 2 or n2 < 2:
         raise InvalidParameterError("super-nested array needs n1, n2 >= 2")
-    sparse = {l * (n1 + 1) for l in range(2, n2 + 1)}
-    top = n2 * (n1 + 1)
-    if n1 % 2 == 1:
-        left = {1 + 2 * l for l in range((n1 + 1) // 2)}
-        right = {2 * (n1 + 1) - (2 + 2 * l) for l in range(n1 // 2)}
-        pos = left | right | sparse | {top - 1}
+    g = n1 + 1
+    if n1 == 2:
+        pos = {1, 2} | {l * g for l in range(1, n2 + 1)}
     else:
-        pos = _super_nested_search(n1, n2, sparse, top)
+        r, q = divmod(n1, 4)
+        a1, b1, a2, b2 = {0: (r, r - 1, r - 1, r - 2),
+                          1: (r, r - 1, r - 1, r - 1),
+                          2: (r + 1, r - 1, r, r - 2),
+                          3: (r, r, r, r - 1)}[q]
+        pos = ({1 + 2 * l for l in range(a1 + 1)}
+               | {g - 1 - 2 * l for l in range(b1 + 1)}
+               | {g + 2 + 2 * l for l in range(a2 + 1)}
+               | {2 * g - 2 - 2 * l for l in range(b2 + 1)}
+               | {l * g for l in range(2, n2 + 1)}
+               | {n2 * g - 1})
     arr = SensorArray(tuple(sorted(pos)), kind="SuperNested",
                       label="SuperNested(%d,%d)" % (n1, n2))
     if len(arr) != n1 + n2:
         raise UnsupportedParameterError(
             "super-nested closed form collapsed for (%d, %d)" % (n1, n2))
     return arr
-
-
-_SEARCH_LIMIT = 2_000_000
-
-
-def _unit_pairs(positions, k):
-    return sum(1 for a, b in itertools.combinations(sorted(positions), 2)
-               if b - a == k)
-
-
-def _super_nested_search(n1, n2, sparse, top):
-    parent = gen_nested(n1 + n2)
-    target = lag_set(parent)
-    pool = [p for p in range(1, top + 1) if p not in sparse]
-    if comb(len(pool), n1 + 1) > _SEARCH_LIMIT:
-        raise UnsupportedParameterError(
-            "no closed form for even n1=%d and the fallback search on "
-            "(%d choose %d) rearrangements exceeds the cost guard"
-            % (n1, len(pool), n1 + 1))
-    best = None
-    for extra in itertools.combinations(pool, n1 + 1):
-        pos = sparse | set(extra)
-        if lag_set(pos) != target:
-            continue
-        key = (_unit_pairs(pos, 1), _unit_pairs(pos, 2), tuple(sorted(pos)))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise UnsupportedParameterError(
-            "no coarray-preserving super-nested rearrangement for "
-            "(%d, %d)" % (n1, n2))
-    return set(best[2])
 
 
 def gen_cantor(r):

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import re
 
@@ -143,6 +144,21 @@ def test_analyze_malformed_json(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("payload", ['[1, 2, 3]', '"x"', '{"positions": 5}',
+                                     '{"positions": null}'])
+@pytest.mark.parametrize("command", [["analyze", "-"],
+                                     ["music", "--geometry", "-",
+                                      "--sources", "1"]])
+def test_malformed_geometry_is_refused(capsys, monkeypatch, payload,
+                                       command):
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "positions" in err
 
 
 def test_music_noiseless_on_grid(capsys, tmp_path):

@@ -1,10 +1,11 @@
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalarrays.geometry import (InvalidParameterError, SensorArray,
-                                    UnsupportedParameterError, cross_sum,
-                                    gen_ana1, gen_ana2, gen_cantor,
+                                    cross_sum, gen_ana1, gen_ana2, gen_cantor,
                                     gen_coprime, gen_nested,
                                     gen_super_nested, gen_ula, make_sfa)
 from fractalarrays.coarray import coarrays_equal, difference_coarray, \
@@ -49,6 +50,13 @@ def test_sensor_array_json_round_trip():
     again = SensorArray.from_dict(arr.to_dict())
     assert again == arr
     assert set(arr.to_dict()) == {"label", "kind", "positions"}
+
+
+@pytest.mark.parametrize("payload", [[1, 2, 3], "x", {"positions": 5},
+                                     {"positions": None}])
+def test_sensor_array_from_dict_rejects_malformed_payload(payload):
+    with pytest.raises(InvalidParameterError):
+        SensorArray.from_dict(payload)
 
 
 def test_ula():
@@ -99,6 +107,94 @@ def test_super_nested_fixture():
     assert gen_super_nested(3, 3).positions == (1, 3, 6, 8, 11, 12)
 
 
+def parent_nested(n1, n2):
+    return SensorArray(tuple(sorted(
+        set(range(1, n1 + 1)) | {m * (n1 + 1) for m in range(1, n2 + 1)})))
+
+
+# Every array gen_super_nested returned before its even-n1 search was replaced
+# by the closed form: odd n1 = 3..13 with n2 = 2..10, and the even-n1 cases
+# that search found.
+PINNED_SUPER_NESTED = {
+    (2, 3): (1, 2, 3, 6, 9),
+    (2, 4): (1, 2, 3, 6, 9, 12),
+    (3, 2): (1, 3, 6, 7, 8),
+    (3, 3): (1, 3, 6, 8, 11, 12),
+    (3, 4): (1, 3, 6, 8, 12, 15, 16),
+    (3, 5): (1, 3, 6, 8, 12, 16, 19, 20),
+    (3, 6): (1, 3, 6, 8, 12, 16, 20, 23, 24),
+    (3, 7): (1, 3, 6, 8, 12, 16, 20, 24, 27, 28),
+    (3, 8): (1, 3, 6, 8, 12, 16, 20, 24, 28, 31, 32),
+    (3, 9): (1, 3, 6, 8, 12, 16, 20, 24, 28, 32, 35, 36),
+    (3, 10): (1, 3, 6, 8, 12, 16, 20, 24, 28, 32, 36, 39, 40),
+    (4, 4): (1, 3, 4, 7, 10, 15, 19, 20),
+    (4, 5): (1, 3, 4, 7, 10, 15, 20, 24, 25),
+    (4, 6): (1, 3, 4, 7, 10, 15, 20, 25, 29, 30),
+    (5, 2): (1, 3, 5, 8, 10, 11, 12),
+    (5, 3): (1, 3, 5, 8, 10, 12, 17, 18),
+    (5, 4): (1, 3, 5, 8, 10, 12, 18, 23, 24),
+    (5, 5): (1, 3, 5, 8, 10, 12, 18, 24, 29, 30),
+    (5, 6): (1, 3, 5, 8, 10, 12, 18, 24, 30, 35, 36),
+    (5, 7): (1, 3, 5, 8, 10, 12, 18, 24, 30, 36, 41, 42),
+    (5, 8): (1, 3, 5, 8, 10, 12, 18, 24, 30, 36, 42, 47, 48),
+    (5, 9): (1, 3, 5, 8, 10, 12, 18, 24, 30, 36, 42, 48, 53, 54),
+    (5, 10): (1, 3, 5, 8, 10, 12, 18, 24, 30, 36, 42, 48, 54, 59, 60),
+    (7, 2): (1, 3, 5, 7, 10, 12, 14, 15, 16),
+    (7, 3): (1, 3, 5, 7, 10, 12, 14, 16, 23, 24),
+    (7, 4): (1, 3, 5, 7, 10, 12, 14, 16, 24, 31, 32),
+    (7, 5): (1, 3, 5, 7, 10, 12, 14, 16, 24, 32, 39, 40),
+    (7, 6): (1, 3, 5, 7, 10, 12, 14, 16, 24, 32, 40, 47, 48),
+    (7, 7): (1, 3, 5, 7, 10, 12, 14, 16, 24, 32, 40, 48, 55, 56),
+    (7, 8): (1, 3, 5, 7, 10, 12, 14, 16, 24, 32, 40, 48, 56, 63, 64),
+    (7, 9): (1, 3, 5, 7, 10, 12, 14, 16, 24, 32, 40, 48, 56, 64, 71, 72),
+    (7, 10): (1, 3, 5, 7, 10, 12, 14, 16, 24, 32, 40, 48, 56, 64, 72, 79, 80),
+    (9, 2): (1, 3, 5, 7, 9, 12, 14, 16, 18, 19, 20),
+    (9, 3): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 29, 30),
+    (9, 4): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 39, 40),
+    (9, 5): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 40, 49, 50),
+    (9, 6): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 40, 50, 59, 60),
+    (9, 7): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 40, 50, 60, 69, 70),
+    (9, 8): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 40, 50, 60, 70, 79, 80),
+    (9, 9): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 40, 50, 60, 70, 80, 89,
+             90),
+    (9, 10): (1, 3, 5, 7, 9, 12, 14, 16, 18, 20, 30, 40, 50, 60, 70, 80, 90,
+              99, 100),
+    (11, 2): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 23, 24),
+    (11, 3): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 35, 36),
+    (11, 4): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 47, 48),
+    (11, 5): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 48, 59, 60),
+    (11, 6): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 48, 60, 71, 72),
+    (11, 7): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 48, 60, 72, 83,
+              84),
+    (11, 8): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 48, 60, 72, 84,
+              95, 96),
+    (11, 9): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 48, 60, 72, 84,
+              96, 107, 108),
+    (11, 10): (1, 3, 5, 7, 9, 11, 14, 16, 18, 20, 22, 24, 36, 48, 60, 72, 84,
+               96, 108, 119, 120),
+    (13, 2): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 27, 28),
+    (13, 3): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 41, 42),
+    (13, 4): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 55, 56),
+    (13, 5): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 56, 69,
+              70),
+    (13, 6): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 56, 70,
+              83, 84),
+    (13, 7): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 56, 70,
+              84, 97, 98),
+    (13, 8): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 56, 70,
+              84, 98, 111, 112),
+    (13, 9): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 56, 70,
+              84, 98, 112, 125, 126),
+    (13, 10): (1, 3, 5, 7, 9, 11, 13, 16, 18, 20, 22, 24, 26, 28, 42, 56, 70,
+               84, 98, 112, 126, 139, 140),
+}
+
+
+@pytest.mark.parametrize("n1,n2", sorted(PINNED_SUPER_NESTED))
+def test_super_nested_pinned(n1, n2):
+    assert gen_super_nested(n1, n2).positions == PINNED_SUPER_NESTED[n1, n2]
+
+
 def test_super_nested_coarray_matches_nested():
     assert coarrays_equal(gen_super_nested(3, 3), gen_nested(6))
     assert coarrays_equal(gen_super_nested(4, 4), gen_nested(8))
@@ -115,24 +211,67 @@ def test_super_nested_matches_nested_split(n1, n2):
 
 @pytest.mark.parametrize("n1,n2", [(3, 5), (5, 3), (9, 4), (13, 5)])
 def test_super_nested_matches_parent_nested(n1, n2):
-    parent = SensorArray(tuple(sorted(
-        set(range(1, n1 + 1)) | {m * (n1 + 1) for m in range(1, n2 + 1)})))
-    assert coarrays_equal(gen_super_nested(n1, n2), parent)
+    assert coarrays_equal(gen_super_nested(n1, n2), parent_nested(n1, n2))
+
+
+def weight(arr, k):
+    pos = set(arr.positions)
+    return sum(1 for p in pos if p + k in pos)
 
 
 def test_super_nested_reduces_unit_pairs():
     # the point of the rearrangement: fewer unit-spacing sensor pairs
-    def unit_pairs(arr):
-        pos = set(arr.positions)
-        return sum(1 for p in pos if p + 1 in pos)
-    assert unit_pairs(gen_super_nested(5, 5)) < unit_pairs(gen_nested(10))
+    assert weight(gen_super_nested(5, 5), 1) < weight(gen_nested(10), 1)
 
 
 def test_super_nested_even_guard():
-    with pytest.raises(UnsupportedParameterError):
-        gen_super_nested(8, 8)
+    sn = gen_super_nested(8, 8)
+    assert sn.positions == (1, 3, 5, 6, 8, 11, 13, 16, 18, 27, 36, 45, 54,
+                            63, 71, 72)
+    assert lag_set(sn) == lag_set(parent_nested(8, 8))
     with pytest.raises(InvalidParameterError):
         gen_super_nested(1, 3)
+
+
+def test_super_nested_changed_outputs():
+    # n1 = 2 has nothing to rearrange: the parent nested array, also at
+    # (2, 2), where the old search returned (1, 2, 4, 6)
+    assert gen_super_nested(2, 2).positions == (1, 2, 3, 6)
+    # the old search refused (4, 3); the closed form keeps two unit pairs
+    assert gen_super_nested(4, 3).positions == (1, 3, 4, 7, 10, 14, 15)
+
+
+@pytest.mark.parametrize("n1", range(2, 21))
+def test_super_nested_keeps_parent_coarray(n1):
+    for n2 in range(2, 13):
+        sn = gen_super_nested(n1, n2)
+        assert len(sn) == n1 + n2, (n1, n2)
+        assert lag_set(sn) == lag_set(parent_nested(n1, n2)), (n1, n2)
+
+
+@pytest.mark.parametrize("n1", range(4, 21))
+def test_super_nested_small_lag_weights(n1):
+    # Liu & Vaidyanathan 2016, Part I: the weight function of a second-order
+    # super-nested array at lags 1, 2 and 3, for n1 >= 4 and n2 >= 3
+    if n1 % 2:
+        want = (1, n1 - 1, 1)
+    else:
+        want = (2, n1 - 3, 3 if n1 in (4, 6) else 4)
+    for n2 in range(3, 13):
+        sn = gen_super_nested(n1, n2)
+        assert tuple(weight(sn, k) for k in (1, 2, 3)) == want, (n1, n2)
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 2), (4, 3), (6, 3), (6, 4), (2, 5),
+                                   (2, 6), (8, 8)])
+def test_super_nested_returns_promptly(n1, n2):
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(gen_super_nested(n1, n2)), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert not worker.is_alive(), "gen_super_nested did not return"
+    assert len(out) == 1 and len(out[0]) == n1 + n2
 
 
 @pytest.mark.parametrize("r,expected", [
