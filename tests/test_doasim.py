@@ -5,9 +5,11 @@ import time
 import numpy as np
 import pytest
 
+from fractalarrays import doasim
 from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
-                                  MusicResult, SourceScene, _coarray_plan,
+                                  MusicResult, SourceScene, TrialBatchResult,
+                                  _coarray_plan, _real_form, _rmse,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
                                   music_spectrum, pick_peaks, random_scene,
@@ -268,6 +270,87 @@ def test_music_spectrum_rejects_bad_grid_size(grid_size):
         music_spectrum(t, 1, grid_size)
 
 
+@pytest.mark.parametrize("t", [np.ones((3, 4)), np.ones(4),
+                               np.ones((2, 3, 3))],
+                         ids=["3x4", "vector", "stack"])
+def test_music_spectrum_rejects_non_square_input(t):
+    # A constant 3 x 4 matrix equals its own flipped conjugate, so the
+    # shape must be checked before the centro-Hermitian test.
+    with pytest.raises(InvalidParameterError, match="square"):
+        music_spectrum(t, 1)
+
+
+def _random_hermitian_toeplitz(dim, seed):
+    rng = np.random.default_rng(seed)
+    col = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    ac = {0: col[0].real}
+    for k in range(1, dim):
+        ac[k], ac[-k] = col[k], np.conj(col[k])
+    return toeplitz_augment(ac, (1 - dim, dim - 1))
+
+
+def _unitary_q(dim):
+    """The dense Q of the real-form transform: (1/sqrt 2) [[I, jI], [J, -jJ]]
+    with a 1 in the middle for odd dim."""
+    k = dim // 2
+    eye = np.eye(k)
+    q = np.zeros((dim, dim), dtype=complex)
+    q[:k, :k] = eye
+    q[:k, dim - k:] = 1j * eye
+    q[dim - k:, :k] = eye[::-1]
+    q[dim - k:, dim - k:] = -1j * eye[::-1]
+    q /= np.sqrt(2.0)
+    if dim % 2:
+        q[k, k] = 1.0
+    return q
+
+
+@pytest.mark.parametrize("dim", range(2, 41))
+def test_real_form_is_the_dense_unitary_transform(dim):
+    t = _random_hermitian_toeplitz(dim, seed=dim)
+    q = _unitary_q(dim)
+    assert np.allclose(q.conj().T @ q, np.eye(dim), rtol=0, atol=1e-14)
+    dense = q.conj().T @ t @ q
+    s = _real_form(t)
+    assert s.dtype == float
+    assert np.max(np.abs(dense.imag)) <= 1e-12
+    assert np.max(np.abs(s - dense.real)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", range(2, 41))
+def test_real_path_matches_reference_on_random_toeplitz(dim):
+    t = _random_hermitian_toeplitz(dim, seed=100 + dim)
+    assert np.array_equal(t, t.conj().T)
+    assert np.array_equal(t, t[::-1, ::-1].conj())
+    for m in sorted({1, dim // 2, dim - 1}):
+        result = music_spectrum(t, m, grid_size=1024)
+        grid, spectrum = ref_music_spectrum(t, m, 1024)
+        assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
+        ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
+        assert pick_peaks(result, m).estimates == ref_peaks.estimates
+
+
+def _boundary_matrix():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    return x @ x.conj().T
+
+
+@pytest.mark.parametrize("t", [_boundary_matrix(),
+                               (_boundary_matrix()
+                                + _boundary_matrix().conj().T) / 2.0],
+                         ids=["not-hermitian", "not-centro-hermitian"])
+def test_complex_path_matches_reference(t):
+    assert not (np.array_equal(t, t.conj().T)
+                and np.array_equal(t, t[::-1, ::-1].conj()))
+    for m in range(1, 6):
+        result = music_spectrum(t, m, grid_size=512)
+        grid, spectrum = ref_music_spectrum(t, m, 512)
+        assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
+        ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
+        assert pick_peaks(result, m).estimates == ref_peaks.estimates
+
+
 def test_simulate_deterministic(nfa):
     scene = random_scene(3, seed=1)
     a = simulate(nfa, scene, 64, seed=42)
@@ -463,6 +546,44 @@ def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):
                              covariance="expected")
     assert result.rmse == 0.0
     assert result.resolved_trials == 3
+
+
+def ref_expected_trial_batch(s, scene, trials, seed):
+    """run_trial_batch(covariance="expected") as one coarray-MUSIC pass per
+    trial, pooled the same way."""
+    m = scene.source_count
+    per_est, per_rmse, pooled_sq = [], [], []
+    for _ in range(trials):
+        result = estimate_doas(s, expected_covariance(s, scene), m)
+        per_est.append(result.estimates)
+        if result.under_resolved:
+            per_rmse.append(float("inf"))
+            continue
+        per_rmse.append(_rmse(result.estimates, scene.normalized_doas))
+        pooled_sq.append(per_rmse[-1] ** 2)
+    rmse = float(np.sqrt(np.mean(pooled_sq))) if pooled_sq else float("inf")
+    return TrialBatchResult(rmse=rmse, per_trial_rmse=tuple(per_rmse),
+                            per_trial_estimates=tuple(per_est),
+                            resolved_trials=len(pooled_sq), trials=trials,
+                            seed=seed)
+
+
+@pytest.mark.parametrize("r, m", [(1, 8), (3, 40)])
+def test_trial_batch_expected_covariance_runs_one_pass(r, m, monkeypatch):
+    arr = make_sfa("nested", {"n": 6}, r)
+    scene = random_scene(m, seed=r, min_separation=0.01)
+    want = ref_expected_trial_batch(arr, scene, 4, 5)
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return estimate_doas(*args)
+
+    monkeypatch.setattr(doasim, "estimate_doas", counted)
+    result = run_trial_batch(arr, scene, 1, 4, seed=5, covariance="expected")
+    assert len(passes) == 1
+    assert result == want
+    assert result.first_trial.estimates == result.per_trial_estimates[0]
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
