@@ -1,18 +1,35 @@
 """Difference coarrays, weight functions, and central-ULA summaries.
 
-The coarray is computed by direct O(N^2) pairwise differencing; arrays in
-this library have at most a few hundred sensors, so exact enumeration is
-both fast and free of numerical concerns.
+Every view is read from one kernel, the pair graph of each lag l > 0: its
+sensor pairs, by direct O(N^2) differencing.  The coarray is 0 and the
+lags with an edge, with their negatives; w(0) = N, and w(l) = w(-l) is
+the edge count of l's graph.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+
+from .geometry import InvalidParameterError
 
 
 def _positions(array):
-    return tuple(getattr(array, "positions", array))
+    return tuple(sorted(getattr(array, "positions", array)))
+
+
+@lru_cache(maxsize=32)
+def _pair_graphs(positions):
+    """(lags, graphs) of sorted positions, which must be distinct: each lag
+    l > 0 in the order its first pair (i, j), i < j, is met by j and then
+    i, and its edges as bitmasks 1 << i | 1 << j over sensor indices."""
+    graphs = {}
+    for j, b in enumerate(positions):
+        for i in range(j):
+            graphs.setdefault(b - positions[i], []).append(1 << i | 1 << j)
+    if 0 in graphs:
+        raise InvalidParameterError("sensor positions must be distinct")
+    return tuple(graphs), tuple(tuple(g) for g in graphs.values())
 
 
 @dataclass(frozen=True)
@@ -57,18 +74,22 @@ class CoarraySummary:
 
 
 def difference_coarray(array):
-    """All pairwise position differences with ordered-pair multiplicities."""
+    """All pairwise position differences with ordered-pair multiplicities.
+
+    The positions may come in any order; repeated ones are refused."""
     pos = _positions(array)
-    counts = Counter(a - b for a in pos for b in pos)
-    return Coarray(lags=tuple(sorted(counts)),
-                   weights=dict(counts),
+    lags, graphs = _pair_graphs(pos)
+    weights = {0: len(pos)} if pos else {}
+    for lag, g in zip(lags, graphs):
+        weights[lag] = weights[-lag] = len(g)
+    return Coarray(lags=tuple(sorted(weights)),
+                   weights=weights,
                    source_cardinality=len(pos))
 
 
 def lag_set(array):
-    """The coarray lag set alone (cheaper comparisons, no weights)."""
-    pos = _positions(array)
-    return frozenset(a - b for a in pos for b in pos)
+    """The coarray lag set alone (weights ignored)."""
+    return difference_coarray(array).lag_set()
 
 
 def summarize(c):
@@ -79,10 +100,8 @@ def summarize(c):
     """
     lags = c.lag_set()
     aperture = max(lags)
-    u = 0
-    while u + 1 in lags:
-        u += 1
     holes = tuple(k for k in range(1, aperture + 1) if k not in lags)
+    u = holes[0] - 1 if holes else aperture
     return CoarraySummary(ula_segment=(-u, u),
                           hole_free=not holes,
                           aperture=aperture,

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import InvalidParameterError
-from .coarray import Coarray, CoarraySummary, summarize
+from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 8192
 # Cache bounds.  A grid entry holds grid_size floats: 64 kB at 8192 points.
@@ -209,7 +209,7 @@ class _CoarrayPlan:
     ordered-pair counts, the index into ``lags`` of each ordered pair
     (i, j) in row-major order, and the coarray summary."""
 
-    lags: np.ndarray
+    lags: tuple
     counts: np.ndarray
     pair_lags: np.ndarray
     summary: CoarraySummary
@@ -217,17 +217,14 @@ class _CoarrayPlan:
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _coarray_plan(positions):
+    coarray = difference_coarray(positions)
+    counts = np.array([coarray.weights[k] for k in coarray.lags])
     p = np.asarray(positions)
-    lags, pair_lags, counts = np.unique((p[:, None] - p[None, :]).ravel(),
-                                        return_inverse=True,
-                                        return_counts=True)
-    for a in (lags, counts, pair_lags):
+    pair_lags = np.searchsorted(coarray.lags,
+                                (p[:, None] - p[None, :]).ravel())
+    for a in (counts, pair_lags):
         a.flags.writeable = False
-    keys = lags.tolist()
-    coarray = Coarray(lags=tuple(keys),
-                      weights=dict(zip(keys, counts.tolist())),
-                      source_cardinality=len(p))
-    return _CoarrayPlan(lags=lags, counts=counts, pair_lags=pair_lags,
+    return _CoarrayPlan(lags=coarray.lags, counts=counts, pair_lags=pair_lags,
                         summary=summarize(coarray))
 
 
@@ -260,7 +257,7 @@ def coarray_autocorrelation(r, s):
                             minlength=size)
     sums.imag = np.bincount(plan.pair_lags, weights=r.imag.ravel(),
                             minlength=size)
-    return dict(zip(plan.lags.tolist(), sums / plan.counts))
+    return dict(zip(plan.lags, sums / plan.counts))
 
 
 def toeplitz_augment(ac, ula_segment):
@@ -340,7 +337,9 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     eigenvalues as the real symmetric S = Q^H t Q of _real_form, and
     eigenvectors Q V for the eigenvectors V of S (Lee 1980; Huarng & Yeh
     1991).  So E comes from a real eigh of S, about a third of the work
-    of a complex eigh of t; any other Hermitian t takes the complex eigh.
+    of a complex eigh of t; any other t takes the complex eigh, and must be
+    Hermitian to within a relative 1e-10 of its Frobenius norm, far above
+    the rounding of a product such as x x^H.
 
     With P = E E^H and c_k the sum of P's k-th subdiagonal, the denominator
     a(theta)^H P a(theta) is c_0 + 2 Re sum_{k>0} c_k exp(-2 pi j k theta).
@@ -364,6 +363,9 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         _, vecs = np.linalg.eigh(_real_form(t))
         noise = _from_real_form(vecs[:, :dim - m])
     else:
+        # eigh would read only the lower triangle.
+        if np.abs(t - t.conj().T).max() > 1e-10 * np.linalg.norm(t):
+            raise InvalidParameterError("need a Hermitian matrix")
         _, vecs = np.linalg.eigh(t)
         noise = vecs[:, :dim - m]
     proj = noise @ noise.conj().T

@@ -19,9 +19,9 @@ from . import geometry
 from .geometry import (InvalidParameterError, SensorArray,
                        UnsupportedParameterError)
 from .coarray import difference_coarray, summarize
-from .doasim import (CapacityError, DEFAULT_GRID_SIZE, _coarray_plan,
-                     estimate_doas, random_scene, run_trial_batch,
-                     sample_covariance, simulate)
+from .doasim import (CapacityError, DEFAULT_GRID_SIZE, estimate_doas,
+                     random_scene, run_trial_batch, sample_covariance,
+                     simulate)
 from .robustness import fragility_profile, robustness_report, \
     write_fragility_csv
 
@@ -195,7 +195,7 @@ def cmd_music(args):
     else:
         arr = _build_from_flags(args)
     m = args.sources
-    capacity = _coarray_plan(arr.positions).summary.max_sources
+    capacity = summarize(difference_coarray(arr)).max_sources
     override = m > capacity
     if override:
         if not args.override_capacity:

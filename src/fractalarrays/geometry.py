@@ -24,8 +24,9 @@ class UnsupportedParameterError(ValueError):
 class SensorArray:
     """An immutable, named set of integer sensor positions.
 
-    Positions are strictly increasing non-negative integers in units of d1;
-    a non-integer position such as 1.7 is rejected, not truncated.
+    Positions are strictly increasing non-negative integers in units of d1,
+    at most 2**63 - 1 so that numpy holds them as int64; a non-integer
+    position such as 1.7 is rejected, not truncated.
     ``kind`` is a free-form family tag (ULA, Nested, Coprime, ANA1, ANA2,
     SuperNested, Cantor, SFA, or custom).
     """
@@ -45,8 +46,9 @@ class SensorArray:
                 "sensor positions must be integers, got %s" % list(raw))
         if len(pos) == 0:
             raise InvalidParameterError("sensor array must be non-empty")
-        if any(p < 0 for p in pos):
-            raise InvalidParameterError("sensor positions must be non-negative")
+        if any(not 0 <= p < 2 ** 63 for p in pos):
+            raise InvalidParameterError(
+                "sensor positions must be non-negative and fit in int64")
         if any(b <= a for a, b in zip(pos, pos[1:])):
             raise InvalidParameterError(
                 "sensor positions must be strictly increasing")

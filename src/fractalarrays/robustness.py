@@ -33,7 +33,9 @@ good).  Closed forms end the branching:
   has more positive lags.
 
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
-Python ints, so nothing is rounded, and nothing is cached across calls.
+Python ints, so nothing is rounded.  The graphs come from ``coarray``'s
+lag kernel, the one every coarray view is read from, which caches them per
+array; the counts are not cached.
 
 Cost: N(N-1)/2 pairs to build the graphs, then a branch tree at most k - 2
 deep in deletions, each node passing once over the graphs that are still
@@ -50,6 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .coarray import _pair_graphs
 from .geometry import InvalidParameterError, SensorArray
 
 # C(|S|, k) above this is refused.  The count does not visit the subsets,
@@ -75,16 +78,6 @@ class FragilityReport:
 
     def rounded(self, digits=4):
         return round(float(self.fragility), digits)
-
-
-def _pair_graphs(positions):
-    """For each lag > 0 of strictly increasing positions, its pair graph as a
-    tuple of edge bitmasks 1 << i | 1 << j over sensor indices."""
-    graphs = {}
-    for j, b in enumerate(positions):
-        for i in range(j):
-            graphs.setdefault(b - positions[i], []).append(1 << i | 1 << j)
-    return [tuple(g) for g in graphs.values()]
 
 
 def _coverable(graphs, pool, r):
@@ -188,7 +181,8 @@ def essential_sensors(s):
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    _, single = _coverable(_pair_graphs(s.positions), (1 << len(s)) - 1, 1)
+    _, graphs = _pair_graphs(s.positions)
+    _, single = _coverable(graphs, (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
     for i, x in enumerate(s.positions):
@@ -205,7 +199,8 @@ def k_fragility(s, k):
             "need 1 <= k < sensor count, got k=%d for %d sensors"
             % (k, len(s)))
     _check_limit(len(s), k)
-    return _report(_pair_graphs(s.positions), len(s), k)
+    _, graphs = _pair_graphs(s.positions)
+    return _report(graphs, len(s), k)
 
 
 def fragility_profile(s, k_max):
@@ -220,7 +215,7 @@ def fragility_profile(s, k_max):
             % (k_max, len(s)))
     for k in range(1, k_max + 1):
         _check_limit(len(s), k)
-    graphs = _pair_graphs(s.positions)
+    _, graphs = _pair_graphs(s.positions)
     return [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
 
 

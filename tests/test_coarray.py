@@ -1,11 +1,19 @@
 import random
+from collections import Counter
 
 import pytest
 
 from fractalarrays.coarray import (coarrays_equal, difference_coarray,
                                    lag_set, summarize)
-from fractalarrays.geometry import (SensorArray, gen_cantor, gen_nested,
-                                    gen_super_nested, gen_ula, make_sfa)
+from fractalarrays.geometry import (InvalidParameterError, SensorArray,
+                                    gen_cantor, gen_nested, gen_super_nested,
+                                    gen_ula, make_sfa)
+
+
+# Reference: every ordered pair's difference, counted directly, in place of
+# the library's per-lag pair graphs.
+def ref_weights(positions):
+    return Counter(a - b for a in positions for b in positions)
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +131,35 @@ def test_report_dict(cfa):
     assert d["ula_segment"] == [-20, 20]
     assert d["weights"]["0"] == 12
     assert set(d) == {"lags", "weights", "ula_segment", "holes", "hole_free"}
+
+
+def _reference_inputs():
+    """Random SensorArrays, each also as an unsorted list and as an
+    unsorted list shifted to negative positions."""
+    rng = random.Random(20261018)
+    inputs = [make_sfa("nested", {"n": 6}, 1), make_sfa("nested", {"n": 6}, 2)]
+    for _ in range(40):
+        arr = _random_array(rng)
+        shuffled = list(arr.positions)
+        rng.shuffle(shuffled)
+        shift = rng.randint(1, 80)
+        inputs += [arr, shuffled, [p - shift for p in shuffled]]
+    return inputs
+
+
+def test_coarray_views_match_counter_reference():
+    for positions in _reference_inputs():
+        c = difference_coarray(positions)
+        ref = ref_weights(getattr(positions, "positions", positions))
+        assert c.weights == ref
+        assert c.lags == tuple(sorted(ref))
+        assert c.source_cardinality == len(positions)
+        assert lag_set(positions) == frozenset(ref)
+
+
+@pytest.mark.parametrize("positions", [[0, 0, 1], [3, 1, 3], (-2, 5, -2)])
+def test_duplicate_positions_are_refused(positions):
+    # No array has them: [0, 0, 1] once gave w(0) = 5 and w(1) = 2.
+    for view in (difference_coarray, lag_set):
+        with pytest.raises(InvalidParameterError, match="distinct"):
+            view(positions)

@@ -109,11 +109,18 @@ def test_pipeline_matches_reference_bit_for_bit(arr):
 @pytest.mark.parametrize("arr", _exactness_arrays() + [gen_ula(1)],
                          ids=lambda a: "%d-sensors" % len(a))
 def test_coarray_plan_summary_matches_difference_coarray(arr):
+    # The plan reads its lags, counts and summary from difference_coarray
+    # and adds the ordered-pair index, which must be np.unique's inverse
+    # over the row-major position differences.
     plan = _coarray_plan(arr.positions)
-    co = difference_coarray(arr)
-    assert plan.summary == summarize(co)
-    assert tuple(plan.lags.tolist()) == co.lags
-    assert dict(zip(plan.lags.tolist(), plan.counts.tolist())) == co.weights
+    p = np.asarray(arr.positions)
+    lags, inverse, counts = np.unique((p[:, None] - p[None, :]).ravel(),
+                                      return_inverse=True,
+                                      return_counts=True)
+    assert np.array_equal(plan.lags, lags)
+    assert np.array_equal(plan.counts, counts)
+    assert np.array_equal(plan.pair_lags, inverse)
+    assert plan.summary == summarize(difference_coarray(arr))
 
 
 def test_toeplitz_real_autocorrelation_is_complex():
@@ -278,6 +285,17 @@ def test_music_spectrum_rejects_non_square_input(t):
     # shape must be checked before the centro-Hermitian test.
     with pytest.raises(InvalidParameterError, match="square"):
         music_spectrum(t, 1)
+
+
+def test_music_spectrum_rejects_non_hermitian_input():
+    # eigh reads only the lower triangle: it would answer for the Hermitian
+    # completion of that triangle instead of refusing.
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    t = x @ x.conj().T
+    t[np.triu_indices(8, 1)] += 0.5
+    with pytest.raises(InvalidParameterError, match="Hermitian"):
+        music_spectrum(t, 2)
 
 
 def _random_hermitian_toeplitz(dim, seed):

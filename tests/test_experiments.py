@@ -147,7 +147,8 @@ def test_analyze_malformed_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("payload", ['[1, 2, 3]', '"x"', '{"positions": 5}',
-                                     '{"positions": null}'])
+                                     '{"positions": null}',
+                                     '{"positions": [0, 1, %d]}' % 2 ** 63])
 @pytest.mark.parametrize("command", [["analyze", "-"],
                                      ["music", "--geometry", "-",
                                       "--sources", "1"]])

@@ -27,6 +27,12 @@ def test_sensor_array_rejects_negative():
         SensorArray((-1, 0, 2))
 
 
+def test_sensor_array_positions_fit_in_int64():
+    assert SensorArray((0, 2 ** 63 - 1)).positions == (0, 2 ** 63 - 1)
+    with pytest.raises(InvalidParameterError, match="int64"):
+        SensorArray((0, 1, 2 ** 63))
+
+
 def test_sensor_array_rejects_empty():
     with pytest.raises(InvalidParameterError):
         SensorArray(())

@@ -21,22 +21,29 @@ from fractalarrays.robustness import (essential_sensors, fragility_profile,
 
 
 # Reference implementations: the exhaustive enumeration the vertex-cover
-# kernel must reproduce exactly.  Each removal rebuilds the lag set.
+# kernel must reproduce exactly.  Each removal rebuilds the lag set by its
+# own pairwise differences, not by the library's pair-graph kernel that the
+# counts under test are built on.
+
+def ref_lag_set(positions):
+    return frozenset(a - b for a in positions for b in positions)
+
 
 def ref_essential(positions):
-    full = lag_set(positions)
-    essential = tuple(x for x in positions
-                      if lag_set([p for p in positions if p != x]) != full)
+    full = ref_lag_set(positions)
+    essential = tuple(
+        x for x in positions
+        if ref_lag_set([p for p in positions if p != x]) != full)
     inessential = tuple(x for x in positions if x not in essential)
     return essential, inessential
 
 
 def ref_k_fragility(positions, k):
-    full = lag_set(positions)
+    full = ref_lag_set(positions)
     count = 0
     for removed in itertools.combinations(positions, k):
         drop = set(removed)
-        if lag_set([p for p in positions if p not in drop]) != full:
+        if ref_lag_set([p for p in positions if p not in drop]) != full:
             count += 1
     return count, comb(len(positions), k)
 
