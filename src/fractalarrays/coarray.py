@@ -9,27 +9,21 @@ the edge count of l's graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .geometry import InvalidParameterError
 
 
-def _positions(array):
-    return tuple(sorted(getattr(array, "positions", array)))
-
-
-@lru_cache(maxsize=32)
 def _pair_graphs(positions):
-    """(lags, graphs) of sorted positions, which must be distinct: each lag
-    l > 0 in the order its first pair (i, j), i < j, is met by j and then
-    i, and its edges as bitmasks 1 << i | 1 << j over sensor indices."""
+    """The pair graph of each lag l > 0 of sorted, distinct positions: a dict
+    from l, in the order its first pair (i, j), i < j, is met by j and then
+    i, to its edges as bitmasks 1 << i | 1 << j over sensor indices."""
     graphs = {}
     for j, b in enumerate(positions):
         for i in range(j):
             graphs.setdefault(b - positions[i], []).append(1 << i | 1 << j)
     if 0 in graphs:
         raise InvalidParameterError("sensor positions must be distinct")
-    return tuple(graphs), tuple(tuple(g) for g in graphs.values())
+    return graphs
 
 
 @dataclass(frozen=True)
@@ -77,10 +71,9 @@ def difference_coarray(array):
     """All pairwise position differences with ordered-pair multiplicities.
 
     The positions may come in any order; repeated ones are refused."""
-    pos = _positions(array)
-    lags, graphs = _pair_graphs(pos)
+    pos = tuple(sorted(getattr(array, "positions", array)))
     weights = {0: len(pos)} if pos else {}
-    for lag, g in zip(lags, graphs):
+    for lag, g in _pair_graphs(pos).items():
         weights[lag] = weights[-lag] = len(g)
     return Coarray(lags=tuple(sorted(weights)),
                    weights=weights,

@@ -33,9 +33,9 @@ good).  Closed forms end the branching:
   has more positive lags.
 
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
-Python ints, so nothing is rounded.  The graphs come from ``coarray``'s
-lag kernel, the one every coarray view is read from, which caches them per
-array; the counts are not cached.
+Python ints, so nothing is rounded, and nothing is cached across calls.
+The graphs come from ``coarray``'s lag kernel, the one every coarray view
+is read from.
 
 Cost: N(N-1)/2 pairs to build the graphs, then a branch tree at most k - 2
 deep in deletions, each node passing once over the graphs that are still
@@ -181,8 +181,8 @@ def essential_sensors(s):
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    _, graphs = _pair_graphs(s.positions)
-    _, single = _coverable(graphs, (1 << len(s)) - 1, 1)
+    _, single = _coverable(_pair_graphs(s.positions).values(),
+                           (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
     for i, x in enumerate(s.positions):
@@ -199,8 +199,7 @@ def k_fragility(s, k):
             "need 1 <= k < sensor count, got k=%d for %d sensors"
             % (k, len(s)))
     _check_limit(len(s), k)
-    _, graphs = _pair_graphs(s.positions)
-    return _report(graphs, len(s), k)
+    return _report(_pair_graphs(s.positions).values(), len(s), k)
 
 
 def fragility_profile(s, k_max):
@@ -215,7 +214,7 @@ def fragility_profile(s, k_max):
             % (k_max, len(s)))
     for k in range(1, k_max + 1):
         _check_limit(len(s), k)
-    _, graphs = _pair_graphs(s.positions)
+    graphs = _pair_graphs(s.positions).values()
     return [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
 
 
