@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .geometry import InvalidParameterError
 
+# summarize lists every hole, so it refuses a coarray with more than this.
+_HOLE_LIMIT = 10 ** 6
+
 
 def _pair_graphs(positions):
     """The pair graph of each lag l > 0 of sorted, distinct positions: a dict
@@ -89,10 +92,16 @@ def summarize(c):
     """Central contiguous segment [-u, u], holes, and source capacity.
 
     max_sources is u: a hole-free central segment of 2u+1 lags supports up
-    to u sources through the coarray MUSIC pipeline.
+    to u sources through the coarray MUSIC pipeline.  The holes, the
+    aperture less the len(lags) // 2 positive lags, are counted first.
     """
     lags = c.lag_set()
     aperture = max(lags)
+    hole_count = aperture - len(lags) // 2
+    if hole_count > _HOLE_LIMIT:
+        raise InvalidParameterError(
+            "the coarray of these positions has %d holes, more than the %d "
+            "that summarize lists" % (hole_count, _HOLE_LIMIT))
     holes = tuple(k for k in range(1, aperture + 1) if k not in lags)
     u = holes[0] - 1 if holes else aperture
     return CoarraySummary(ula_segment=(-u, u),

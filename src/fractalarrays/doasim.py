@@ -134,25 +134,22 @@ class SnapshotBatch:
     """Complex |S| x T sensor-output matrix from one simulation run."""
 
     data: np.ndarray
-    snapshot_count: int
     seed: int
 
 
 @dataclass(frozen=True)
 class MusicResult:
-    """Pseudospectrum over the theta' grid with picked peaks and RMSE."""
+    """Pseudospectrum over the theta' grid with picked peaks."""
 
     grid: np.ndarray
     spectrum: np.ndarray
     estimates: tuple = ()
-    rmse: float = None
     under_resolved: bool = False
 
 
 def steering_vector(s, theta_norm):
     """Unit-modulus steering vector exp(2 pi j n theta') over the sensors."""
-    pos = np.asarray(s.positions if hasattr(s, "positions") else s)
-    return np.exp(2j * np.pi * pos * theta_norm)
+    return np.exp(2j * np.pi * np.asarray(s.positions) * theta_norm)
 
 
 def _steering_matrix(positions, thetas):
@@ -186,12 +183,12 @@ def simulate(s, scene, t, seed):
     amp = np.sqrt(np.asarray(scene.powers))[:, None]
     signals = amp * _complex_gaussian(rng, (scene.source_count, t))
     noise = np.sqrt(scene.noise_power) * _complex_gaussian(rng, (len(pos), t))
-    return SnapshotBatch(data=a @ signals + noise, snapshot_count=t, seed=seed)
+    return SnapshotBatch(data=a @ signals + noise, seed=seed)
 
 
 def sample_covariance(b):
     """R' = Y Y^H / T, forced exactly Hermitian."""
-    r = b.data @ b.data.conj().T / b.snapshot_count
+    r = b.data @ b.data.conj().T / b.data.shape[1]
     return (r + r.conj().T) / 2.0
 
 

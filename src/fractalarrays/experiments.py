@@ -111,11 +111,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _dump(obj, stream=None):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if stream is None:
-        sys.stdout.write(text)
-    else:
-        stream.write(text)
-    return text
+    (stream or sys.stdout).write(text)
 
 
 def _write_json(path, obj):
@@ -190,7 +186,7 @@ def cmd_analyze(args):
 
 
 def cmd_music(args):
-    if args.geometry:
+    if args.kind is None:
         arr = _load_geometry(args.geometry)
     else:
         arr = _build_from_flags(args)
@@ -242,8 +238,8 @@ def _reproduce_case(tag, out_dir, k_max):
     published ones, with per-field match flags."""
     case = PAPER_CASES[tag]
     arr = case["build"]()
-    summary = summarize(difference_coarray(arr))
     bundle = _analysis_bundle(arr, k_max)
+    coarray = bundle["coarray"]
     computed_frag = {r["k"]: "%.4f" % r["value"]
                      for r in bundle["robustness"]["fragility"]}
     comparisons = {}
@@ -256,8 +252,8 @@ def _reproduce_case(tag, out_dir, k_max):
         }
 
     compare("positions", case["positions"], list(arr.positions))
-    compare("hole_free", case["hole_free"], summary.hole_free)
-    compare("max_sources", case["max_sources"], summary.max_sources)
+    compare("hole_free", case["hole_free"], coarray["hole_free"])
+    compare("max_sources", case["max_sources"], coarray["ula_segment"][1])
     compare("essential", case["essential"],
             bundle["robustness"]["essential"])
     for k, claimed in case["fragility"].items():
@@ -354,9 +350,9 @@ def _build_parser():
                      description="Sparse fractal array experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_geometry_flags(p, kind_required=True):
-        p.add_argument("--kind", required=kind_required,
-                       choices=[*_KINDS, "sfa"])
+    kinds = [*_KINDS, "sfa"]
+
+    def add_geometry_flags(p):
         p.add_argument("--sub", help="SFA subarray family",
                        choices=list(geometry._SFA_FAMILIES))
         p.add_argument("--n", type=int)
@@ -366,6 +362,7 @@ def _build_parser():
         p.add_argument("--r", type=int, help="fractal scale")
 
     gen = sub.add_parser("generate", help="emit a geometry as JSON")
+    gen.add_argument("--kind", required=True, choices=kinds)
     add_geometry_flags(gen)
     gen.set_defaults(handler=cmd_generate)
 
@@ -376,15 +373,18 @@ def _build_parser():
     ana.set_defaults(handler=cmd_analyze)
 
     mus = sub.add_parser("music", help="Monte-Carlo coarray MUSIC run")
-    add_geometry_flags(mus, kind_required=False)
-    mus.add_argument("--geometry", dest="geometry",
-                     help="geometry JSON file (overrides --kind)")
+    source = mus.add_mutually_exclusive_group(required=True)
+    source.add_argument("--kind", choices=kinds)
+    source.add_argument("--geometry", help="geometry JSON file")
+    add_geometry_flags(mus)
     mus.add_argument("--sources", type=int, required=True)
     mus.add_argument("--snr", type=float, default=0.0)
     mus.add_argument("--snapshots", type=int, default=500)
     mus.add_argument("--trials", type=int, default=50)
     mus.add_argument("--min-separation", type=float, default=None)
     mus.add_argument("--override-capacity", action="store_true")
+    mus.add_argument("--seed", type=int, default=0)
+    mus.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
     mus.set_defaults(handler=cmd_music)
 
     rep = sub.add_parser("reproduce",
@@ -393,10 +393,8 @@ def _build_parser():
     rep.add_argument("--k-max", type=int, default=3)
     rep.set_defaults(handler=cmd_reproduce)
 
-    for p in (gen, ana, mus, rep):
-        p.add_argument("--seed", type=int, default=0)
+    for p in (mus, rep):
         p.add_argument("--out-dir", default="out")
-        p.add_argument("--grid-size", type=int, default=DEFAULT_GRID_SIZE)
 
     return parser
 
@@ -405,14 +403,12 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "music" and not args.geometry and not args.kind:
-            raise UsageError("music needs --geometry or --kind")
         return args.handler(args)
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
     except (InvalidParameterError, UnsupportedParameterError, CapacityError,
-            OSError, json.JSONDecodeError, KeyError) as exc:
+            OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gcd
 
+import numpy as np
+
 
 class InvalidParameterError(ValueError):
     """A generator was called with parameters outside its domain."""
@@ -26,7 +28,7 @@ class SensorArray:
 
     Positions are strictly increasing non-negative integers in units of d1,
     at most 2**63 - 1 so that numpy holds them as int64; a non-integer
-    position such as 1.7 is rejected, not truncated.
+    position such as 1.7 is rejected, not truncated, and so is a bool.
     ``kind`` is a free-form family tag (ULA, Nested, Coprime, ANA1, ANA2,
     SuperNested, Cantor, SFA, or custom).
     """
@@ -41,7 +43,8 @@ class SensorArray:
             pos = tuple(int(p) for p in raw)
         except (TypeError, ValueError, OverflowError):
             pos = None
-        if pos is None or pos != raw:
+        if (pos is None or pos != raw
+                or not {bool, np.bool_}.isdisjoint(map(type, raw))):
             raise InvalidParameterError(
                 "sensor positions must be integers, got %s" % list(raw))
         if len(pos) == 0:
@@ -59,10 +62,6 @@ class SensorArray:
 
     def __iter__(self):
         return iter(self.positions)
-
-    @property
-    def size(self):
-        return len(self.positions)
 
     @property
     def aperture(self):

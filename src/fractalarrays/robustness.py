@@ -53,7 +53,7 @@ from fractions import Fraction
 from math import comb
 
 from .coarray import _pair_graphs
-from .geometry import InvalidParameterError, SensorArray
+from .geometry import InvalidParameterError
 
 # C(|S|, k) above this is refused.  The count does not visit the subsets,
 # but its branch tree can still grow with C(|S|, k).
@@ -62,7 +62,6 @@ ENUMERATION_LIMIT = 10_000_000
 
 @dataclass(frozen=True)
 class EssentialnessReport:
-    array: SensorArray
     essential: tuple
     inessential: tuple
 
@@ -76,8 +75,8 @@ class FragilityReport:
     total_subsets: int
     fragility: Fraction
 
-    def rounded(self, digits=4):
-        return round(float(self.fragility), digits)
+    def rounded(self):
+        return round(float(self.fragility), 4)
 
 
 def _coverable(graphs, pool, r):
@@ -187,8 +186,7 @@ def essential_sensors(s):
     inessential = []
     for i, x in enumerate(s.positions):
         (essential if single >> i & 1 else inessential).append(x)
-    return EssentialnessReport(array=s,
-                               essential=tuple(essential),
+    return EssentialnessReport(essential=tuple(essential),
                                inessential=tuple(inessential))
 
 

@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -163,3 +165,31 @@ def test_duplicate_positions_are_refused(positions):
     for view in (difference_coarray, lag_set):
         with pytest.raises(InvalidParameterError, match="distinct"):
             view(positions)
+
+
+def test_summarize_refuses_a_huge_hole_count_promptly():
+    # Aperture 2**62 with three positive lags: listing the holes would not
+    # fit in memory, so the hole count is checked before the walk.
+    out = []
+
+    def attempt():
+        try:
+            summarize(difference_coarray(SensorArray((0, 1, 2 ** 62))))
+        except InvalidParameterError as exc:
+            out.append(exc)
+
+    worker = threading.Thread(target=attempt, daemon=True)
+    start = time.perf_counter()
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "summarize did not return"
+    assert time.perf_counter() - start < 1.0
+    assert len(out) == 1 and "%d holes" % (2 ** 62 - 3) in str(out[0])
+
+
+def test_summarize_lists_up_to_a_million_holes():
+    # Positive lags 1, a - 1 and a leave a - 3 holes.
+    s = summarize(difference_coarray(SensorArray((0, 1, 10 ** 6 + 3))))
+    assert len(s.holes) == 10 ** 6 and s.max_sources == 1
+    with pytest.raises(InvalidParameterError, match="1000001 holes"):
+        summarize(difference_coarray(SensorArray((0, 1, 10 ** 6 + 4))))

@@ -148,7 +148,9 @@ def test_analyze_malformed_json(capsys, tmp_path):
 
 @pytest.mark.parametrize("payload", ['[1, 2, 3]', '"x"', '{"positions": 5}',
                                      '{"positions": null}',
-                                     '{"positions": [0, 1, %d]}' % 2 ** 63])
+                                     '{"positions": [0, 1, %d]}' % 2 ** 63,
+                                     '{"positions": [0, 1, %d]}' % 2 ** 62,
+                                     '{"positions": [true, 2]}'])
 @pytest.mark.parametrize("command", [["analyze", "-"],
                                      ["music", "--geometry", "-",
                                       "--sources", "1"]])
@@ -160,6 +162,40 @@ def test_malformed_geometry_is_refused(capsys, monkeypatch, payload,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "positions" in err
+
+
+# Flags each subcommand does not read: only music takes --seed and
+# --grid-size, and only music and reproduce take --out-dir.
+@pytest.mark.parametrize("command, flag", [
+    (command, flag)
+    for command in ("generate", "analyze", "reproduce")
+    for flag in ("--seed", "--grid-size", "--out-dir")
+    if (command, flag) != ("reproduce", "--out-dir")])
+def test_unread_flags_are_usage_errors(capsys, tmp_path, command, flag):
+    geometry = tmp_path / "ula.json"
+    geometry.write_text(json.dumps(gen_ula(3).to_dict()))
+    argv = {"generate": ["generate", "--kind", "ula", "--n", "3"],
+            "analyze": ["analyze", str(geometry)],
+            "reproduce": ["reproduce", "example1", "--out-dir",
+                          str(tmp_path / "out")]}[command]
+    value = str(tmp_path / "x") if flag == "--out-dir" else "3"
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: unrecognized arguments: " + flag)
+    assert not (tmp_path / "out").exists() and not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("source", [["--kind", "ula", "--n", "4",
+                                     "--geometry", "g.json"], []])
+def test_music_needs_exactly_one_of_geometry_and_kind(capsys, tmp_path,
+                                                     source):
+    code, out, err = run(capsys, "music", *source, "--sources", "1",
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error:") and "--geometry" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_music_noiseless_on_grid(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,7 +41,8 @@ def test_sensor_array_rejects_empty():
 
 @pytest.mark.parametrize("positions", [(0, 1.7, 3), (0, 1, 2.5),
                                        (0, float("nan")), (0, float("inf")),
-                                       (0, "1")])
+                                       (0, "1"), (True, 2), (0, False),
+                                       (np.True_, 2)])
 def test_sensor_array_rejects_non_integers(positions):
     with pytest.raises(InvalidParameterError):
         SensorArray(positions)
@@ -49,6 +51,13 @@ def test_sensor_array_rejects_non_integers(positions):
 def test_sensor_array_accepts_integral_values():
     assert SensorArray((0, 1.0, 3)).positions == (0, 1, 3)
     assert all(type(p) is int for p in SensorArray((0, 1.0, 3)).positions)
+
+
+def test_sensor_array_accepts_numpy_integers():
+    # Of the int-like types only bool is refused (True == 1 would pass).
+    arr = SensorArray(tuple(np.array([0, 3, 5], dtype=np.int64)))
+    assert arr.positions == (0, 3, 5)
+    assert all(type(p) is int for p in arr.positions)
 
 
 def test_sensor_array_json_round_trip():
