@@ -1,13 +1,15 @@
 """Difference coarrays, weight functions, and central-ULA summaries.
 
-Every view is read from one kernel, the pair graph of each lag l > 0: its
-sensor pairs, by direct O(N^2) differencing.  The coarray is 0 and the
-lags with an edge, with their negatives; w(0) = N, and w(l) = w(-l) is
-the edge count of l's graph.
+Every view is read from one kernel, the sensor pairs of each lag l > 0,
+found by direct O(N^2) differencing.  The coarray is 0 and the lags with a
+pair, with their negatives; w(0) = N, and w(l) = w(-l) is the number of
+l's pairs.  Only the pair counts are kept, so the views take memory in the
+number of lags, not in the number of pairs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .geometry import InvalidParameterError
@@ -16,17 +18,16 @@ from .geometry import InvalidParameterError
 _HOLE_LIMIT = 10 ** 6
 
 
-def _pair_graphs(positions):
-    """The pair graph of each lag l > 0 of sorted, distinct positions: a dict
-    from l, in the order its first pair (i, j), i < j, is met by j and then
-    i, to its edges as bitmasks 1 << i | 1 << j over sensor indices."""
-    graphs = {}
+def _lag_pairs(positions):
+    """Each sensor pair of sorted positions as (l, i, j), i < j and
+    l = positions[j] - positions[i], in the order of j and then i.  A lag of
+    0, from a repeated position, is refused."""
     for j, b in enumerate(positions):
         for i in range(j):
-            graphs.setdefault(b - positions[i], []).append(1 << i | 1 << j)
-    if 0 in graphs:
-        raise InvalidParameterError("sensor positions must be distinct")
-    return graphs
+            lag = b - positions[i]
+            if not lag:
+                raise InvalidParameterError("sensor positions must be distinct")
+            yield lag, i, j
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class Coarray:
 
     lags: tuple
     weights: dict
-    source_cardinality: int
 
     def lag_set(self):
         return frozenset(self.lags)
@@ -76,11 +76,9 @@ def difference_coarray(array):
     The positions may come in any order; repeated ones are refused."""
     pos = tuple(sorted(getattr(array, "positions", array)))
     weights = {0: len(pos)} if pos else {}
-    for lag, g in _pair_graphs(pos).items():
-        weights[lag] = weights[-lag] = len(g)
-    return Coarray(lags=tuple(sorted(weights)),
-                   weights=weights,
-                   source_cardinality=len(pos))
+    for lag, count in Counter(lag for lag, _, _ in _lag_pairs(pos)).items():
+        weights[lag] = weights[-lag] = count
+    return Coarray(lags=tuple(sorted(weights)), weights=weights)
 
 
 def lag_set(array):

@@ -24,7 +24,10 @@ unitarily similar to a real symmetric one (Lee, "Centrohermitian and
 skew-centrohermitian matrices", LAA 1980; Huarng & Yeh, "A unitary
 transformation method for angle-of-arrival estimation", IEEE TSP 1991).
 So its noise subspace comes from a real eigendecomposition, about a third
-of the cost of a complex one, mapped back by a sparse unitary matrix.
+of the cost of a complex one, mapped back by a sparse unitary matrix.  Every
+covariance the pipeline forms is made exactly Hermitian, so every Toeplitz
+matrix it builds is exactly centro-Hermitian, and this is the only
+eigensolver path.
 """
 
 from __future__ import annotations
@@ -73,11 +76,14 @@ class SourceScene:
             raise InvalidParameterError("normalized DOAs must lie in [-0.5, 0.5)")
         if len(set(doas)) != len(doas):
             raise InvalidParameterError("normalized DOAs must be distinct")
-        if any(p <= 0 for p in powers) or self.noise_power < 0:
+        noise = float(self.noise_power)
+        if any(not 0 < p < np.inf for p in powers) or not 0 <= noise < np.inf:
             raise InvalidParameterError(
-                "source powers must be positive and noise power non-negative")
+                "source powers must be positive and noise power non-negative, "
+                "all finite")
         object.__setattr__(self, "normalized_doas", doas)
         object.__setattr__(self, "powers", powers)
+        object.__setattr__(self, "noise_power", noise)
 
     @property
     def source_count(self):
@@ -125,7 +131,12 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     rng = np.random.default_rng(seed)
     gaps = np.sort(rng.uniform(0.0, slack, m))
     doas = -0.5 + gaps + np.arange(m) * step
-    noise = 10.0 ** (-snr_db / 10.0)
+    try:
+        noise = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise InvalidParameterError(
+            "SNR %g dB gives a noise power too large for a float"
+            % snr_db) from None
     return SourceScene(tuple(doas), (1.0,) * m, noise)
 
 
@@ -193,11 +204,13 @@ def sample_covariance(b):
 
 
 def expected_covariance(s, scene):
-    """Infinite-snapshot covariance: sum of sigma_i^2 a a^H plus sigma^2 I."""
+    """Infinite-snapshot covariance: sum of sigma_i^2 a a^H plus sigma^2 I,
+    forced exactly Hermitian."""
     pos = np.asarray(s.positions)
     a = _steering_matrix(pos, scene.normalized_doas)
-    return ((a * np.asarray(scene.powers)) @ a.conj().T
-            + scene.noise_power * np.eye(len(pos)))
+    r = ((a * np.asarray(scene.powers)) @ a.conj().T
+         + scene.noise_power * np.eye(len(pos)))
+    return (r + r.conj().T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -323,20 +336,20 @@ def _from_real_form(v):
 
 
 def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
-    """MUSIC pseudospectrum of a Hermitian matrix with m signal dimensions.
+    """MUSIC pseudospectrum of a centro-Hermitian matrix with m signal
+    dimensions.
 
     The noise subspace is spanned by the eigenvectors E of the dim - m
     smallest eigenvalues; the spectrum is normalized to peak at 1 on a
     uniform theta' grid over [-0.5, 0.5).
 
-    A t that is exactly centro-Hermitian as well, t[::-1, ::-1] equal to
-    conj(t) (every matrix toeplitz_augment returns is), has the same
+    t must be exactly Hermitian and exactly persymmetric, t[::-1, ::-1]
+    equal to conj(t), as every matrix toeplitz_augment builds from a
+    Hermitian covariance is; any other t is refused.  Such a t has the same
     eigenvalues as the real symmetric S = Q^H t Q of _real_form, and
     eigenvectors Q V for the eigenvectors V of S (Lee 1980; Huarng & Yeh
     1991).  So E comes from a real eigh of S, about a third of the work
-    of a complex eigh of t; any other t takes the complex eigh, and must be
-    Hermitian to within a relative 1e-10 of its Frobenius norm, far above
-    the rounding of a product such as x x^H.
+    of a complex eigh of t.
 
     With P = E E^H and c_k the sum of P's k-th subdiagonal, the denominator
     a(theta)^H P a(theta) is c_0 + 2 Re sum_{k>0} c_k exp(-2 pi j k theta).
@@ -355,16 +368,12 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
             "need 1 <= sources < matrix dimension, got m=%d, dim=%d"
             % (m, dim))
     _check_grid_size(grid_size)
-    if (np.array_equal(t, t.conj().T)
+    if not (np.array_equal(t, t.conj().T)
             and np.array_equal(t, t[::-1, ::-1].conj())):
-        _, vecs = np.linalg.eigh(_real_form(t))
-        noise = _from_real_form(vecs[:, :dim - m])
-    else:
-        # eigh would read only the lower triangle.
-        if np.abs(t - t.conj().T).max() > 1e-10 * np.linalg.norm(t):
-            raise InvalidParameterError("need a Hermitian matrix")
-        _, vecs = np.linalg.eigh(t)
-        noise = vecs[:, :dim - m]
+        raise InvalidParameterError(
+            "need an exactly Hermitian, persymmetric matrix")
+    _, vecs = np.linalg.eigh(_real_form(t))
+    noise = _from_real_form(vecs[:, :dim - m])
     proj = noise @ noise.conj().T
     # Diagonal index p - q of each entry (p, q), offset to start at 0; the
     # subdiagonal sums c_k (k >= 0) are the upper half of the bins.

@@ -34,8 +34,8 @@ good).  Closed forms end the branching:
 
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
 Python ints, so nothing is rounded, and nothing is cached across calls.
-The graphs come from ``coarray``'s lag kernel, the one every coarray view
-is read from.
+The graphs are grouped from the sensor pairs of ``coarray``'s lag kernel,
+the one every coarray view is read from.
 
 Cost: N(N-1)/2 pairs to build the graphs, then a branch tree at most k - 2
 deep in deletions, each node passing once over the graphs that are still
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .coarray import _pair_graphs
+from .coarray import _lag_pairs
 from .geometry import InvalidParameterError
 
 # C(|S|, k) above this is refused.  The count does not visit the subsets,
@@ -77,6 +77,16 @@ class FragilityReport:
 
     def rounded(self):
         return round(float(self.fragility), 4)
+
+
+def _pair_graphs(positions):
+    """The pair graph of each lag l > 0, in the order its first pair is met
+    by ``_lag_pairs``: its edges as bitmasks 1 << i | 1 << j over sensor
+    indices."""
+    graphs = {}
+    for lag, i, j in _lag_pairs(positions):
+        graphs.setdefault(lag, []).append(1 << i | 1 << j)
+    return graphs.values()
 
 
 def _coverable(graphs, pool, r):
@@ -180,7 +190,7 @@ def essential_sensors(s):
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    _, single = _coverable(_pair_graphs(s.positions).values(),
+    _, single = _coverable(_pair_graphs(s.positions),
                            (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
@@ -197,7 +207,7 @@ def k_fragility(s, k):
             "need 1 <= k < sensor count, got k=%d for %d sensors"
             % (k, len(s)))
     _check_limit(len(s), k)
-    return _report(_pair_graphs(s.positions).values(), len(s), k)
+    return _report(_pair_graphs(s.positions), len(s), k)
 
 
 def fragility_profile(s, k_max):
@@ -212,7 +222,7 @@ def fragility_profile(s, k_max):
             % (k_max, len(s)))
     for k in range(1, k_max + 1):
         _check_limit(len(s), k)
-    graphs = _pair_graphs(s.positions).values()
+    graphs = _pair_graphs(s.positions)
     return [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
 
 

@@ -1,6 +1,7 @@
 import random
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -13,7 +14,7 @@ from fractalarrays.geometry import (InvalidParameterError, SensorArray,
 
 
 # Reference: every ordered pair's difference, counted directly, in place of
-# the library's per-lag pair graphs.
+# the library's per-lag pair counts.
 def ref_weights(positions):
     return Counter(a - b for a in positions for b in positions)
 
@@ -155,8 +156,23 @@ def test_coarray_views_match_counter_reference():
         ref = ref_weights(getattr(positions, "positions", positions))
         assert c.weights == ref
         assert c.lags == tuple(sorted(ref))
-        assert c.source_cardinality == len(positions)
+        assert c.weight(0) == len(positions)
         assert lag_set(positions) == frozenset(ref)
+
+
+def test_coarray_views_take_memory_in_the_lags_not_the_pairs():
+    # ULA(400) has 79 800 sensor pairs on only 399 positive lags.  Keeping
+    # each pair as a bitmask edge until the end peaked at 5.7 MB; counting
+    # them peaks at about 0.1 MB.
+    arr = gen_ula(400)
+    tracemalloc.start()
+    try:
+        summary = summarize(difference_coarray(arr))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.max_sources == 399
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("positions", [[0, 0, 1], [3, 1, 3], (-2, 5, -2)])

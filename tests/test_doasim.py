@@ -189,6 +189,25 @@ def test_scene_validation():
         SourceScene((0.1,), (0.0,), 1.0)
 
 
+@pytest.mark.parametrize("powers, noise", [
+    ((float("nan"),), 1.0), ((float("inf"),), 1.0), ((-1.0,), 1.0),
+    ((1.0,), float("nan")), ((1.0,), float("inf")), ((1.0,), -1.0)])
+def test_scene_refuses_non_finite_powers(powers, noise):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        SourceScene((0.1,), powers, noise)
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), -float("inf"), -4000.0])
+def test_random_scene_refuses_a_noise_power_that_is_not_finite(snr_db):
+    with pytest.raises(InvalidParameterError):
+        random_scene(2, 0, snr_db=snr_db)
+
+
+def test_random_scene_accepts_infinite_and_extreme_finite_snr():
+    assert random_scene(2, 0, snr_db=float("inf")).noise_power == 0.0
+    assert random_scene(2, 0, snr_db=-300.0).noise_power == 1e30
+
+
 def test_random_scene_separation():
     scene = random_scene(10, seed=3, min_separation=0.03)
     doas = np.asarray(scene.normalized_doas)
@@ -288,8 +307,8 @@ def test_music_spectrum_rejects_non_square_input(t):
 
 
 def test_music_spectrum_rejects_non_hermitian_input():
-    # eigh reads only the lower triangle: it would answer for the Hermitian
-    # completion of that triangle instead of refusing.
+    # eigh reads only part of its input: it would answer for a Hermitian
+    # completion instead of refusing.
     rng = np.random.default_rng(8)
     x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     t = x @ x.conj().T
@@ -354,19 +373,29 @@ def _boundary_matrix():
     return x @ x.conj().T
 
 
+def _rounding_off_hermitian():
+    """A Hermitian Toeplitz matrix with one diagonal entry off by a
+    rounding-level imaginary part."""
+    t = _random_hermitian_toeplitz(6, seed=1)
+    t[2, 2] += 1e-17j
+    return t
+
+
 @pytest.mark.parametrize("t", [_boundary_matrix(),
                                (_boundary_matrix()
-                                + _boundary_matrix().conj().T) / 2.0],
-                         ids=["not-hermitian", "not-centro-hermitian"])
-def test_complex_path_matches_reference(t):
+                                + _boundary_matrix().conj().T) / 2.0,
+                               _rounding_off_hermitian()],
+                         ids=["not-hermitian", "not-centro-hermitian",
+                              "rounding-off-hermitian"])
+def test_music_spectrum_refuses_non_centro_hermitian_input(t):
+    # The real eigh reads t through its top-half blocks only, so a matrix
+    # that is not exactly Hermitian and persymmetric is refused, however
+    # close it comes.
     assert not (np.array_equal(t, t.conj().T)
                 and np.array_equal(t, t[::-1, ::-1].conj()))
     for m in range(1, 6):
-        result = music_spectrum(t, m, grid_size=512)
-        grid, spectrum = ref_music_spectrum(t, m, 512)
-        assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
-        ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
-        assert pick_peaks(result, m).estimates == ref_peaks.estimates
+        with pytest.raises(InvalidParameterError, match="Hermitian"):
+            music_spectrum(t, m, grid_size=512)
 
 
 def test_simulate_deterministic(nfa):
@@ -409,6 +438,52 @@ def test_large_t_limit_matches_expected():
     a = steering_vector(arr, 0.0)
     assert np.allclose(expected, np.outer(a, a.conj()) + np.eye(4))
     assert np.max(np.abs(r - expected)) < 0.01 * np.max(np.abs(expected))
+
+
+def test_expected_covariance_is_exactly_hermitian_on_random_arrays():
+    rng = pyrandom.Random(1101)
+    for seed in range(60):
+        arr = SensorArray(tuple(sorted(rng.sample(range(80),
+                                                  rng.randint(2, 16)))))
+        scene = random_scene(rng.randint(1, 8), seed,
+                             snr_db=rng.uniform(-10, 30))
+        r = expected_covariance(arr, scene)
+        assert np.array_equal(r, r.conj().T)
+        assert not np.any(r.diagonal().imag)
+
+
+# Found by a fixed-seed search over random arrays (pyrandom.Random(11),
+# scene seeds 1 and 34): with numpy 2.4 on scipy-openblas 0.3.31 (x86_64),
+# the unsymmetrized product (a * p) @ a^H + sigma^2 I has rounding-level
+# imaginary parts on its diagonal for both, so the Toeplitz matrices built
+# from it were not exactly Hermitian.
+@pytest.mark.parametrize("positions, m, seed", [
+    ((5, 6, 9, 11, 19, 28, 39), 3, 1),
+    ((12, 15, 16, 20, 21, 25, 27, 28, 31, 34), 8, 34)])
+def test_expected_covariance_takes_the_real_path(positions, m, seed):
+    arr = SensorArray(positions)
+    u = summarize(difference_coarray(arr)).max_sources
+    scene = random_scene(m, seed, min_separation=0.02)
+    r = expected_covariance(arr, scene)
+    t = toeplitz_augment(coarray_autocorrelation(r, arr), (-u, u))
+    assert np.array_equal(t, t.conj().T)
+    assert np.array_equal(t, t[::-1, ::-1].conj())
+    result = estimate_doas(arr, r, m)
+    grid, spectrum = ref_music_spectrum(t, m, 8192)
+    assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
+    ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
+    assert result.estimates == ref_peaks.estimates
+    batch = run_trial_batch(arr, scene, 1, 2, seed=0, covariance="expected")
+    assert batch.per_trial_estimates == (ref_peaks.estimates,) * 2
+
+
+def test_estimate_doas_refuses_an_imaginary_diagonal(nfa):
+    scene = SourceScene((-0.2, 0.1, 0.3), (1.0,) * 3, 0.5)
+    r = expected_covariance(nfa, scene)
+    estimate_doas(nfa, r, 3)
+    r[4, 4] += 1e-15j
+    with pytest.raises(InvalidParameterError, match="Hermitian"):
+        estimate_doas(nfa, r, 3)
 
 
 def test_autocorrelation_identity(nfa):
@@ -465,9 +540,7 @@ def test_music_noiseless_peak_location(nfa):
 
 
 def test_music_boundary_source_count():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    t = x @ x.conj().T
+    t = _random_hermitian_toeplitz(6, seed=0)
     result = music_spectrum(t, 5, grid_size=512)
     assert np.all(np.isfinite(result.spectrum))
     with pytest.raises(InvalidParameterError):

@@ -268,6 +268,26 @@ def test_music_override_spectrum_is_estimate_doas_at_capacity(capsys,
                     in zip(expected.grid, expected.spectrum)]
 
 
+@pytest.mark.parametrize("snr", ["nan", "-inf", "-4000"])
+def test_music_refuses_an_snr_without_a_finite_noise_power(capsys, tmp_path,
+                                                           snr):
+    code, out, err = run(capsys, "music", "--kind", "ula", "--n", "4",
+                         "--sources", "1", "--snr=" + snr,
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "noise power" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_music_infinite_snr_is_noiseless(capsys, tmp_path):
+    code, out, _ = run(capsys, "music", "--kind", "ula", "--n", "4",
+                       "--sources", "1", "--snr", "inf", "--trials", "2",
+                       "--grid-size", "2048", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["resolved_fraction"] == 1.0
+
+
 def test_music_rejects_zero_grid_size(capsys, tmp_path):
     code, _, err = run(capsys, "music", "--kind", "sfa", "--sub", "nested",
                        "--n", "6", "--sources", "4", "--grid-size", "0",
