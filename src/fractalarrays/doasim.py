@@ -8,6 +8,14 @@ snapshots -> sample covariance -> coarray autocorrelation -> Hermitian
 Toeplitz augmentation on the central ULA segment -> MUSIC pseudospectrum
 -> peak picking -> RMSE over Monte-Carlo trials.
 
+The snapshots Y = A S + N, with Gaussian waveforms S and noise N, have
+i.i.d. CN(0, R) columns, R = A P A^H + sigma^2 I the model covariance.  They
+are drawn in that law directly as Y = F Z, with F F^H = R / 2 from one
+eigendecomposition of R and Z an N x T matrix of complex numbers whose real
+and imaginary parts are standard normals: 2 N T normals instead of the
+2 (M + N) T of drawing S and N.  A Monte-Carlo batch factors R once and
+draws every trial from the same F.
+
 Everything that depends only on the array (the ordered-pair lag index and
 the coarray summary) or only on the grid size (the theta' grid) is
 computed once and kept in small, bounded, read-only caches, so a
@@ -90,10 +98,13 @@ class SourceScene:
         return len(self.normalized_doas)
 
 
-def _check_grid_size(grid_size):
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 1:
+def _check_count(value, what):
+    """Refuse a count that is not a positive integer.  A float or a bool
+    (True is an int to Python) is refused, not coerced."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < 1):
         raise InvalidParameterError(
-            "grid size must be a positive integer, got %r" % (grid_size,))
+            "%s must be a positive integer, got %r" % (what, value))
 
 
 def random_scene(m, seed, snr_db=0.0, min_separation=None,
@@ -115,7 +126,7 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     rounded DOAs keep the separation and stay below 0.5; a separation
     within that margin of the limit is rejected as not fitting.
     """
-    _check_grid_size(grid_size)
+    _check_count(grid_size, "grid size")
     if min_separation is None:
         min_separation = 2.0 / grid_size
     if m < 1 or not min_separation >= 0:
@@ -163,10 +174,6 @@ def steering_vector(s, theta_norm):
     return np.exp(2j * np.pi * np.asarray(s.positions) * theta_norm)
 
 
-def _steering_matrix(positions, thetas):
-    return np.exp(2j * np.pi * np.outer(positions, np.asarray(thetas)))
-
-
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _grid(grid_size):
     """The theta' grid over [-0.5, 0.5), read-only."""
@@ -175,26 +182,35 @@ def _grid(grid_size):
     return grid
 
 
-def _complex_gaussian(rng, shape):
-    return (rng.standard_normal(shape)
-            + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _snapshot_factor(s, scene):
+    """F with F F^H = R / 2 for the model covariance R, as V sqrt(lambda / 2)
+    from R's eigendecomposition.  Rounding can leave the zero eigenvalues of
+    a rank-deficient R (no noise, fewer sources than sensors) slightly
+    negative, so the eigenvalues are clipped at 0."""
+    lam, v = np.linalg.eigh(expected_covariance(s, scene))
+    return v * np.sqrt(np.clip(lam, 0.0, None) / 2.0)
+
+
+def _draw(f, t, seed):
+    """T snapshots F Z.  Z is an N x 2T standard normal draw read as N x T
+    complex numbers (interleaved real and imaginary parts, no copy), so
+    E[Z Z^H] = 2 T I and E[Y Y^H] = T R."""
+    z = np.random.default_rng(seed).standard_normal((f.shape[1], 2 * t))
+    return SnapshotBatch(data=f @ z.view(complex), seed=seed)
 
 
 def simulate(s, scene, t, seed):
     """Draw T snapshots of the narrowband model Y = A S + N.
 
     Source waveforms and noise are zero-mean circular complex Gaussians
-    with variances sigma_i^2 and sigma^2.  Deterministic for a given seed.
+    with variances sigma_i^2 and sigma^2, so the snapshots are i.i.d.
+    CN(0, R) with R = expected_covariance(s, scene).  They are drawn in
+    that law as Y = F Z, with F F^H = R / 2 and Z an N x T matrix of
+    complex numbers whose real and imaginary parts are independent standard
+    normals.  Deterministic for a given seed.
     """
-    if t < 1:
-        raise InvalidParameterError("need at least one snapshot")
-    rng = np.random.default_rng(seed)
-    pos = np.asarray(s.positions)
-    a = _steering_matrix(pos, scene.normalized_doas)
-    amp = np.sqrt(np.asarray(scene.powers))[:, None]
-    signals = amp * _complex_gaussian(rng, (scene.source_count, t))
-    noise = np.sqrt(scene.noise_power) * _complex_gaussian(rng, (len(pos), t))
-    return SnapshotBatch(data=a @ signals + noise, seed=seed)
+    _check_count(t, "snapshot count")
+    return _draw(_snapshot_factor(s, scene), t, seed)
 
 
 def sample_covariance(b):
@@ -206,10 +222,9 @@ def sample_covariance(b):
 def expected_covariance(s, scene):
     """Infinite-snapshot covariance: sum of sigma_i^2 a a^H plus sigma^2 I,
     forced exactly Hermitian."""
-    pos = np.asarray(s.positions)
-    a = _steering_matrix(pos, scene.normalized_doas)
+    a = np.exp(2j * np.pi * np.outer(s.positions, scene.normalized_doas))
     r = ((a * np.asarray(scene.powers)) @ a.conj().T
-         + scene.noise_power * np.eye(len(pos)))
+         + scene.noise_power * np.eye(len(s.positions)))
     return (r + r.conj().T) / 2.0
 
 
@@ -367,7 +382,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         raise InvalidParameterError(
             "need 1 <= sources < matrix dimension, got m=%d, dim=%d"
             % (m, dim))
-    _check_grid_size(grid_size)
+    _check_count(grid_size, "grid size")
     if not (np.array_equal(t, t.conj().T)
             and np.array_equal(t, t[::-1, ::-1].conj())):
         raise InvalidParameterError(
@@ -464,33 +479,38 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
     """Repeat simulate -> coarray MUSIC over independent trials.
 
     Per-trial seeds are spawned deterministically from the batch seed, so
-    the result does not depend on evaluation order.  The aggregate RMSE
-    pools squared errors of all resolved trials, with estimates matched to
-    the truth in sorted order around the circle (the cyclic shift with the
-    least error) and errors wrapped to the nearest turn.
+    the result does not depend on evaluation order.  The model covariance
+    is factored once per batch and every trial draws its snapshots from
+    that factor, so each trial's estimates equal, bit for bit, those of
+    simulate -> sample_covariance -> estimate_doas at its seed.  The
+    aggregate RMSE pools squared errors of all resolved trials, with
+    estimates matched to the truth in sorted order around the circle (the
+    cyclic shift with the least error) and errors wrapped to the nearest
+    turn.
     ``covariance="expected"`` bypasses the snapshot simulation and uses
     the exact model covariance (a noiseless sanity path); its trials are
     all alike, so the coarray-MUSIC pass runs once and every trial reports
     its result.
     """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    _check_count(t, "snapshot count")
+    _check_count(trials, "trial count")
     if covariance not in ("sample", "expected"):
         raise InvalidParameterError(
             "covariance must be 'sample' or 'expected', got %r" % (covariance,))
     m = scene.source_count
     _capacity_summary(s, m)
 
-    def sample_trial(child):
-        batch = simulate(s, scene, t,
-                         np.random.default_rng(child).integers(2 ** 63))
-        return estimate_doas(s, sample_covariance(batch), m, grid_size)
-
     if covariance == "expected":
         # Every trial sees the same exact covariance: one pass serves all.
         results = [estimate_doas(s, expected_covariance(s, scene), m,
                                  grid_size)] * trials
     else:
+        f = _snapshot_factor(s, scene)
+
+        def sample_trial(child):
+            batch = _draw(f, t, np.random.default_rng(child).integers(2 ** 63))
+            return estimate_doas(s, sample_covariance(batch), m, grid_size)
+
         results = map(sample_trial,
                       np.random.SeedSequence(seed).spawn(trials))
     per_rmse = []

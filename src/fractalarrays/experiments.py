@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -110,7 +111,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump(obj, stream=None):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     (stream or sys.stdout).write(text)
 
 
@@ -208,9 +209,11 @@ def cmd_music(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # JSON has no infinity: an infinite SNR, and the RMSE of a batch with
+    # no resolved trial, are written as null.
     report = {"label": arr.label, "M": m, "snapshots": args.snapshots,
-              "snr_db": args.snr, "seed": args.seed, "capacity": capacity,
-              "override": override}
+              "snr_db": args.snr if math.isfinite(args.snr) else None,
+              "seed": args.seed, "capacity": capacity, "override": override}
     if override:
         # Run one pass at full capacity and report the unavoidable
         # under-resolution.
@@ -223,7 +226,9 @@ def cmd_music(args):
                                        grid_size=args.grid_size)
         result = batch_result.first_trial
         report.update(
-            trials=args.trials, rmse=batch_result.rmse,
+            trials=args.trials,
+            rmse=(batch_result.rmse if math.isfinite(batch_result.rmse)
+                  else None),
             under_resolved=batch_result.resolved_trials < args.trials,
             resolved_fraction=batch_result.resolved_fraction)
 

@@ -296,6 +296,13 @@ def test_music_spectrum_rejects_bad_grid_size(grid_size):
         music_spectrum(t, 1, grid_size)
 
 
+def test_grid_size_refuses_a_bool():
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        music_spectrum(np.eye(4, dtype=complex), 1, True)
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        random_scene(3, 0, grid_size=True)
+
+
 @pytest.mark.parametrize("t", [np.ones((3, 4)), np.ones(4),
                                np.ones((2, 3, 3))],
                          ids=["3x4", "vector", "stack"])
@@ -438,6 +445,77 @@ def test_large_t_limit_matches_expected():
     a = steering_vector(arr, 0.0)
     assert np.allclose(expected, np.outer(a, a.conj()) + np.eye(4))
     assert np.max(np.abs(r - expected)) < 0.01 * np.max(np.abs(expected))
+
+
+def test_snapshot_moments_match_the_model(nfa):
+    # R-hat over K = 2000 draws of T = 50 snapshots each.  Its entries are
+    # unbiased, E R-hat = R, and for circular Gaussian snapshots
+    # E|R-hat_ij - R_ij|^2 = R_ii R_jj / T exactly.  Tolerances: each
+    # entry's mean within 5 standard errors sqrt(R_ii R_jj / (T K)), and
+    # each entry's mean squared error within 15% of R_ii R_jj / T (at
+    # least 4.7 standard errors of that mean at K = 2000).
+    scene = random_scene(4, seed=1212, snr_db=0.0)
+    t, k = 50, 2000
+    r = expected_covariance(nfa, scene)
+    draws = np.array([sample_covariance(simulate(nfa, scene, t, seed))
+                      for seed in range(k)])
+    var = np.outer(np.diag(r).real, np.diag(r).real) / t
+    mean_err = np.abs(draws.mean(axis=0) - r)
+    assert np.all(mean_err < 5 * np.sqrt(var / k))
+    mse = np.mean(np.abs(draws - r) ** 2, axis=0)
+    assert np.all(np.abs(mse / var - 1) < 0.15)
+
+
+def test_noiseless_sample_covariance_has_rank_m(nfa):
+    # Five sources, no noise: R-hat is rank 5 of 12.  Tolerance: the seven
+    # smallest eigenvalues are below 1e-10 of the largest, the fifth
+    # largest above 1e-3 of it.
+    scene = SourceScene((-0.3, -0.1, 0.05, 0.2, 0.4), (1.0,) * 5, 0.0)
+    r_hat = sample_covariance(simulate(nfa, scene, 100, seed=31))
+    lam = np.linalg.eigvalsh(r_hat)[::-1]
+    assert np.all(np.abs(lam[5:]) < 1e-10 * lam[0])
+    assert lam[4] > 1e-3 * lam[0]
+    assert np.linalg.matrix_rank(r_hat, tol=1e-10 * lam[0]) == 5
+
+
+@pytest.mark.parametrize("r, m, t, trials", [(1, 8, 200, 4), (3, 40, 300, 2)])
+def test_trial_batch_equals_the_step_by_step_chain(r, m, t, trials):
+    # The benchmark replays each trial as simulate -> sample_covariance ->
+    # estimate_doas at the spawned trial seed; run_trial_batch, which
+    # factors the model covariance once per batch, must give the same
+    # estimates bit for bit.
+    arr = make_sfa("nested", {"n": 6}, r)
+    scene = random_scene(m, seed=40 + r, min_separation=0.01)
+    result = run_trial_batch(arr, scene, t, trials, seed=77)
+    chain = []
+    for child in np.random.SeedSequence(77).spawn(trials):
+        seed = np.random.default_rng(child).integers(2 ** 63)
+        r_hat = sample_covariance(simulate(arr, scene, t, seed))
+        chain.append(estimate_doas(arr, r_hat, m).estimates)
+    assert result.per_trial_estimates == tuple(chain)
+
+
+@pytest.mark.parametrize("t", [0, -3, True, 64.0, np.float64(64.5), "64",
+                               None])
+def test_simulate_refuses_a_bad_snapshot_count(nfa, t):
+    with pytest.raises(InvalidParameterError, match="snapshot count"):
+        simulate(nfa, random_scene(3, seed=1), t, seed=0)
+
+
+@pytest.mark.parametrize("covariance", ["sample", "expected"])
+@pytest.mark.parametrize("trials", [0, -1, True, 2.0, np.float64(3)])
+def test_trial_batch_refuses_a_bad_trial_count(nfa, covariance, trials):
+    with pytest.raises(InvalidParameterError, match="trial count"):
+        run_trial_batch(nfa, random_scene(4, seed=6), 200, trials, seed=1,
+                        covariance=covariance)
+
+
+@pytest.mark.parametrize("covariance", ["sample", "expected"])
+@pytest.mark.parametrize("t", [0, True, 200.0])
+def test_trial_batch_refuses_a_bad_snapshot_count(nfa, covariance, t):
+    with pytest.raises(InvalidParameterError, match="snapshot count"):
+        run_trial_batch(nfa, random_scene(4, seed=6), t, 2, seed=1,
+                        covariance=covariance)
 
 
 def test_expected_covariance_is_exactly_hermitian_on_random_arrays():

@@ -288,6 +288,40 @@ def test_music_infinite_snr_is_noiseless(capsys, tmp_path):
     assert json.loads(out)["resolved_fraction"] == 1.0
 
 
+def strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+    def refuse(constant):
+        raise ValueError("not JSON: %s" % constant)
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_music_infinite_snr_report_is_strict_json(capsys, tmp_path):
+    code, out, _ = run(capsys, "music", "--kind", "ula", "--n", "4",
+                       "--sources", "1", "--snr", "inf", "--trials", "2",
+                       "--grid-size", "2048", "--out-dir", str(tmp_path))
+    assert code == 0
+    for text in (out, (tmp_path / "trial.json").read_text()):
+        report = strict_json(text)
+        assert report["snr_db"] is None
+        assert 0.0 <= report["rmse"] < 1e-3
+
+
+def test_music_report_with_no_resolved_trial_is_strict_json(capsys,
+                                                            tmp_path):
+    # A 4-point grid has at most two local maxima, so three sources are
+    # under-resolved in every trial and the batch RMSE is infinite.
+    code, out, _ = run(capsys, "music", "--kind", "ula", "--n", "4",
+                       "--sources", "3", "--min-separation", "0.01",
+                       "--grid-size", "4", "--trials", "2", "--snr", "10",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    for text in (out, (tmp_path / "trial.json").read_text()):
+        report = strict_json(text)
+        assert report["rmse"] is None
+        assert report["resolved_fraction"] == 0.0
+        assert report["snr_db"] == 10.0
+
+
 def test_music_rejects_zero_grid_size(capsys, tmp_path):
     code, _, err = run(capsys, "music", "--kind", "sfa", "--sub", "nested",
                        "--n", "6", "--sources", "4", "--grid-size", "0",
