@@ -28,6 +28,13 @@ good).  Closed forms end the branching:
 * with r = 1 or 2 sensors still to delete, the r-subsets that cover some
   graph are its covers of that size: none for one sensor (those were kept
   above), and for two, C(n, 2) minus the distinct covering pairs;
+* with r = 3, a 3-subset covers some graph when it holds a covering pair
+  or is itself a cover.  A pair covers at most 4 edges, so the covering
+  pairs come from the graphs with at most 4; read as the edges of a graph
+  H, they lie in A = |E(H)|(n - 2) - Sum_v C(deg_H v, 2) + #triangles(H)
+  of the 3-subsets.  The covering triples come one sensor deeper than the
+  pairs, from the graphs with at most 6 edges, and the B of them that hold
+  no edge of H are the rest, so C(n, 3) - A - B cover no graph;
 * k deletions leave N - k sensors, whose C(N - k, 2) pairs cannot span
   more lags than that, so every k-subset is essential when the full array
   has more positive lags.
@@ -37,10 +44,12 @@ Python ints, so nothing is rounded, and nothing is cached across calls.
 The graphs are grouped from the sensor pairs of ``coarray``'s lag kernel,
 the one every coarray view is read from.
 
-Cost: N(N-1)/2 pairs to build the graphs, then a branch tree at most k - 2
-deep in deletions, each node passing once over the graphs that are still
-coverable.  For the 48-sensor NFA at k = 3 that is a few milliseconds,
-where rebuilding the lag set for each of the C(N, k) subsets took seconds.
+Cost: N(N-1)/2 pairs to build the graphs, then a branch tree at most k - 3
+deep in deletions, each node passing a few times over the graphs that are
+still coverable.  For the 48-sensor NFA at k = 3 the tree is one leaf and
+the count takes about a millisecond, where rebuilding the lag set for each
+of the C(N, k) subsets took seconds; at k = 4 and 5 it takes about 20 and
+200 ms.
 Lists of covers would be quicker still at small k, but they grow like 2^k
 per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 """
@@ -134,6 +143,59 @@ def _pair_covers(g):
     return covers
 
 
+def _triple_covers(g):
+    """Three-sensor covers of a graph that no one sensor covers, among them
+    every one that holds no two-sensor cover: a sensor x of the first edge,
+    with a two-sensor cover of the edges that x misses."""
+    covers = []
+    first = g[0]
+    while first:
+        x = first & -first
+        first ^= x
+        covers += [x | c for c in _pair_covers([e for e in g if not e & x])]
+    return covers
+
+
+def _count_holding_a_pair(pairs, n):
+    """Number of 3-subsets of n sensors that hold one of the sensor pairs
+    ``pairs`` (a set of two-bit masks over those sensors).
+
+    Read as the edges of a graph H, a pair lies in n - 2 of the 3-subsets, a
+    3-subset holding two pairs is counted twice by that and once by the
+    Sum_v C(deg v, 2) paths of two edges, and one holding three, a triangle
+    of H, three times by each.
+    """
+    adjacent = {}
+    for p in pairs:
+        x = p & -p
+        adjacent[x] = adjacent.get(x, 0) | p ^ x
+        adjacent[p ^ x] = adjacent.get(p ^ x, 0) | x
+    paths = sum(comb(a.bit_count(), 2) for a in adjacent.values())
+    triangles = sum((adjacent[p & -p] & adjacent[p ^ p & -p]).bit_count()
+                    for p in pairs) // 3
+    return len(pairs) * (n - 2) - paths + triangles
+
+
+def _count_covering(graphs, n, r):
+    """Number of r-subsets, r <= 3, of the n sensors left that cover some
+    graph, when no one sensor covers any: those that hold a covering pair,
+    and the covering triples that hold none."""
+    if r == 1:
+        return 0
+    pairs = {c for g in graphs if len(g) <= 4 for c in _pair_covers(g)}
+    if r == 2:
+        return len(pairs)
+    count = _count_holding_a_pair(pairs, n)
+    for t in {c for g in graphs for c in _triple_covers(g)}:
+        low = t & -t
+        high = t ^ low
+        mid = high & -high
+        if low | mid not in pairs and t ^ mid not in pairs \
+                and high not in pairs:
+            count += 1
+    return count
+
+
 def _count_uncovering(graphs, pool, r):
     """Number of r-subsets of the bitmask ``pool`` that cover no graph.
 
@@ -149,12 +211,9 @@ def _count_uncovering(graphs, pool, r):
             continue
         if not graphs:
             return count + comb(pool.bit_count(), r)
-        if r <= 2:
-            pairs = set()
-            if r == 2:
-                for g in graphs:
-                    pairs.update(_pair_covers(g))
-            return count + comb(pool.bit_count(), r) - len(pairs)
+        if r <= 3:
+            n = pool.bit_count()
+            return count + comb(n, r) - _count_covering(graphs, n, r)
         # The subsets that delete sensor x, then go on with those that keep it.
         g = min(graphs, key=len)
         x = g[0] & -g[0]
@@ -185,19 +244,27 @@ def _report(graphs, n, k):
                            fragility=Fraction(count, total))
 
 
-def essential_sensors(s):
-    """Partition sensors by whether their removal alters the lag set."""
+def _check_essentialness(s):
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    _, single = _coverable(_pair_graphs(s.positions),
-                           (1 << len(s)) - 1, 1)
+
+
+def _essential(s, graphs):
+    """EssentialnessReport of s from its pair graphs."""
+    _, single = _coverable(graphs, (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
     for i, x in enumerate(s.positions):
         (essential if single >> i & 1 else inessential).append(x)
     return EssentialnessReport(essential=tuple(essential),
                                inessential=tuple(inessential))
+
+
+def essential_sensors(s):
+    """Partition sensors by whether their removal alters the lag set."""
+    _check_essentialness(s)
+    return _essential(s, _pair_graphs(s.positions))
 
 
 def k_fragility(s, k):
@@ -210,26 +277,34 @@ def k_fragility(s, k):
     return _report(_pair_graphs(s.positions), len(s), k)
 
 
-def fragility_profile(s, k_max):
-    """FragilityReports for k = 1 .. k_max.
-
-    Every k is checked against ENUMERATION_LIMIT before any is computed,
-    and the pair graphs are built once.
-    """
+def _check_profile(s, k_max):
     if not 1 <= k_max < len(s):
         raise InvalidParameterError(
             "need 1 <= k_max < sensor count, got k_max=%d for %d sensors"
             % (k_max, len(s)))
     for k in range(1, k_max + 1):
         _check_limit(len(s), k)
+
+
+def fragility_profile(s, k_max):
+    """FragilityReports for k = 1 .. k_max.
+
+    Every k is checked against ENUMERATION_LIMIT before any is computed,
+    and the pair graphs are built once.
+    """
+    _check_profile(s, k_max)
     graphs = _pair_graphs(s.positions)
     return [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
 
 
 def robustness_report(s, k_max):
-    """JSON-ready combined essentialness and fragility report."""
-    ess = essential_sensors(s)
-    profile = fragility_profile(s, k_max)
+    """JSON-ready combined essentialness and fragility report, from one
+    build of the pair graphs."""
+    _check_essentialness(s)
+    _check_profile(s, k_max)
+    graphs = _pair_graphs(s.positions)
+    ess = _essential(s, graphs)
+    profile = [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
     return {
         "label": s.label,
         "essential": list(ess.essential),

@@ -1,4 +1,5 @@
 import itertools
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -301,3 +302,79 @@ def test_profile_checks_every_k_before_computing(monkeypatch):
     assert not worker.is_alive(), "fragility_profile did not return"
     assert time.perf_counter() - start < 1.0
     assert len(out) == 1 and "C(40, 7)" in str(out[0])
+
+
+def test_nfa_r2_matches_reference_at_k5():
+    # Three deletions end the branch tree, so k = 5 reaches the closed form
+    # two deletions down.
+    arr = make_sfa("nested", {"n": 6}, 2)
+    r = k_fragility(arr, 5)
+    count, total = ref_k_fragility(arr.positions, 5)
+    assert (r.essential_subset_count, r.total_subsets) == (count, total)
+
+
+def _dense_random_array(size, seed):
+    """size sensors in a span of about 1.5 size: redundant enough that many
+    4- and 5-subsets keep the coarray."""
+    rng = random.Random(seed)
+    return SensorArray(tuple(sorted(rng.sample(range(size + size // 2 + 1),
+                                               size))))
+
+
+@pytest.mark.parametrize("arr", [gen_ula(16)] + [
+    _dense_random_array(size, seed)
+    for size, seed in [(14, 1), (15, 2), (16, 3)]],
+    ids=lambda a: a.label or str(len(a)))
+def test_larger_arrays_match_reference_to_k5(arr):
+    assert_matches_reference(arr, 5)
+
+
+def test_count_holding_a_pair_matches_brute_force():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        every = [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
+        pairs = set(rng.sample(every, rng.randint(0, len(every))))
+        if rng.random() < 0.5:
+            # A triangle and a star, to be sure both shapes are present.
+            a, b, c = rng.sample(range(n), 3)
+            d = rng.randrange(n)
+            pairs |= {1 << a | 1 << b, 1 << b | 1 << c, 1 << a | 1 << c}
+            pairs |= {1 << d | 1 << e for e in range(n) if e != d}
+        want = 0
+        for t in itertools.combinations(range(n), 3):
+            mask = sum(1 << i for i in t)
+            want += any(p & mask == p for p in pairs)
+        assert robustness._count_holding_a_pair(pairs, n) == want
+
+
+def test_three_deletions_end_the_branch_tree(monkeypatch):
+    calls = []
+    count_uncovering = robustness._count_uncovering
+
+    def counted(graphs, pool, r):
+        calls.append(r)
+        return count_uncovering(graphs, pool, r)
+
+    monkeypatch.setattr(robustness, "_count_uncovering", counted)
+    r = k_fragility(make_sfa("nested", {"n": 6}, 3), 3)
+    assert r.essential_subset_count == 6955
+    assert calls == [3]
+
+
+def test_robustness_report_builds_the_pair_graphs_once(monkeypatch, cfa):
+    want = {"essential": list(essential_sensors(cfa).essential),
+            "fragility": [r.essential_subset_count
+                          for r in fragility_profile(cfa, 3)]}
+    calls = []
+    pair_graphs = robustness._pair_graphs
+
+    def counted(positions):
+        calls.append(positions)
+        return pair_graphs(positions)
+
+    monkeypatch.setattr(robustness, "_pair_graphs", counted)
+    d = robustness_report(cfa, 3)
+    assert len(calls) == 1
+    assert d["essential"] == want["essential"]
+    assert [f["count"] for f in d["fragility"]] == want["fragility"]
