@@ -2,13 +2,15 @@
 
 Runs the snapshot model at SNR 0 dB with 500 snapshots, augments the
 coarray autocorrelation into a 25x25 Hermitian Toeplitz matrix, and scores
-RMSE over Monte-Carlo trials.
+RMSE over Monte-Carlo trials.  A last noiseless pass runs coarray MUSIC on
+the exact model covariance instead of sampled snapshots.
 """
 
 import numpy as np
 
-from fractalarrays import (SourceScene, difference_coarray, make_sfa,
-                           run_trial_batch, summarize)
+from fractalarrays import (SourceScene, difference_coarray, estimate_doas,
+                           expected_covariance, make_sfa, run_trial_batch,
+                           summarize)
 
 nfa = make_sfa("nested", {"n": 6}, 1)
 summary = summarize(difference_coarray(nfa))
@@ -29,10 +31,12 @@ print("trials: %d   resolved: %d   aggregate RMSE: %.4g"
 print("per-trial RMSE range: %.4g .. %.4g"
       % (min(result.per_trial_rmse), max(result.per_trial_rmse)))
 print()
-print("A noiseless run with the exact model covariance and on-grid sources")
+print("A noiseless pass on the exact model covariance with on-grid sources")
 print("recovers every direction exactly:")
 grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
-scene0 = SourceScene(tuple(grid[[1000, 3000, 5000, 7000]]), (1.0,) * 4, 0.0)
-exact = run_trial_batch(nfa, scene0, t=1, trials=1, seed=0,
-                        covariance="expected")
-print("RMSE =", exact.rmse)
+truth = tuple(grid[[1000, 3000, 5000, 7000]])
+scene0 = SourceScene(truth, (1.0,) * 4, 0.0)
+exact = estimate_doas(nfa, expected_covariance(nfa, scene0), 4)
+for t, e in zip(truth, exact.estimates):
+    print("  truth %+.8f   estimate %+.8f" % (t, e))
+print("all exact:", exact.estimates == truth)

@@ -10,7 +10,7 @@ from .robustness import (EssentialnessReport, FragilityReport,
                          essential_sensors, fragility_profile, k_fragility,
                          robustness_report)
 from .doasim import (CapacityError, CoarrayHoleError, MusicResult,
-                     SnapshotBatch, SourceScene, TrialBatchResult,
+                     SourceScene, TrialBatchResult,
                      coarray_autocorrelation, estimate_doas,
                      expected_covariance, music_spectrum, pick_peaks,
                      random_scene, run_trial_batch, sample_covariance,

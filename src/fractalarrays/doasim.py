@@ -6,7 +6,10 @@ theta' = (d/lambda) sin(theta) in [-0.5, 0.5), a circular domain: 0.5
 and -0.5 give the same steering vector.  The pipeline is:
 snapshots -> sample covariance -> coarray autocorrelation -> Hermitian
 Toeplitz augmentation on the central ULA segment -> MUSIC pseudospectrum
--> peak picking -> RMSE over Monte-Carlo trials.
+-> peak picking -> RMSE over Monte-Carlo trials.  Snapshots are a plain
+complex N x T array, so measured data enters at sample_covariance as it
+is.  The noiseless, infinite-snapshot check is the same pass on the model
+covariance: estimate_doas(s, expected_covariance(s, scene), m).
 
 The snapshots Y = A S + N, with Gaussian waveforms S and noise N, have
 i.i.d. CN(0, R) columns, R = A P A^H + sigma^2 I the model covariance.  They
@@ -152,14 +155,6 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
 
 
 @dataclass(frozen=True)
-class SnapshotBatch:
-    """Complex |S| x T sensor-output matrix from one simulation run."""
-
-    data: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True)
 class MusicResult:
     """Pseudospectrum over the theta' grid with picked peaks."""
 
@@ -170,8 +165,12 @@ class MusicResult:
 
 
 def steering_vector(s, theta_norm):
-    """Unit-modulus steering vector exp(2 pi j n theta') over the sensors."""
-    return np.exp(2j * np.pi * np.asarray(s.positions) * theta_norm)
+    """Unit-modulus steering vector exp(2 pi j n theta') over the sensors.
+
+    For a sequence of DOAs it is the sensors x DOAs steering matrix, one
+    column per DOA.
+    """
+    return np.exp(2j * np.pi * np.multiply.outer(s.positions, theta_norm))
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -196,11 +195,12 @@ def _draw(f, t, seed):
     complex numbers (interleaved real and imaginary parts, no copy), so
     E[Z Z^H] = 2 T I and E[Y Y^H] = T R."""
     z = np.random.default_rng(seed).standard_normal((f.shape[1], 2 * t))
-    return SnapshotBatch(data=f @ z.view(complex), seed=seed)
+    return f @ z.view(complex)
 
 
 def simulate(s, scene, t, seed):
-    """Draw T snapshots of the narrowband model Y = A S + N.
+    """Draw T snapshots of the narrowband model Y = A S + N, returned as
+    the complex N x T matrix Y, one column per snapshot.
 
     Source waveforms and noise are zero-mean circular complex Gaussians
     with variances sigma_i^2 and sigma^2, so the snapshots are i.i.d.
@@ -213,16 +213,23 @@ def simulate(s, scene, t, seed):
     return _draw(_snapshot_factor(s, scene), t, seed)
 
 
-def sample_covariance(b):
-    """R' = Y Y^H / T, forced exactly Hermitian."""
-    r = b.data @ b.data.conj().T / b.data.shape[1]
+def sample_covariance(y):
+    """R' = Y Y^H / T of an N x T snapshot matrix Y, forced exactly
+    Hermitian.  Y may be simulated or measured; anything that is not 2-D
+    or has no snapshot column is refused."""
+    y = np.asarray(y)
+    if y.ndim != 2 or y.shape[1] == 0:
+        raise InvalidParameterError(
+            "need an N x T snapshot matrix with T >= 1, got shape %s"
+            % (y.shape,))
+    r = y @ y.conj().T / y.shape[1]
     return (r + r.conj().T) / 2.0
 
 
 def expected_covariance(s, scene):
     """Infinite-snapshot covariance: sum of sigma_i^2 a a^H plus sigma^2 I,
     forced exactly Hermitian."""
-    a = np.exp(2j * np.pi * np.outer(s.positions, scene.normalized_doas))
+    a = steering_vector(s, scene.normalized_doas)
     r = ((a * np.asarray(scene.powers)) @ a.conj().T
          + scene.noise_power * np.eye(len(s.positions)))
     return (r + r.conj().T) / 2.0
@@ -474,8 +481,7 @@ class TrialBatchResult:
         return self.resolved_trials / self.trials
 
 
-def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
-                    covariance="sample"):
+def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     """Repeat simulate -> coarray MUSIC over independent trials.
 
     Per-trial seeds are spawned deterministically from the batch seed, so
@@ -487,38 +493,20 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE,
     estimates matched to the truth in sorted order around the circle (the
     cyclic shift with the least error) and errors wrapped to the nearest
     turn.
-    ``covariance="expected"`` bypasses the snapshot simulation and uses
-    the exact model covariance (a noiseless sanity path); its trials are
-    all alike, so the coarray-MUSIC pass runs once and every trial reports
-    its result.
     """
     _check_count(t, "snapshot count")
     _check_count(trials, "trial count")
-    if covariance not in ("sample", "expected"):
-        raise InvalidParameterError(
-            "covariance must be 'sample' or 'expected', got %r" % (covariance,))
     m = scene.source_count
     _capacity_summary(s, m)
-
-    if covariance == "expected":
-        # Every trial sees the same exact covariance: one pass serves all.
-        results = [estimate_doas(s, expected_covariance(s, scene), m,
-                                 grid_size)] * trials
-    else:
-        f = _snapshot_factor(s, scene)
-
-        def sample_trial(child):
-            batch = _draw(f, t, np.random.default_rng(child).integers(2 ** 63))
-            return estimate_doas(s, sample_covariance(batch), m, grid_size)
-
-        results = map(sample_trial,
-                      np.random.SeedSequence(seed).spawn(trials))
+    f = _snapshot_factor(s, scene)
     per_rmse = []
     per_est = []
     resolved = 0
     pooled_sq = []
     first = None
-    for result in results:
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        y = _draw(f, t, np.random.default_rng(child).integers(2 ** 63))
+        result = estimate_doas(s, sample_covariance(y), m, grid_size)
         if first is None:
             first = result
         per_est.append(result.estimates)

@@ -24,7 +24,8 @@ from fractalarrays.experiments import KNOWN_REFUTED, PAPER_CASES, main
 from fractalarrays.geometry import (SensorArray, gen_cantor, gen_nested,
                                     gen_super_nested, make_sfa)
 from fractalarrays.robustness import essential_sensors, fragility_profile
-from fractalarrays.doasim import (sample_covariance, simulate,
+from fractalarrays.doasim import (_rmse, estimate_doas, expected_covariance,
+                                  sample_covariance, simulate,
                                   steering_vector)
 
 
@@ -231,9 +232,9 @@ def test_criterion10_noiseless_exactness():
         grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
         doas = tuple(grid[[700, 2300, 4100, 5900, 7600]])
         scene = SourceScene(doas, (1.0,) * 5, 0.0)
-        result = run_trial_batch(nfa, scene, 1, 1, seed=0,
-                                 covariance="expected")
-        assert result.rmse == 0.0
+        result = estimate_doas(nfa, expected_covariance(nfa, scene), 5)
+        assert not result.under_resolved
+        assert _rmse(result.estimates, doas) == 0.0
     _report("10 noiseless on-grid expected-covariance RMSE exactly 0",
             check)
 

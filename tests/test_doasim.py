@@ -5,10 +5,9 @@ import time
 import numpy as np
 import pytest
 
-from fractalarrays import doasim
 from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
-                                  MusicResult, SourceScene, TrialBatchResult,
+                                  MusicResult, SourceScene,
                                   _coarray_plan, _real_form, _rmse,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
@@ -409,24 +408,29 @@ def test_simulate_deterministic(nfa):
     scene = random_scene(3, seed=1)
     a = simulate(nfa, scene, 64, seed=42)
     b = simulate(nfa, scene, 64, seed=42)
-    assert np.array_equal(a.data, b.data)
-    assert a.data.shape == (len(nfa), 64)
+    assert np.array_equal(a, b)
+    assert a.shape == (len(nfa), 64)
 
 
 def test_noiseless_single_source_rank_one(nfa):
     scene = SourceScene((0.2,), (2.0,), 0.0)
-    batch = simulate(nfa, scene, 16, seed=0)
+    y = simulate(nfa, scene, 16, seed=0)
     a = steering_vector(nfa, 0.2)
     # every snapshot proportional to the steering vector
-    coeff = batch.data[0, :] / a[0]
-    assert np.allclose(batch.data, np.outer(a, coeff))
+    coeff = y[0, :] / a[0]
+    assert np.allclose(y, np.outer(a, coeff))
 
 
 def test_sample_covariance_single_snapshot(nfa):
-    batch = simulate(nfa, random_scene(2, seed=9), 1, seed=5)
-    r = sample_covariance(batch)
-    y = batch.data[:, 0]
-    assert np.allclose(r, np.outer(y, y.conj()))
+    y = simulate(nfa, random_scene(2, seed=9), 1, seed=5)
+    r = sample_covariance(y)
+    assert np.allclose(r, np.outer(y[:, 0], y[:, 0].conj()))
+
+
+@pytest.mark.parametrize("shape", [(12,), (12, 4, 2), (12, 0)])
+def test_sample_covariance_refuses_a_bad_snapshot_matrix(shape):
+    with pytest.raises(InvalidParameterError, match="snapshot matrix"):
+        sample_covariance(np.ones(shape, dtype=complex))
 
 
 def test_sample_covariance_hermitian_psd(nfa):
@@ -502,20 +506,16 @@ def test_simulate_refuses_a_bad_snapshot_count(nfa, t):
         simulate(nfa, random_scene(3, seed=1), t, seed=0)
 
 
-@pytest.mark.parametrize("covariance", ["sample", "expected"])
 @pytest.mark.parametrize("trials", [0, -1, True, 2.0, np.float64(3)])
-def test_trial_batch_refuses_a_bad_trial_count(nfa, covariance, trials):
+def test_trial_batch_refuses_a_bad_trial_count(nfa, trials):
     with pytest.raises(InvalidParameterError, match="trial count"):
-        run_trial_batch(nfa, random_scene(4, seed=6), 200, trials, seed=1,
-                        covariance=covariance)
+        run_trial_batch(nfa, random_scene(4, seed=6), 200, trials, seed=1)
 
 
-@pytest.mark.parametrize("covariance", ["sample", "expected"])
 @pytest.mark.parametrize("t", [0, True, 200.0])
-def test_trial_batch_refuses_a_bad_snapshot_count(nfa, covariance, t):
+def test_trial_batch_refuses_a_bad_snapshot_count(nfa, t):
     with pytest.raises(InvalidParameterError, match="snapshot count"):
-        run_trial_batch(nfa, random_scene(4, seed=6), t, 2, seed=1,
-                        covariance=covariance)
+        run_trial_batch(nfa, random_scene(4, seed=6), t, 2, seed=1)
 
 
 def test_expected_covariance_is_exactly_hermitian_on_random_arrays():
@@ -528,6 +528,31 @@ def test_expected_covariance_is_exactly_hermitian_on_random_arrays():
         r = expected_covariance(arr, scene)
         assert np.array_equal(r, r.conj().T)
         assert not np.any(r.diagonal().imag)
+
+
+def test_expected_covariance_equals_the_outer_product_formula():
+    # The formula expected_covariance used before it took its steering
+    # matrix from steering_vector: the result must not move by one bit.
+    rng = pyrandom.Random(1102)
+    for seed in range(60):
+        arr = SensorArray(tuple(sorted(rng.sample(range(200),
+                                                  rng.randint(1, 24)))))
+        scene = random_scene(rng.randint(1, 20), seed,
+                             snr_db=rng.uniform(-10, 30))
+        a = np.exp(2j * np.pi * np.outer(arr.positions,
+                                         scene.normalized_doas))
+        r = ((a * np.asarray(scene.powers)) @ a.conj().T
+             + scene.noise_power * np.eye(len(arr)))
+        assert np.array_equal(expected_covariance(arr, scene),
+                              (r + r.conj().T) / 2.0)
+
+
+def test_steering_vector_of_a_doa_tuple_stacks_the_scalar_calls(nfa):
+    doas = (-0.5, -0.21, 0.0, 0.13, 0.4999)
+    a = steering_vector(nfa, doas)
+    assert a.shape == (len(nfa), len(doas))
+    for col, theta in zip(a.T, doas):
+        assert np.array_equal(col, steering_vector(nfa, theta))
 
 
 # Found by a fixed-seed search over random arrays (pyrandom.Random(11),
@@ -551,8 +576,6 @@ def test_expected_covariance_takes_the_real_path(positions, m, seed):
     assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
     ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
     assert result.estimates == ref_peaks.estimates
-    batch = run_trial_batch(arr, scene, 1, 2, seed=0, covariance="expected")
-    assert batch.per_trial_estimates == (ref_peaks.estimates,) * 2
 
 
 def test_estimate_doas_refuses_an_imaginary_diagonal(nfa):
@@ -656,10 +679,10 @@ def test_noiseless_source_on_the_first_grid_point_is_exact(nfa):
     grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
     scene = SourceScene(tuple(grid[[0, 2400, 4000, 5600, 7200]]),
                         (1.0,) * 5, 0.0)
-    result = run_trial_batch(nfa, scene, 1, 1, seed=0,
-                             covariance="expected")
-    assert result.rmse == 0.0
-    assert result.per_trial_estimates[0][0] == -0.5
+    result = estimate_doas(nfa, expected_covariance(nfa, scene), 5)
+    assert not result.under_resolved
+    assert _rmse(result.estimates, scene.normalized_doas) == 0.0
+    assert result.estimates[0] == -0.5
 
 
 def test_estimate_doas_noiseless_multi(nfa):
@@ -703,56 +726,15 @@ def test_trial_batch_rejects_bad_arguments(nfa):
     scene = random_scene(4, seed=6)
     with pytest.raises(InvalidParameterError):
         run_trial_batch(nfa, scene, 200, 0, seed=1)
-    with pytest.raises(InvalidParameterError):
-        run_trial_batch(nfa, scene, 200, 1, seed=1, covariance="exact")
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):
     grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
     doas = tuple(grid[[800, 2400, 4000, 5600, 7200]])
     scene = SourceScene(doas, (1.0,) * 5, 0.0)
-    result = run_trial_batch(nfa, scene, 1, 3, seed=0,
-                             covariance="expected")
-    assert result.rmse == 0.0
-    assert result.resolved_trials == 3
-
-
-def ref_expected_trial_batch(s, scene, trials, seed):
-    """run_trial_batch(covariance="expected") as one coarray-MUSIC pass per
-    trial, pooled the same way."""
-    m = scene.source_count
-    per_est, per_rmse, pooled_sq = [], [], []
-    for _ in range(trials):
-        result = estimate_doas(s, expected_covariance(s, scene), m)
-        per_est.append(result.estimates)
-        if result.under_resolved:
-            per_rmse.append(float("inf"))
-            continue
-        per_rmse.append(_rmse(result.estimates, scene.normalized_doas))
-        pooled_sq.append(per_rmse[-1] ** 2)
-    rmse = float(np.sqrt(np.mean(pooled_sq))) if pooled_sq else float("inf")
-    return TrialBatchResult(rmse=rmse, per_trial_rmse=tuple(per_rmse),
-                            per_trial_estimates=tuple(per_est),
-                            resolved_trials=len(pooled_sq), trials=trials,
-                            seed=seed)
-
-
-@pytest.mark.parametrize("r, m", [(1, 8), (3, 40)])
-def test_trial_batch_expected_covariance_runs_one_pass(r, m, monkeypatch):
-    arr = make_sfa("nested", {"n": 6}, r)
-    scene = random_scene(m, seed=r, min_separation=0.01)
-    want = ref_expected_trial_batch(arr, scene, 4, 5)
-    passes = []
-
-    def counted(*args):
-        passes.append(args)
-        return estimate_doas(*args)
-
-    monkeypatch.setattr(doasim, "estimate_doas", counted)
-    result = run_trial_batch(arr, scene, 1, 4, seed=5, covariance="expected")
-    assert len(passes) == 1
-    assert result == want
-    assert result.first_trial.estimates == result.per_trial_estimates[0]
+    result = estimate_doas(nfa, expected_covariance(nfa, scene), 5)
+    assert not result.under_resolved
+    assert _rmse(result.estimates, doas) == 0.0
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
@@ -761,9 +743,9 @@ def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
     grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
     scene = SourceScene(tuple(grid[100 + 200 * np.arange(40)]),
                         (1.0,) * 40, 0.0)
-    result = run_trial_batch(arr, scene, 1, 1, seed=0, covariance="expected")
-    assert result.resolved_trials == 1
-    assert result.rmse == 0.0
+    result = estimate_doas(arr, expected_covariance(arr, scene), 40)
+    assert not result.under_resolved
+    assert _rmse(result.estimates, scene.normalized_doas) == 0.0
 
 
 def test_trial_batch_rmse_wraps_around_the_circle(nfa):
@@ -771,9 +753,10 @@ def test_trial_batch_rmse_wraps_around_the_circle(nfa):
     # away on the circle; matched in linear sorted order it counted as an
     # error of almost 1 (RMSE 0.337).
     scene = SourceScene((-0.2, 0.1, 0.49995), (1.0,) * 3, 0.0)
-    result = run_trial_batch(nfa, scene, 1, 1, seed=0, covariance="expected")
-    assert result.per_trial_estimates[0][0] == -0.5
-    assert result.rmse < 1 / 8192
+    result = estimate_doas(nfa, expected_covariance(nfa, scene), 3)
+    assert not result.under_resolved
+    assert result.estimates[0] == -0.5
+    assert _rmse(result.estimates, scene.normalized_doas) < 1 / 8192
 
 
 def test_trial_batch_rmse_against_linear_sorted_matching(nfa):
