@@ -1,16 +1,20 @@
 """Difference coarrays, weight functions, and central-ULA summaries.
 
-Every view is read from one kernel, the sensor pairs of each lag l > 0,
-found by direct O(N^2) differencing.  The coarray is 0 and the lags with a
-pair, with their negatives; w(0) = N, and w(l) = w(-l) is the number of
-l's pairs.  Only the pair counts are kept, so the views take memory in the
-number of lags, not in the number of pairs.
+Every view is read from one kernel, found by direct O(N^2) differencing:
+for each sensor j of the sorted positions, the row of lags
+p_j - p_i over the sensors i below it.  The coarray is 0 and the lags in
+some row, with their negatives; w(0) = N, and w(l) = w(-l) is the number
+of rows' entries equal to l.  The rows are counted one at a time and only
+the counts are kept, so the views take memory in the number of lags, not
+in the number of pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import index
 
 from .geometry import InvalidParameterError
 
@@ -18,16 +22,15 @@ from .geometry import InvalidParameterError
 _HOLE_LIMIT = 10 ** 6
 
 
-def _lag_pairs(positions):
-    """Each sensor pair of sorted positions as (l, i, j), i < j and
-    l = positions[j] - positions[i], in the order of j and then i.  A lag of
-    0, from a repeated position, is refused."""
+def _lag_rows(positions):
+    """For each sensor j of sorted positions, the list of lags
+    positions[j] - positions[i] over i < j, in the order of i.  A lag of 0,
+    from a repeated position, is refused."""
     for j, b in enumerate(positions):
-        for i in range(j):
-            lag = b - positions[i]
-            if not lag:
-                raise InvalidParameterError("sensor positions must be distinct")
-            yield lag, i, j
+        row = [b - a for a in positions[:j]]
+        if 0 in row:
+            raise InvalidParameterError("sensor positions must be distinct")
+        yield row
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,21 @@ class CoarraySummary:
 def difference_coarray(array):
     """All pairwise position differences with ordered-pair multiplicities.
 
-    The positions may come in any order; repeated ones are refused."""
-    pos = tuple(sorted(getattr(array, "positions", array)))
-    weights = {0: len(pos)} if pos else {}
-    for lag, count in Counter(lag for lag, _, _ in _lag_pairs(pos)).items():
+    The positions may come in any order and may be negative; they must be
+    integers, at least one, and distinct.  A float or a bool is refused, not
+    coerced."""
+    raw = tuple(getattr(array, "positions", array))
+    try:
+        pos = tuple(sorted(map(index, raw)))
+    except TypeError:
+        pos = ()
+    if not pos or bool in map(type, raw):
+        raise InvalidParameterError(
+            "need one or more integer sensor positions, got %r" % (raw,))
+    # One Counter.update over the rows, which are made one at a time.
+    counts = Counter(chain.from_iterable(_lag_rows(pos)))
+    weights = {0: len(pos)}
+    for lag, count in counts.items():
         weights[lag] = weights[-lag] = count
     return Coarray(lags=tuple(sorted(weights)), weights=weights)
 

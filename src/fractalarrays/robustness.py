@@ -16,18 +16,21 @@ lag with more than 2k pairs survives every k-failure.  So
 
     count = C(N, k) - #{k-subsets that cover no pair graph},
 
-and the second term is counted without visiting the subsets, by branching
-on one sensor x of an edge of the smallest graph left: first the subsets
-that delete x (its edges leave every graph, and a graph left without edges
-is covered, which ends the branch), then those that keep it (x leaves
+and the second term is counted without visiting the subsets, for every
+size up to k at once, by branching on one sensor x of an edge of the
+smallest graph left: first the subsets that delete x (its edges leave
+every graph, and a graph left without edges is covered, which ends the
+branch; their counts move one size up), then those that keep it (x leaves
 every edge, and an edge left with no endpoint satisfies its graph for
-good).  Closed forms end the branching:
+good).  With r deletions still to make, closed forms end the branching
+and fill in every size s <= r:
 
-* a sensor on every edge of a graph covers it alone, so it must stay;
-* with no coverable graph left, any C(n, r) of the n undecided sensors do;
-* with r = 1 or 2 sensors still to delete, the r-subsets that cover some
-  graph are its covers of that size: none for one sensor (those were kept
-  above), and for two, C(n, 2) minus the distinct covering pairs;
+* a sensor on every edge of a graph covers it alone, so it must stay, in
+  subsets of every size;
+* with no coverable graph left, any C(n, s) of the n undecided sensors do;
+* the s-subsets, s <= 2, that cover some graph are its covers of that
+  size: none for one sensor (those were kept above), and for two, C(n, 2)
+  minus the distinct covering pairs;
 * with r = 3, a 3-subset covers some graph when it holds a covering pair
   or is itself a cover.  A pair covers at most 4 edges, so the covering
   pairs come from the graphs with at most 4; read as the edges of a graph
@@ -37,19 +40,23 @@ good).  Closed forms end the branching:
   no edge of H are the rest, so C(n, 3) - A - B cover no graph;
 * k deletions leave N - k sensors, whose C(N - k, 2) pairs cannot span
   more lags than that, so every k-subset is essential when the full array
-  has more positive lags.
+  has more positive lags.  Only the largest k of a profile that this does
+  not settle needs the tree.
 
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
-Python ints, so nothing is rounded, and nothing is cached across calls.
-The graphs are grouped from the sensor pairs of ``coarray``'s lag kernel,
-the one every coarray view is read from.
+Python ints, so nothing is rounded.  The graphs are grouped from the lag
+rows of ``coarray``'s kernel, the one every coarray view is read from.
+They are kept for the last four arrays asked about, as immutable tuples
+keyed by the positions exactly as given, so the essential sensors and the
+profile of one array share one build; a translated copy is a new key.
 
-Cost: N(N-1)/2 pairs to build the graphs, then a branch tree at most k - 3
-deep in deletions, each node passing a few times over the graphs that are
-still coverable.  For the 48-sensor NFA at k = 3 the tree is one leaf and
-the count takes about a millisecond, where rebuilding the lag set for each
-of the C(N, k) subsets took seconds; at k = 4 and 5 it takes about 20 and
-200 ms.
+Cost: N(N-1)/2 lags to build the graphs, once per array, then one branch
+tree at most k - 3 deep in deletions, each node passing a few times over
+the graphs that are still coverable.  The tree for the top k counts every
+smaller k too, so a profile costs about its top k alone.  For the
+48-sensor NFA at k <= 3 the tree is one leaf and the count takes about a
+millisecond, where rebuilding the lag set for each of the C(N, k) subsets
+took seconds; at k = 4 and 5 it takes about 20 and 200 ms.
 Lists of covers would be quicker still at small k, but they grow like 2^k
 per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 """
@@ -57,11 +64,14 @@ per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 from __future__ import annotations
 
 import csv
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from numbers import Integral
 
-from .coarray import _lag_pairs
+from .coarray import _lag_rows
 from .geometry import InvalidParameterError
 
 # C(|S|, k) above this is refused.  The count does not visit the subsets,
@@ -88,14 +98,22 @@ class FragilityReport:
         return round(float(self.fragility), 4)
 
 
+@lru_cache(maxsize=4)
 def _pair_graphs(positions):
-    """The pair graph of each lag l > 0, in the order its first pair is met
-    by ``_lag_pairs``: its edges as bitmasks 1 << i | 1 << j over sensor
-    indices."""
-    graphs = {}
-    for lag, i, j in _lag_pairs(positions):
-        graphs.setdefault(lag, []).append(1 << i | 1 << j)
-    return graphs.values()
+    """The pair graph of each lag l > 0 of the sorted ``positions``, in the
+    order its first pair is met by ``_lag_rows``: a tuple of its edges as
+    bitmasks 1 << i | 1 << j over sensor indices.
+
+    Cached by ``positions`` exactly as given, so the essential sensors and
+    the fragility profile of one array share one build; the graphs are
+    tuples, so no caller can change what the next one reads.
+    """
+    bits = [1 << i for i in range(len(positions))]
+    graphs = defaultdict(list)
+    for row, high in zip(_lag_rows(positions), bits):
+        for lag, low in zip(row, bits):
+            graphs[lag].append(low | high)
+    return tuple(map(tuple, graphs.values()))
 
 
 def _coverable(graphs, pool, r):
@@ -176,52 +194,51 @@ def _count_holding_a_pair(pairs, n):
     return len(pairs) * (n - 2) - paths + triangles
 
 
-def _count_covering(graphs, n, r):
-    """Number of r-subsets, r <= 3, of the n sensors left that cover some
-    graph, when no one sensor covers any: those that hold a covering pair,
-    and the covering triples that hold none."""
-    if r == 1:
-        return 0
-    pairs = {c for g in graphs if len(g) <= 4 for c in _pair_covers(g)}
-    if r == 2:
-        return len(pairs)
-    count = _count_holding_a_pair(pairs, n)
-    for t in {c for g in graphs for c in _triple_covers(g)}:
-        low = t & -t
-        high = t ^ low
-        mid = high & -high
-        if low | mid not in pairs and t ^ mid not in pairs \
-                and high not in pairs:
-            count += 1
-    return count
-
-
-def _count_uncovering(graphs, pool, r):
-    """Number of r-subsets of the bitmask ``pool`` that cover no graph.
+def _uncovering_counts(graphs, pool, r):
+    """Number of s-subsets of the bitmask ``pool`` that cover no graph, for
+    every s = 0 .. r, as a list indexed by s.
 
     An edge holds only its endpoints in ``pool``: the others are sure to
-    stay.
+    stay.  A sensor that covers a graph alone is in no such subset of any
+    size, and a graph with more than 2r edges is covered by none, so one
+    tree counts every size up to r.
     """
-    count = 0
+    counts = [0] * (r + 1)
     while True:
         graphs, single = _coverable(graphs, pool, r)
         if single:
             pool &= ~single
             graphs = _keep(graphs, single)
             continue
-        if not graphs:
-            return count + comb(pool.bit_count(), r)
-        if r <= 3:
-            n = pool.bit_count()
-            return count + comb(n, r) - _count_covering(graphs, n, r)
-        # The subsets that delete sensor x, then go on with those that keep it.
-        g = min(graphs, key=len)
-        x = g[0] & -g[0]
-        pool &= ~x
-        deleted = [tuple(e for e in g if not e & x) for g in graphs]
-        if all(deleted):
-            count += _count_uncovering(deleted, pool, r - 1)
-        graphs = _keep(graphs, x)
+        if graphs and r > 3:
+            # The subsets that delete sensor x, one size up, then go on with
+            # those that keep it.  x covers no graph alone, so deleting it
+            # leaves every graph an edge.
+            g = min(graphs, key=len)
+            x = g[0] & -g[0]
+            pool &= ~x
+            deleted = [tuple(e for e in g if not e & x) for g in graphs]
+            for s, c in enumerate(_uncovering_counts(deleted, pool, r - 1), 1):
+                counts[s] += c
+            graphs = _keep(graphs, x)
+            continue
+        n = pool.bit_count()
+        leaf = [comb(n, s) for s in range(r + 1)]
+        if graphs and r >= 2:
+            # No one sensor covers a graph: a subset covers one when it holds
+            # a covering pair, or is a covering triple that holds none.
+            pairs = {c for g in graphs if len(g) <= 4 for c in _pair_covers(g)}
+            leaf[2] -= len(pairs)
+            if r == 3:
+                leaf[3] -= _count_holding_a_pair(pairs, n)
+                for t in {c for g in graphs for c in _triple_covers(g)}:
+                    low = t & -t
+                    high = t ^ low
+                    mid = high & -high
+                    if low | mid not in pairs and t ^ mid not in pairs \
+                            and high not in pairs:
+                        leaf[3] -= 1
+        return [c + v for c, v in zip(counts, leaf)]
 
 
 def _check_limit(n, k):
@@ -232,27 +249,40 @@ def _check_limit(n, k):
             % (n, k, total, ENUMERATION_LIMIT))
 
 
-def _report(graphs, n, k):
-    """FragilityReport for k from the pair graphs of an n-sensor array."""
-    total = comb(n, k)
-    count = total
-    # n - k kept sensors span at most C(n - k, 2) positive lags.
-    if comb(n - k, 2) >= len(graphs):
-        count -= _count_uncovering(graphs, (1 << n) - 1, k)
-    return FragilityReport(k=k, essential_subset_count=count,
-                           total_subsets=total,
-                           fragility=Fraction(count, total))
+def _check_k(s, k, name):
+    """Refuse a k (or k_max) that is not an integer with 1 <= k < |S|.  A
+    float or a bool (True is an int to Python) is refused, not coerced."""
+    if (not isinstance(k, Integral) or isinstance(k, bool)
+            or not 1 <= k < len(s)):
+        raise InvalidParameterError(
+            "need an integer 1 <= %s < sensor count, got %s=%r for %d "
+            "sensors" % (name, name, k, len(s)))
 
 
-def _check_essentialness(s):
+def _profile(s, k_max):
+    """FragilityReports for k = 1 .. k_max from one branch tree."""
+    n = len(s)
+    graphs = _pair_graphs(s.positions)
+    # n - k kept sensors span at most C(n - k, 2) positive lags, so every
+    # k-subset is essential past the largest k where they can span them all.
+    top = max(k for k in range(k_max + 1) if comb(n - k, 2) >= len(graphs))
+    uncovering = _uncovering_counts(graphs, (1 << n) - 1, top)
+    reports = []
+    for k in range(1, k_max + 1):
+        total = comb(n, k)
+        count = total - uncovering[k] if k <= top else total
+        reports.append(FragilityReport(k=k, essential_subset_count=count,
+                                       total_subsets=total,
+                                       fragility=Fraction(count, total)))
+    return reports
+
+
+def essential_sensors(s):
+    """Partition sensors by whether their removal alters the lag set."""
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-
-
-def _essential(s, graphs):
-    """EssentialnessReport of s from its pair graphs."""
-    _, single = _coverable(graphs, (1 << len(s)) - 1, 1)
+    _, single = _coverable(_pair_graphs(s.positions), (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
     for i, x in enumerate(s.positions):
@@ -261,50 +291,29 @@ def _essential(s, graphs):
                                inessential=tuple(inessential))
 
 
-def essential_sensors(s):
-    """Partition sensors by whether their removal alters the lag set."""
-    _check_essentialness(s)
-    return _essential(s, _pair_graphs(s.positions))
-
-
 def k_fragility(s, k):
     """Exactly count size-k subsets whose removal changes the coarray."""
-    if not 1 <= k < len(s):
-        raise InvalidParameterError(
-            "need 1 <= k < sensor count, got k=%d for %d sensors"
-            % (k, len(s)))
+    _check_k(s, k, "k")
     _check_limit(len(s), k)
-    return _report(_pair_graphs(s.positions), len(s), k)
-
-
-def _check_profile(s, k_max):
-    if not 1 <= k_max < len(s):
-        raise InvalidParameterError(
-            "need 1 <= k_max < sensor count, got k_max=%d for %d sensors"
-            % (k_max, len(s)))
-    for k in range(1, k_max + 1):
-        _check_limit(len(s), k)
+    return _profile(s, k)[-1]
 
 
 def fragility_profile(s, k_max):
     """FragilityReports for k = 1 .. k_max.
 
     Every k is checked against ENUMERATION_LIMIT before any is computed,
-    and the pair graphs are built once.
+    and one branch tree, for the largest k that needs one, counts them all.
     """
-    _check_profile(s, k_max)
-    graphs = _pair_graphs(s.positions)
-    return [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
+    _check_k(s, k_max, "k_max")
+    for k in range(1, k_max + 1):
+        _check_limit(len(s), k)
+    return _profile(s, k_max)
 
 
 def robustness_report(s, k_max):
-    """JSON-ready combined essentialness and fragility report, from one
-    build of the pair graphs."""
-    _check_essentialness(s)
-    _check_profile(s, k_max)
-    graphs = _pair_graphs(s.positions)
-    ess = _essential(s, graphs)
-    profile = [_report(graphs, len(s), k) for k in range(1, k_max + 1)]
+    """JSON-ready combined essentialness and fragility report."""
+    ess = essential_sensors(s)
+    profile = fragility_profile(s, k_max)
     return {
         "label": s.label,
         "essential": list(ess.essential),

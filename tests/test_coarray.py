@@ -183,6 +183,17 @@ def test_duplicate_positions_are_refused(positions):
             view(positions)
 
 
+@pytest.mark.parametrize("positions", [(1.5, 2), (2.0, 3), (True, 3),
+                                       (0, False), (), [], ("1", 2)],
+                         ids=repr)
+def test_non_integer_or_empty_positions_are_refused(positions):
+    # (1.5, 2) once gave the lags (-0.5, 0, 0.5), (True, 3) was read as
+    # (1, 3), and () made summarize fail on an empty max().
+    for view in (difference_coarray, lag_set):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            view(positions)
+
+
 def test_summarize_refuses_a_huge_hole_count_promptly():
     # Aperture 2**62 with three positive lags: listing the holes would not
     # fit in memory, so the hole count is checked before the walk.

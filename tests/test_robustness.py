@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,7 +286,7 @@ def test_profile_checks_every_k_before_computing(monkeypatch):
     def no_count(graphs, pool, r):
         raise AssertionError("counted before the limit check")
 
-    monkeypatch.setattr(robustness, "_count_uncovering", no_count)
+    monkeypatch.setattr(robustness, "_uncovering_counts", no_count)
     big = SensorArray(tuple(range(40)))
     out = []
 
@@ -321,9 +322,12 @@ def _dense_random_array(size, seed):
                                                size))))
 
 
+# The profile's one tree against k_fragility and the reference at every k;
+# on the smaller arrays the C(N - k, 2) shortcut settles the top k's.
 @pytest.mark.parametrize("arr", [gen_ula(16)] + [
     _dense_random_array(size, seed)
-    for size, seed in [(14, 1), (15, 2), (16, 3)]],
+    for size, seed in [(14, 1), (15, 2), (16, 3), (8, 11), (10, 12),
+                       (12, 13)]],
     ids=lambda a: a.label or str(len(a)))
 def test_larger_arrays_match_reference_to_k5(arr):
     assert_matches_reference(arr, 5)
@@ -348,33 +352,116 @@ def test_count_holding_a_pair_matches_brute_force():
         assert robustness._count_holding_a_pair(pairs, n) == want
 
 
-def test_three_deletions_end_the_branch_tree(monkeypatch):
+def _count_trees(monkeypatch):
+    """The r of every call of the branch-tree counter, recursive ones too."""
     calls = []
-    count_uncovering = robustness._count_uncovering
+    uncovering_counts = robustness._uncovering_counts
 
     def counted(graphs, pool, r):
         calls.append(r)
-        return count_uncovering(graphs, pool, r)
+        return uncovering_counts(graphs, pool, r)
 
-    monkeypatch.setattr(robustness, "_count_uncovering", counted)
-    r = k_fragility(make_sfa("nested", {"n": 6}, 3), 3)
+    monkeypatch.setattr(robustness, "_uncovering_counts", counted)
+    return calls
+
+
+def test_three_deletions_end_the_branch_tree(monkeypatch):
+    calls = _count_trees(monkeypatch)
+    nfa48 = make_sfa("nested", {"n": 6}, 3)
+    r = k_fragility(nfa48, 3)
     assert r.essential_subset_count == 6955
     assert calls == [3]
+    # One tree, for the top k, counts the whole profile.
+    calls.clear()
+    profile = fragility_profile(nfa48, 3)
+    assert [p.essential_subset_count for p in profile] == [7, 310, 6955]
+    assert calls == [3]
+
+
+def _count_kernel_runs(monkeypatch):
+    """The positions of every run of the lag kernel behind the pair graphs,
+    with the graph cache emptied first."""
+    runs = []
+    lag_rows = robustness._lag_rows
+
+    def counted(positions):
+        runs.append(positions)
+        return lag_rows(positions)
+
+    monkeypatch.setattr(robustness, "_lag_rows", counted)
+    robustness._pair_graphs.cache_clear()
+    return runs
 
 
 def test_robustness_report_builds_the_pair_graphs_once(monkeypatch, cfa):
     want = {"essential": list(essential_sensors(cfa).essential),
             "fragility": [r.essential_subset_count
                           for r in fragility_profile(cfa, 3)]}
-    calls = []
-    pair_graphs = robustness._pair_graphs
-
-    def counted(positions):
-        calls.append(positions)
-        return pair_graphs(positions)
-
-    monkeypatch.setattr(robustness, "_pair_graphs", counted)
+    runs = _count_kernel_runs(monkeypatch)
     d = robustness_report(cfa, 3)
-    assert len(calls) == 1
+    assert runs == [cfa.positions]
     assert d["essential"] == want["essential"]
     assert [f["count"] for f in d["fragility"]] == want["fragility"]
+
+
+def test_pair_graphs_are_cached_per_positions_exactly(monkeypatch, nfa):
+    runs = _count_kernel_runs(monkeypatch)
+    ess = essential_sensors(nfa)
+    profile = fragility_profile(nfa, 3)
+    k2 = k_fragility(nfa, 2)
+    assert runs == [nfa.positions]
+    # A translated copy has the same counts but is a new key: the cache is
+    # not keyed by the coarray.
+    moved = SensorArray(tuple(p + 5 for p in nfa.positions))
+    assert [r.essential_subset_count for r in fragility_profile(moved, 3)] \
+        == [r.essential_subset_count for r in profile]
+    assert runs == [nfa.positions, moved.positions]
+    assert {p + 5 for p in ess.essential} \
+        == set(essential_sensors(moved).essential)
+    assert k_fragility(moved, 2) == k2
+    assert len(runs) == 2
+
+
+def test_pair_graph_cache_is_bounded_and_read_only():
+    info = robustness._pair_graphs.cache_info()
+    assert info.maxsize == 4
+    robustness._pair_graphs.cache_clear()
+    for shift in range(10):
+        graphs = robustness._pair_graphs(
+            tuple(p + shift for p in gen_nested(12).positions))
+    assert robustness._pair_graphs.cache_info().currsize == 4
+    assert type(graphs) is tuple
+    assert all(type(g) is tuple and g for g in graphs)
+    assert all(type(e) is int and e.bit_count() == 2 for g in graphs
+               for e in g)
+
+
+def test_lag_count_shortcut_for_the_top_k_only(monkeypatch):
+    # ULA(7) has 6 positive lags.  Four kept sensors have C(4, 2) = 6 pairs
+    # and can still span them, three have 3 and cannot: so k = 4 needs no
+    # tree and k <= 3 share the one for k = 3.
+    calls = _count_trees(monkeypatch)
+    arr = gen_ula(7)
+    profile = fragility_profile(arr, 4)
+    assert calls == [3]
+    want = [ref_k_fragility(arr.positions, k) for k in range(1, 5)]
+    assert [(r.essential_subset_count, r.total_subsets)
+            for r in profile] == want
+    assert want[3] == (35, 35)
+
+
+@pytest.mark.parametrize("call", [k_fragility, fragility_profile,
+                                  robustness_report],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k", [True, False, 2.0, 1.5, "2", None],
+                         ids=repr)
+def test_k_must_be_an_integer(call, k, cfa):
+    with pytest.raises(InvalidParameterError, match="integer"):
+        call(cfa, k)
+
+
+def test_numpy_integer_k_is_reported_as_an_int(cfa):
+    r = k_fragility(cfa, np.int64(2))
+    assert type(r.k) is int and r == k_fragility(cfa, 2)
+    profile = fragility_profile(cfa, np.int64(2))
+    assert [type(p.k) for p in profile] == [int, int]
