@@ -21,9 +21,10 @@ size up to k at once, by branching on one sensor x of an edge of the
 smallest graph left: first the subsets that delete x (its edges leave
 every graph, and a graph left without edges is covered, which ends the
 branch; their counts move one size up), then those that keep it (x leaves
-every edge, and an edge left with no endpoint satisfies its graph for
-good).  With r deletions still to make, closed forms end the branching
-and fill in every size s <= r:
+the pool of undecided sensors that every edge is read through, and a graph
+with an edge left with no endpoint in the pool is never covered).  With r
+deletions still to make, closed forms end the branching and fill in every
+size s <= r:
 
 * a sensor on every edge of a graph covers it alone, so it must stay, in
   subsets of every size;
@@ -35,9 +36,10 @@ and fill in every size s <= r:
   or is itself a cover.  A pair covers at most 4 edges, so the covering
   pairs come from the graphs with at most 4; read as the edges of a graph
   H, they lie in A = |E(H)|(n - 2) - Sum_v C(deg_H v, 2) + #triangles(H)
-  of the 3-subsets.  The covering triples come one sensor deeper than the
-  pairs, from the graphs with at most 6 edges, and the B of them that hold
-  no edge of H are the rest, so C(n, 3) - A - B cover no graph;
+  of the 3-subsets.  The same pass over each graph finds a set T of
+  covering triples, among them every one that holds no edge of H; those
+  that do are the p | z in T of an edge p and a sensor z, so
+  B = |T| - |held| hold none, and C(n, 3) - A - B cover no graph;
 * k deletions leave N - k sensors, whose C(N - k, 2) pairs cannot span
   more lags than that, so every k-subset is essential when the full array
   has more positive lags.  Only the largest k of a profile that this does
@@ -47,16 +49,16 @@ Sensor subsets are Python-int bitmasks over sensor indices and counts are
 Python ints, so nothing is rounded.  The graphs are grouped from the lag
 rows of ``coarray``'s kernel, the one every coarray view is read from.
 They are kept for the last four arrays asked about, as immutable tuples
-keyed by the positions exactly as given, so the essential sensors and the
-profile of one array share one build; a translated copy is a new key.
+keyed by the sorted positions, so the essential sensors and the profile of
+one array share one build; a translated copy is a new key.
 
 Cost: N(N-1)/2 lags to build the graphs, once per array, then one branch
 tree at most k - 3 deep in deletions, each node passing a few times over
 the graphs that are still coverable.  The tree for the top k counts every
 smaller k too, so a profile costs about its top k alone.  For the
-48-sensor NFA at k <= 3 the tree is one leaf and the count takes about a
-millisecond, where rebuilding the lag set for each of the C(N, k) subsets
-took seconds; at k = 4 and 5 it takes about 20 and 200 ms.
+48-sensor NFA at k <= 3 the tree is one leaf and the count takes about
+0.7 ms, where rebuilding the lag set for each of the C(N, k) subsets took
+seconds; at k = 4, 5 and 6 it takes about 16, 130 and 870 ms.
 Lists of covers would be quicker still at small k, but they grow like 2^k
 per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 """
@@ -104,9 +106,9 @@ def _pair_graphs(positions):
     order its first pair is met by ``_lag_rows``: a tuple of its edges as
     bitmasks 1 << i | 1 << j over sensor indices.
 
-    Cached by ``positions`` exactly as given, so the essential sensors and
-    the fragility profile of one array share one build; the graphs are
-    tuples, so no caller can change what the next one reads.
+    Cached by the sorted positions every public function passes, so the
+    essential sensors and the profile of one array share one build; the
+    graphs are tuples, so no caller can change what the next one reads.
     """
     bits = [1 << i for i in range(len(positions))]
     graphs = defaultdict(list)
@@ -118,60 +120,60 @@ def _pair_graphs(positions):
 
 def _coverable(graphs, pool, r):
     """The graphs that r of the sensors in ``pool`` can cover, and the
-    sensors that cover one of them alone."""
+    sensors that cover one of them alone.  A graph with an edge that has no
+    endpoint in ``pool`` is never covered."""
     live = []
     single = 0
     for g in graphs:
         if len(g) <= 2 * r:
             common = pool
             for e in g:
+                if not e & pool:
+                    break
                 common &= e
-            single |= common
-            live.append(g)
+            else:
+                single |= common
+                live.append(g)
     return live, single
 
 
-def _keep(graphs, kept):
-    """The graphs once the sensors ``kept`` are sure to stay: they leave every
-    edge, and a graph with an edge left empty can no longer be covered."""
-    out = []
+def _small_covers(graphs, pool, r):
+    """The pairs and, at r = 3, triples of sensors in ``pool`` that cover one
+    of the graphs, which no one sensor covers: every covering pair, and
+    every covering triple that holds none, among some that hold one.
+
+    A cover has a sensor x on the first edge, y on the first edge x misses
+    and one on every edge both miss.  A sensor lies on at most two edges,
+    so an x that misses more than 2r - 2 is in no cover of r.
+    """
+    pairs = set()
+    triples = set()
     for g in graphs:
-        g = tuple(e & ~kept for e in g)
-        if 0 not in g:
-            out.append(g)
-    return out
-
-
-def _pair_covers(g):
-    """The two-sensor covers of a graph that no one sensor covers: a sensor
-    x of the first edge, with a sensor on every edge that x misses."""
-    covers = []
-    first = g[0]
-    while first:
-        x = first & -first
-        first ^= x
-        common = -1
-        for e in g:
-            if not e & x:
-                common &= e
-        while common > 0:
-            y = common & -common
-            common ^= y
-            covers.append(x | y)
-    return covers
-
-
-def _triple_covers(g):
-    """Three-sensor covers of a graph that no one sensor covers, among them
-    every one that holds no two-sensor cover: a sensor x of the first edge,
-    with a two-sensor cover of the edges that x misses."""
-    covers = []
-    first = g[0]
-    while first:
-        x = first & -first
-        first ^= x
-        covers += [x | c for c in _pair_covers([e for e in g if not e & x])]
-    return covers
+        first = g[0] & pool
+        while first:
+            x = first & -first
+            first ^= x
+            missed = [e for e in g if not e & x]
+            if len(missed) > 2 * r - 2:
+                continue
+            second = missed[0] & pool
+            while second:
+                y = second & -second
+                second ^= y
+                common = pool
+                rest = False
+                for e in missed:
+                    if not e & y:
+                        common &= e
+                        rest = True
+                if not rest:
+                    pairs.add(x | y)
+                elif r == 3:
+                    while common:
+                        z = common & -common
+                        common ^= z
+                        triples.add(x | y | z)
+    return pairs, triples
 
 
 def _count_holding_a_pair(pairs, n):
@@ -198,46 +200,42 @@ def _uncovering_counts(graphs, pool, r):
     """Number of s-subsets of the bitmask ``pool`` that cover no graph, for
     every s = 0 .. r, as a list indexed by s.
 
-    An edge holds only its endpoints in ``pool``: the others are sure to
-    stay.  A sensor that covers a graph alone is in no such subset of any
-    size, and a graph with more than 2r edges is covered by none, so one
-    tree counts every size up to r.
+    Edges are read through ``pool``: an endpoint outside it is sure to stay.
+    A sensor that covers a graph alone is in no such subset of any size, and
+    a graph with more than 2r edges is covered by none, so one tree counts
+    every size up to r.
     """
     counts = [0] * (r + 1)
     while True:
         graphs, single = _coverable(graphs, pool, r)
         if single:
             pool &= ~single
-            graphs = _keep(graphs, single)
             continue
         if graphs and r > 3:
             # The subsets that delete sensor x, one size up, then go on with
             # those that keep it.  x covers no graph alone, so deleting it
             # leaves every graph an edge.
-            g = min(graphs, key=len)
-            x = g[0] & -g[0]
+            x = min(graphs, key=len)[0] & pool
+            x &= -x
             pool &= ~x
             deleted = [tuple(e for e in g if not e & x) for g in graphs]
             for s, c in enumerate(_uncovering_counts(deleted, pool, r - 1), 1):
                 counts[s] += c
-            graphs = _keep(graphs, x)
             continue
         n = pool.bit_count()
         leaf = [comb(n, s) for s in range(r + 1)]
         if graphs and r >= 2:
             # No one sensor covers a graph: a subset covers one when it holds
             # a covering pair, or is a covering triple that holds none.
-            pairs = {c for g in graphs if len(g) <= 4 for c in _pair_covers(g)}
+            pairs, triples = _small_covers(graphs, pool, r)
             leaf[2] -= len(pairs)
             if r == 3:
-                leaf[3] -= _count_holding_a_pair(pairs, n)
-                for t in {c for g in graphs for c in _triple_covers(g)}:
-                    low = t & -t
-                    high = t ^ low
-                    mid = high & -high
-                    if low | mid not in pairs and t ^ mid not in pairs \
-                            and high not in pairs:
-                        leaf[3] -= 1
+                sensors = [1 << i for i in range(pool.bit_length())
+                           if pool >> i & 1]
+                held = {p | z for p in pairs for z in sensors
+                        if p | z in triples}
+                leaf[3] -= (_count_holding_a_pair(pairs, n) + len(triples)
+                            - len(held))
         return [c + v for c, v in zip(counts, leaf)]
 
 
@@ -262,7 +260,7 @@ def _check_k(s, k, name):
 def _profile(s, k_max):
     """FragilityReports for k = 1 .. k_max from one branch tree."""
     n = len(s)
-    graphs = _pair_graphs(s.positions)
+    graphs = _pair_graphs(tuple(sorted(s.positions)))
     # n - k kept sensors span at most C(n - k, 2) positive lags, so every
     # k-subset is essential past the largest k where they can span them all.
     top = max(k for k in range(k_max + 1) if comb(n - k, 2) >= len(graphs))
@@ -278,14 +276,16 @@ def _profile(s, k_max):
 
 
 def essential_sensors(s):
-    """Partition sensors by whether their removal alters the lag set."""
+    """Partition sensors by whether their removal alters the lag set, each
+    part in ascending position order."""
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    _, single = _coverable(_pair_graphs(s.positions), (1 << len(s)) - 1, 1)
+    positions = tuple(sorted(s.positions))
+    _, single = _coverable(_pair_graphs(positions), (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
-    for i, x in enumerate(s.positions):
+    for i, x in enumerate(positions):
         (essential if single >> i & 1 else inessential).append(x)
     return EssentialnessReport(essential=tuple(essential),
                                inessential=tuple(inessential))

@@ -52,8 +52,9 @@ def ref_k_fragility(positions, k):
 
 @dataclass(frozen=True)
 class Positions:
-    """Strictly increasing positions that may be negative, which SensorArray
-    rejects; the robustness functions read only the positions and length."""
+    """Distinct positions that may be negative or out of order, which
+    SensorArray rejects; the robustness functions read only the positions
+    and length."""
 
     positions: tuple
 
@@ -63,7 +64,8 @@ class Positions:
 
 def assert_matches_reference(arr, k_max):
     ess = essential_sensors(arr)
-    assert (ess.essential, ess.inessential) == ref_essential(arr.positions)
+    assert (ess.essential, ess.inessential) \
+        == ref_essential(sorted(arr.positions))
     profile = fragility_profile(arr, k_max)
     assert [r.k for r in profile] == list(range(1, k_max + 1))
     for r in profile:
@@ -91,8 +93,29 @@ def test_nfa_r2_matches_reference_to_k4():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-30, 30), min_size=2, max_size=12, unique=True))
 def test_random_arrays_match_reference_at_every_k(positions):
-    assert_matches_reference(Positions(tuple(sorted(positions))),
-                             len(positions) - 1)
+    # In the order drawn: the essential and inessential sensors are reported
+    # in ascending position order whatever order the positions come in.
+    assert_matches_reference(Positions(tuple(positions)), len(positions) - 1)
+
+
+def test_unsorted_positions_are_read_as_the_sorted_array():
+    # Read in the given order, lag 1's pairs would split over +1 and -1 and
+    # every sensor would look essential.
+    arr = Positions((5, 0, 1, 2, 3, 4))
+    ess = essential_sensors(arr)
+    assert (ess.essential, ess.inessential) == ((0, 5), (1, 2, 3, 4))
+    assert [r.essential_subset_count for r in fragility_profile(arr, 2)] \
+        == [2, 11]
+    assert ref_k_fragility(arr.positions, 2) == (11, 15)
+
+
+def test_nfa24_profile_to_k6():
+    # k = 6 branches three deletions deep, with kept sensors piling up on
+    # every level.  Each count equals the exhaustive enumeration, which
+    # takes seconds at k = 6 (134596 subsets), too slow for this suite.
+    arr = make_sfa("nested", {"n": 6}, 2)
+    counts = [r.essential_subset_count for r in fragility_profile(arr, 6)]
+    assert counts == [7, 142, 1440, 9192, 40626, 133443]
 
 
 def test_nfa48_counts():
@@ -352,6 +375,61 @@ def test_count_holding_a_pair_matches_brute_force():
         assert robustness._count_holding_a_pair(pairs, n) == want
 
 
+def _random_path_graphs(rng, n):
+    """One to six pair graphs over n sensors, each a union of disjoint paths
+    with one to eight edges, as a tuple of two-bit edge masks."""
+    graphs = []
+    for _ in range(rng.randint(1, 6)):
+        order = rng.sample(range(n), rng.randint(2, n))
+        cuts = sorted(rng.sample(range(1, len(order)),
+                                 rng.randint(0, min(2, len(order) - 1))))
+        edges = []
+        for a, b in zip([0] + cuts, cuts + [len(order)]):
+            edges += [1 << i | 1 << j
+                      for i, j in zip(order[a:b], order[a + 1:b])]
+        if edges:
+            graphs.append(tuple(edges[:rng.randint(1, 8)]))
+    return graphs
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_small_covers_match_brute_force(r):
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(3, 10)
+        graphs = _random_path_graphs(rng, n)
+        # Sensors outside the pool are sure to stay, so some edges keep one
+        # or neither endpoint in it.
+        pool = sum(1 << i for i in rng.sample(range(n), rng.randint(2, n)))
+        live, single = robustness._coverable(graphs, pool, r)
+        while single:
+            pool &= ~single
+            live, single = robustness._coverable(live, pool, r)
+        assert all(e & pool for g in live for e in g)
+        pairs, triples = robustness._small_covers(live, pool, r)
+        sensors = [i for i in range(n) if pool >> i & 1]
+
+        def covering(size):
+            masks = (sum(1 << i for i in c)
+                     for c in itertools.combinations(sensors, size))
+            return {m for m in masks
+                    if any(all(e & m for e in g) for g in graphs)}
+
+        want_pairs = covering(2)
+        assert pairs == want_pairs
+        if r == 2:
+            assert triples == set()
+        else:
+            want_triples = covering(3)
+            assert triples <= want_triples
+            holds_a_pair = {t for t in want_triples
+                            if any(p & t == p for p in want_pairs)}
+            assert triples - holds_a_pair == want_triples - holds_a_pair
+        checked += bool(live)
+    assert checked > 100
+
+
 def _count_trees(monkeypatch):
     """The r of every call of the branch-tree counter, recursive ones too."""
     calls = []
@@ -420,6 +498,14 @@ def test_pair_graphs_are_cached_per_positions_exactly(monkeypatch, nfa):
         == set(essential_sensors(moved).essential)
     assert k_fragility(moved, 2) == k2
     assert len(runs) == 2
+
+
+def test_pair_graphs_are_keyed_by_the_sorted_positions(monkeypatch, nfa):
+    runs = _count_kernel_runs(monkeypatch)
+    shuffled = Positions(tuple(reversed(nfa.positions)))
+    assert essential_sensors(shuffled) == essential_sensors(nfa)
+    assert fragility_profile(shuffled, 3) == fragility_profile(nfa, 3)
+    assert runs == [nfa.positions]
 
 
 def test_pair_graph_cache_is_bounded_and_read_only():
