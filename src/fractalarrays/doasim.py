@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import InvalidParameterError
+from .geometry import InvalidParameterError, _check_count
 from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 8192
@@ -101,15 +101,6 @@ class SourceScene:
         return len(self.normalized_doas)
 
 
-def _check_count(value, what):
-    """Refuse a count that is not a positive integer.  A float or a bool
-    (True is an int to Python) is refused, not coerced."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < 1):
-        raise InvalidParameterError(
-            "%s must be a positive integer, got %r" % (what, value))
-
-
 def random_scene(m, seed, snr_db=0.0, min_separation=None,
                  grid_size=DEFAULT_GRID_SIZE):
     """Equal-power random scene with a minimum DOA separation.
@@ -129,12 +120,12 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     rounded DOAs keep the separation and stay below 0.5; a separation
     within that margin of the limit is rejected as not fitting.
     """
+    _check_count(m, "source count")
     _check_count(grid_size, "grid size")
     if min_separation is None:
         min_separation = 2.0 / grid_size
-    if m < 1 or not min_separation >= 0:
-        raise InvalidParameterError(
-            "need at least one source and a non-negative separation")
+    if not min_separation >= 0:
+        raise InvalidParameterError("need a non-negative separation")
     pad = 4 * np.finfo(float).eps
     step = min_separation + pad
     slack = 1.0 - m * step - pad
@@ -385,7 +376,8 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         raise InvalidParameterError(
             "need a square matrix, got shape %s" % (t.shape,))
     dim = t.shape[0]
-    if not 1 <= m < dim:
+    _check_count(m, "source count")
+    if not m < dim:
         raise InvalidParameterError(
             "need 1 <= sources < matrix dimension, got m=%d, dim=%d"
             % (m, dim))
@@ -424,6 +416,7 @@ def pick_peaks(result, m):
     is flagged as under-resolution rather than raised; ties are broken by
     grid index so the output is deterministic.
     """
+    _check_count(m, "source count")
     spec = result.spectrum
     ring = np.concatenate((spec[-1:], spec, spec[:1]))
     maxima = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
@@ -437,6 +430,7 @@ def pick_peaks(result, m):
 
 def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     """Full coarray-MUSIC pass from a covariance matrix to DOA estimates."""
+    _check_count(m, "source count")
     summary = _capacity_summary(s, m)
     ac = coarray_autocorrelation(r, s)
     t = toeplitz_augment(ac, summary.ula_segment)

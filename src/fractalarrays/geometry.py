@@ -22,6 +22,15 @@ class UnsupportedParameterError(ValueError):
     """The requested parameters are valid but not covered by a closed form."""
 
 
+def _check_count(value, what):
+    """Refuse a count that is not a positive integer.  A float or a bool
+    (True is an int to Python) is refused, not coerced."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < 1):
+        raise InvalidParameterError(
+            "%s must be a positive integer, got %r" % (what, value))
+
+
 @dataclass(frozen=True)
 class SensorArray:
     """An immutable, named set of integer sensor positions.
@@ -96,8 +105,7 @@ class SensorArray:
 
 def gen_ula(n):
     """Uniform linear array with sensors at 0 .. n-1."""
-    if n < 1:
-        raise InvalidParameterError("ULA needs at least one sensor")
+    _check_count(n, "ULA sensor count n")
     return SensorArray(tuple(range(n)), kind="ULA", label="ULA(%d)" % n)
 
 
@@ -112,6 +120,7 @@ def gen_nested(n):
 
     N1 = N2 = n/2 for even n, N1 = (n-1)/2 and N2 = (n+1)/2 for odd n.
     """
+    _check_count(n, "nested array size n")
     if n < 2:
         raise InvalidParameterError("nested array needs n >= 2")
     n1, n2 = _nested_split(n)
@@ -122,7 +131,9 @@ def gen_nested(n):
 
 def gen_coprime(m, n):
     """Prototype coprime array {m*i : i < n} U {n*j : j < 2m}, 2m+n-1 sensors."""
-    if m < 1 or n < 1 or m >= n or gcd(m, n) != 1:
+    _check_count(m, "coprime m")
+    _check_count(n, "coprime n")
+    if m >= n or gcd(m, n) != 1:
         raise InvalidParameterError(
             "coprime array needs coprime integers with 0 < m < n")
     pos = {m * i for i in range(n)} | {n * j for j in range(2 * m)}
@@ -147,6 +158,7 @@ def gen_ana2(n):
 
 
 def _gen_ana(n, right_heavy, kind):
+    _check_count(n, "augmented nested array size n")
     if n < 6:
         raise InvalidParameterError("augmented nested array needs n >= 6")
     n1, n2 = _nested_split(n)
@@ -176,6 +188,8 @@ def gen_super_nested(n1, n2):
     n1 = 2 leaves nothing to rearrange, so it returns the parent nested
     array itself.
     """
+    _check_count(n1, "super-nested n1")
+    _check_count(n2, "super-nested n2")
     if n1 < 2 or n2 < 2:
         raise InvalidParameterError("super-nested array needs n1, n2 >= 2")
     g = n1 + 1
@@ -203,8 +217,7 @@ def gen_super_nested(n1, n2):
 
 def gen_cantor(r):
     """Cantor fractal array at scale r: C1 = {0,1}, C_{r+1} = C_r U (C_r + 3^r)."""
-    if r < 1:
-        raise InvalidParameterError("Cantor array needs scale r >= 1")
+    _check_count(r, "Cantor scale r")
     pos = [0, 1]
     step = 3
     for _ in range(r - 1):
@@ -257,8 +270,7 @@ def make_sfa(kind, params, fractal_scale=1):
         raise InvalidParameterError(
             "subarray family %r takes parameters %s, got %s"
             % (kind, list(names), list(params)))
-    if fractal_scale < 1:
-        raise InvalidParameterError("fractal scale must be >= 1")
+    _check_count(fractal_scale, "fractal scale")
     sub1 = generator(*(params[p] for p in names))
     d2 = 2 * len(sub1) + 1
     cantor = gen_cantor(fractal_scale)

@@ -12,7 +12,10 @@ sensor pairs at separation l as edges, and deleting a subset D removes l
 from the coarray exactly when D is a vertex cover of that graph.  Every
 sensor has at most one partner at +l and one at -l, so each pair graph is
 a union of disjoint paths: k sensors cover at most 2k of its edges, and a
-lag with more than 2k pairs survives every k-failure.  So
+lag with more than 2k pairs survives every k-failure.  Each path needs a
+sensor of its own, and a forest with |V| sensors on its |E| edges has
+|V| - |E| paths, so a lag whose graph has more than k paths survives too.
+So
 
     count = C(N, k) - #{k-subsets that cover no pair graph},
 
@@ -47,18 +50,20 @@ size s <= r:
 
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
 Python ints, so nothing is rounded.  The graphs are grouped from the lag
-rows of ``coarray``'s kernel, the one every coarray view is read from.
-They are kept for the last four arrays asked about, as immutable tuples
-keyed by the sorted positions, so the essential sensors and the profile of
-one array share one build; a translated copy is a new key.
+rows of ``coarray``'s kernel, the one every coarray view is read from,
+with edge masks from a table kept for the last four sensor counts.  They
+are kept for the last four arrays asked about, as immutable tuples keyed
+by the sorted positions, so the essential sensors and the profile of one
+array share one build; a translated copy is a new key.
 
 Cost: N(N-1)/2 lags to build the graphs, once per array, then one branch
 tree at most k - 3 deep in deletions, each node passing a few times over
 the graphs that are still coverable.  The tree for the top k counts every
 smaller k too, so a profile costs about its top k alone.  For the
-48-sensor NFA at k <= 3 the tree is one leaf and the count takes about
-0.7 ms, where rebuilding the lag set for each of the C(N, k) subsets took
-seconds; at k = 4, 5 and 6 it takes about 16, 130 and 870 ms.
+48-sensor NFA at k <= 3 the build takes about 0.23 ms and the tree, one
+leaf over 51 graphs, about 0.24 ms, where rebuilding the lag set for each
+of the C(N, k) subsets took seconds; at k = 4, 5 and 6 the tree takes
+about 6, 60 and 490 ms.
 Lists of covers would be quicker still at small k, but they grow like 2^k
 per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 """
@@ -66,12 +71,12 @@ per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from numbers import Integral
+from operator import or_
 
 from .coarray import _lag_rows
 from .geometry import InvalidParameterError
@@ -101,6 +106,14 @@ class FragilityReport:
 
 
 @lru_cache(maxsize=4)
+def _edge_masks(n):
+    """For each sensor j of n, the edges 1 << i | 1 << j over i < j, in the
+    order of ``_lag_rows``.  They depend on n alone, so arrays of one size
+    share them."""
+    return tuple(tuple(1 << i | 1 << j for i in range(j)) for j in range(n))
+
+
+@lru_cache(maxsize=4)
 def _pair_graphs(positions):
     """The pair graph of each lag l > 0 of the sorted ``positions``, in the
     order its first pair is met by ``_lag_rows``: a tuple of its edges as
@@ -110,30 +123,41 @@ def _pair_graphs(positions):
     essential sensors and the profile of one array share one build; the
     graphs are tuples, so no caller can change what the next one reads.
     """
-    bits = [1 << i for i in range(len(positions))]
-    graphs = defaultdict(list)
-    for row, high in zip(_lag_rows(positions), bits):
-        for lag, low in zip(row, bits):
-            graphs[lag].append(low | high)
+    graphs = {}
+    get = graphs.get
+    for row, masks in zip(_lag_rows(positions), _edge_masks(len(positions))):
+        for lag, e in zip(row, masks):
+            g = get(lag)
+            if g is None:
+                graphs[lag] = [e]
+            else:
+                g.append(e)
     return tuple(map(tuple, graphs.values()))
 
 
 def _coverable(graphs, pool, r):
     """The graphs that r of the sensors in ``pool`` can cover, and the
-    sensors that cover one of them alone.  A graph with an edge that has no
-    endpoint in ``pool`` is never covered."""
+    sensors that cover one of them alone.
+
+    A graph with an edge that has no endpoint in ``pool`` is never covered.
+    Nor is one with more than r paths: a forest has |V| - |E| components,
+    with |V| the sensors on its edges, and each needs a sensor of its own.
+    """
     live = []
     single = 0
     for g in graphs:
-        if len(g) <= 2 * r:
-            common = pool
-            for e in g:
-                if not e & pool:
-                    break
-                common &= e
-            else:
-                single |= common
-                live.append(g)
+        m = len(g)
+        # A graph of at most r edges has at most r paths.
+        if m > 2 * r or m > r and reduce(or_, g).bit_count() - m > r:
+            continue
+        common = pool
+        for e in g:
+            if not e & pool:
+                break
+            common &= e
+        else:
+            single |= common
+            live.append(g)
     return live, single
 
 
@@ -144,11 +168,31 @@ def _small_covers(graphs, pool, r):
 
     A cover has a sensor x on the first edge, y on the first edge x misses
     and one on every edge both miss.  A sensor lies on at most two edges,
-    so an x that misses more than 2r - 2 is in no cover of r.
+    so an x that misses more than 2r - 2 is in no cover of r.  Three
+    disjoint edges, the most common graph at r = 3, have no covering pair
+    and their covering triples are one pool end of each edge.
     """
     pairs = set()
     triples = set()
     for g in graphs:
+        if r == 3 and len(g) == 3:
+            a, b, c = g
+            if (a | b | c).bit_count() == 6:
+                a &= pool
+                b &= pool
+                c &= pool
+                # The low and high pool end of each edge; an edge with one
+                # end in the pool offers it twice.
+                a0 = a & -a
+                a1 = a ^ a0 or a0
+                b0 = b & -b
+                b1 = b ^ b0 or b0
+                c0 = c & -c
+                c1 = c ^ c0 or c0
+                u, v, w, x = a0 | b0, a0 | b1, a1 | b0, a1 | b1
+                triples.update((u | c0, v | c0, w | c0, x | c0,
+                                u | c1, v | c1, w | c1, x | c1))
+                continue
         first = g[0] & pool
         while first:
             x = first & -first
@@ -202,8 +246,8 @@ def _uncovering_counts(graphs, pool, r):
 
     Edges are read through ``pool``: an endpoint outside it is sure to stay.
     A sensor that covers a graph alone is in no such subset of any size, and
-    a graph with more than 2r edges is covered by none, so one tree counts
-    every size up to r.
+    a graph with more than 2r edges or r paths is covered by none, so one
+    tree counts every size up to r.
     """
     counts = [0] * (r + 1)
     while True:
@@ -218,7 +262,7 @@ def _uncovering_counts(graphs, pool, r):
             x = min(graphs, key=len)[0] & pool
             x &= -x
             pool &= ~x
-            deleted = [tuple(e for e in g if not e & x) for g in graphs]
+            deleted = [[e for e in g if not e & x] for g in graphs]
             for s, c in enumerate(_uncovering_counts(deleted, pool, r - 1), 1):
                 counts[s] += c
             continue

@@ -518,6 +518,31 @@ def test_trial_batch_refuses_a_bad_snapshot_count(nfa, t):
         run_trial_batch(nfa, random_scene(4, seed=6), t, 2, seed=1)
 
 
+@pytest.mark.parametrize("m", [0, -1, True, 1.0, 2.5, np.float64(2), "2",
+                               None], ids=repr)
+@pytest.mark.parametrize("stage", ["random_scene", "music_spectrum",
+                                   "pick_peaks", "estimate_doas"])
+def test_music_stages_refuse_a_bad_source_count(nfa, stage, m):
+    # True would be read as one source, and 2.0 as two; random_scene raised
+    # a bare TypeError on both.
+    scene = SourceScene((-0.2, 0.1), (1.0, 1.0), 0.5)
+    r = expected_covariance(nfa, scene)
+    t = np.eye(4, dtype=complex)
+    call = {"random_scene": lambda: random_scene(m, seed=0),
+            "music_spectrum": lambda: music_spectrum(t, m),
+            "pick_peaks": lambda: pick_peaks(music_spectrum(t, 1), m),
+            "estimate_doas": lambda: estimate_doas(nfa, r, m)}[stage]
+    with pytest.raises(InvalidParameterError, match="source count"):
+        call()
+
+
+def test_music_stages_take_a_numpy_source_count(nfa):
+    scene = SourceScene((-0.2, 0.1), (1.0, 1.0), 0.5)
+    r = expected_covariance(nfa, scene)
+    assert estimate_doas(nfa, r, np.int64(2)).estimates \
+        == estimate_doas(nfa, r, 2).estimates
+
+
 def test_expected_covariance_is_exactly_hermitian_on_random_arrays():
     rng = pyrandom.Random(1101)
     for seed in range(60):

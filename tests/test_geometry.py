@@ -382,6 +382,40 @@ def test_make_sfa_errors_propagate():
         make_sfa("cantor", {"r": 2}, 1)
 
 
+# Each generator with one size argument replaced by a bad value.
+SIZED_BUILDS = {
+    "gen_ula": lambda v: gen_ula(v),
+    "gen_nested": lambda v: gen_nested(v),
+    "gen_coprime m": lambda v: gen_coprime(v, 9),
+    "gen_coprime n": lambda v: gen_coprime(2, v),
+    "gen_ana1": lambda v: gen_ana1(v),
+    "gen_ana2": lambda v: gen_ana2(v),
+    "gen_super_nested n1": lambda v: gen_super_nested(v, 3),
+    "gen_super_nested n2": lambda v: gen_super_nested(3, v),
+    "gen_cantor": lambda v: gen_cantor(v),
+    "make_sfa params": lambda v: make_sfa("nested", {"n": v}, 1),
+    "make_sfa fractal_scale": lambda v: make_sfa("nested", {"n": 6}, v),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 6.0, np.float64(6),
+                                   "6", None, 0, -3], ids=repr)
+@pytest.mark.parametrize("build", SIZED_BUILDS.values(),
+                         ids=SIZED_BUILDS.keys())
+def test_generators_refuse_a_size_that_is_not_a_positive_integer(build,
+                                                                 value):
+    # True was read as 1 (a one-sensor ULA, a scale-1 SFA), and 6.0 raised
+    # a bare TypeError from range().
+    with pytest.raises(InvalidParameterError, match="positive integer"):
+        build(value)
+
+
+@pytest.mark.parametrize("build", SIZED_BUILDS.values(),
+                         ids=SIZED_BUILDS.keys())
+def test_generators_take_a_numpy_integer_size(build):
+    assert build(np.int64(7)) == build(7)
+
+
 @pytest.mark.parametrize("kind, params", [
     ("nested", {}),
     ("coprime", {"m": 2}),

@@ -4,7 +4,9 @@ import threading
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 
 import numpy as np
 import pytest
@@ -119,11 +121,28 @@ def test_nfa24_profile_to_k6():
 
 
 def test_nfa48_counts():
-    # All four equal the exhaustive enumeration; k = 4 (194580 subsets,
-    # about 30 s) is too slow to enumerate in this suite.
+    # The first four equal the exhaustive enumeration; k = 4 (194580
+    # subsets, about 30 s) is too slow to enumerate in this suite.  k = 5,
+    # two deletions deep, is the count of a counter without the drop of
+    # graphs with more paths than deletions left, so it checks that drop
+    # below the top of the tree.
     arr = make_sfa("nested", {"n": 6}, 3)
-    counts = [r.essential_subset_count for r in fragility_profile(arr, 4)]
-    assert counts == [7, 310, 6955, 103240]
+    counts = [r.essential_subset_count for r in fragility_profile(arr, 5)]
+    assert counts == [7, 310, 6955, 103240, 1122282]
+
+
+@pytest.mark.parametrize("arr, r, top", [
+    (gen_ula(40), 10, 427780383),
+    (make_sfa("coprime", {"m": 2, "n": 3}, 3), 7, 775190),
+], ids=["ULA40-r10", "CFA48-r7"])
+def test_deep_trees_keep_the_earlier_counts(arr, r, top):
+    # Seven and four deletions deep, beyond ENUMERATION_LIMIT and any
+    # exhaustive reference: the r-subsets that cover no pair graph, as a
+    # counter without the drop of graphs with more paths than deletions
+    # left counts them.
+    n = len(arr)
+    graphs = robustness._pair_graphs(arr.positions)
+    assert robustness._uncovering_counts(graphs, (1 << n) - 1, r)[-1] == top
 
 
 def test_kept_sensors_spanning_every_lag_exactly():
@@ -392,6 +411,82 @@ def _random_path_graphs(rng, n):
     return graphs
 
 
+def _covering(graphs, sensors, size):
+    """The size-subsets of ``sensors`` (indices) that cover some graph, as
+    bitmasks."""
+    masks = (sum(1 << i for i in c)
+             for c in itertools.combinations(sensors, size))
+    return {m for m in masks if any(all(e & m for e in g) for g in graphs)}
+
+
+def _disjoint_edges(rng, n, m):
+    """m disjoint edges over n >= 2m sensors: a graph of m paths."""
+    ends = rng.sample(range(n), 2 * m)
+    return tuple(1 << a | 1 << b for a, b in zip(ends[::2], ends[1::2]))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_coverable_drops_no_graph_that_r_pool_sensors_cover(r):
+    rng = random.Random(23)
+    by_paths = 0
+    for _ in range(400):
+        n = rng.randint(3, 10)
+        graphs = _random_path_graphs(rng, n)
+        if n >= 4:
+            graphs += [_disjoint_edges(rng, n, rng.randint(2, n // 2))
+                       for _ in range(rng.randint(0, 2))]
+        pool = sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
+        live, _ = robustness._coverable(graphs, pool, r)
+        sensors = [i for i in range(n) if pool >> i & 1]
+        for g in graphs:
+            if g in live:
+                continue
+            assert not any(_covering([g], sensors, s)
+                           for s in range(1, r + 1))
+            # Dropped for its paths alone: few edges, each with an end in
+            # the pool.
+            by_paths += len(g) <= 2 * r and all(e & pool for e in g)
+    assert by_paths > 20
+
+
+def test_nfa48_leaf_reads_only_graphs_of_at_most_three_paths():
+    # Of the 122 graphs of at most six edges left at the 48-sensor NFA's
+    # r = 3 leaf, 71 have four to six paths and no cover of three.
+    arr = make_sfa("nested", {"n": 6}, 3)
+    pool = (1 << len(arr)) - 1
+    live, single = robustness._coverable(
+        robustness._pair_graphs(arr.positions), pool, 3)
+    while single:
+        pool &= ~single
+        live, single = robustness._coverable(live, pool, 3)
+    paths = [reduce(or_, g).bit_count() - len(g) for g in live]
+    assert len(live) == 51 and max(paths) == 3
+
+
+def _check_small_covers(graphs, pool, r, n):
+    """Run the graphs through _coverable until no single is left, then check
+    _small_covers on what is live against the brute-force covers.  True when
+    some graph was live."""
+    live, single = robustness._coverable(graphs, pool, r)
+    while single:
+        pool &= ~single
+        live, single = robustness._coverable(live, pool, r)
+    assert all(e & pool for g in live for e in g)
+    pairs, triples = robustness._small_covers(live, pool, r)
+    sensors = [i for i in range(n) if pool >> i & 1]
+    want_pairs = _covering(graphs, sensors, 2)
+    assert pairs == want_pairs
+    if r == 2:
+        assert triples == set()
+    else:
+        want_triples = _covering(graphs, sensors, 3)
+        assert triples <= want_triples
+        holds_a_pair = {t for t in want_triples
+                        if any(p & t == p for p in want_pairs)}
+        assert triples - holds_a_pair == want_triples - holds_a_pair
+    return bool(live)
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_small_covers_match_brute_force(r):
     rng = random.Random(11)
@@ -402,32 +497,24 @@ def test_small_covers_match_brute_force(r):
         # Sensors outside the pool are sure to stay, so some edges keep one
         # or neither endpoint in it.
         pool = sum(1 << i for i in rng.sample(range(n), rng.randint(2, n)))
-        live, single = robustness._coverable(graphs, pool, r)
-        while single:
-            pool &= ~single
-            live, single = robustness._coverable(live, pool, r)
-        assert all(e & pool for g in live for e in g)
-        pairs, triples = robustness._small_covers(live, pool, r)
-        sensors = [i for i in range(n) if pool >> i & 1]
-
-        def covering(size):
-            masks = (sum(1 << i for i in c)
-                     for c in itertools.combinations(sensors, size))
-            return {m for m in masks
-                    if any(all(e & m for e in g) for g in graphs)}
-
-        want_pairs = covering(2)
-        assert pairs == want_pairs
-        if r == 2:
-            assert triples == set()
-        else:
-            want_triples = covering(3)
-            assert triples <= want_triples
-            holds_a_pair = {t for t in want_triples
-                            if any(p & t == p for p in want_pairs)}
-            assert triples - holds_a_pair == want_triples - holds_a_pair
-        checked += bool(live)
+        checked += _check_small_covers(graphs, pool, r, n)
     assert checked > 100
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_small_covers_of_three_disjoint_edges_match_brute_force(r):
+    # At r = 3 these take their own path through _small_covers.
+    rng = random.Random(13)
+    checked = 0
+    for _ in range(400):
+        n = rng.randint(6, 10)
+        graphs = [_disjoint_edges(rng, n, 3)
+                  for _ in range(rng.randint(1, 3))]
+        graphs += _random_path_graphs(rng, n)[:rng.randint(0, 2)]
+        pool = sum(1 << i for i in rng.sample(range(n), rng.randint(2, n)))
+        checked += _check_small_covers(graphs, pool, r, n)
+    # At r = 2 the three disjoint edges are dropped, so fewer lists are live.
+    assert checked > 50
 
 
 def _count_trees(monkeypatch):
