@@ -19,15 +19,21 @@ and imaginary parts are standard normals: 2 N T normals instead of the
 2 (M + N) T of drawing S and N.  A Monte-Carlo batch factors R once and
 draws every trial from the same F.
 
-Everything that depends only on the array (the ordered-pair lag index and
-the coarray summary) or only on the grid size (the theta' grid) is
-computed once and kept in small, bounded, read-only caches, so a
-Monte-Carlo batch pays for it on its first trial.
+Everything that depends only on the array (the coarray plan: the
+ordered-pair lag index, the coarray summary and the Toeplitz gather index)
+or only on a size (the theta' grid, the diagonal index of a dim x dim
+matrix) is computed once and kept in small, bounded, read-only caches, so
+a Monte-Carlo batch pays for it on its first trial.  estimate_doas goes
+from the covariance to the Toeplitz matrix through two array kernels, the
+lag means and the Toeplitz gather; coarray_autocorrelation and
+toeplitz_augment are the same kernels seen through a lag -> value map,
+and the chain of the two gives estimate_doas's matrix bit for bit.
 
-The MUSIC denominator a(theta)^H E E^H a(theta) is a trigonometric
+The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
-Barabell 1983), so it is evaluated on the whole grid by one FFT of its
-coefficients instead of a dim x grid_size steering-matrix product.
+Barabell 1983), so it is evaluated on the whole grid by one half-length
+Hermitian FFT (np.fft.hfft) of its coefficients instead of a
+dim x grid_size steering-matrix product.
 
 The augmented matrix is Hermitian Toeplitz, hence centro-Hermitian
 (J conj(T) J = T with J the exchange matrix), and such a matrix is
@@ -53,8 +59,10 @@ from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 8192
 # Cache bounds.  A grid entry holds grid_size floats: 64 kB at 8192 points.
+# A diagonal-index entry holds dim**2 integers: 256 kB at dim 181.
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
+_DIAGONAL_CACHE_SIZE = 4
 
 
 class CoarrayHoleError(ValueError):
@@ -172,6 +180,16 @@ def _grid(grid_size):
     return grid
 
 
+@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
+def _diagonal_index(dim):
+    """Diagonal p - q + dim - 1 of each entry (p, q) of a dim x dim matrix,
+    row-major and read-only."""
+    idx = np.arange(dim)
+    diag = (idx[:, None] - idx[None, :] + (dim - 1)).ravel()
+    diag.flags.writeable = False
+    return diag
+
+
 def _snapshot_factor(s, scene):
     """F with F F^H = R / 2 for the model covariance R, as V sqrt(lambda / 2)
     from R's eigendecomposition.  Rounding can leave the zero eigenvalues of
@@ -230,12 +248,24 @@ def expected_covariance(s, scene):
 class _CoarrayPlan:
     """Per-array data shared by every trial: the sorted coarray lags, their
     ordered-pair counts, the index into ``lags`` of each ordered pair
-    (i, j) in row-major order, and the coarray summary."""
+    (i, j) in row-major order, the coarray summary, the index of lag 0 in
+    ``lags``, and the Toeplitz gather index of the central segment."""
 
     lags: tuple
     counts: np.ndarray
     pair_lags: np.ndarray
     summary: CoarraySummary
+    zero: int
+    toeplitz_index: np.ndarray
+
+
+def _toeplitz_index(u):
+    """Read-only (u+1) x (u+1) index p - q + u: entry (p, q) of the
+    Toeplitz matrix is entry p - q + u of its 2u+1 values, lags -u .. u."""
+    idx = np.arange(u + 1)
+    index = idx[:, None] - idx[None, :] + u
+    index.flags.writeable = False
+    return index
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -247,8 +277,10 @@ def _coarray_plan(positions):
                                 (p[:, None] - p[None, :]).ravel())
     for a in (counts, pair_lags):
         a.flags.writeable = False
+    summary = summarize(coarray)
     return _CoarrayPlan(lags=coarray.lags, counts=counts, pair_lags=pair_lags,
-                        summary=summarize(coarray))
+                        summary=summary, zero=coarray.lags.index(0),
+                        toeplitz_index=_toeplitz_index(summary.max_sources))
 
 
 def _capacity_summary(s, m):
@@ -261,14 +293,12 @@ def _capacity_summary(s, m):
     return summary
 
 
-def coarray_autocorrelation(r, s):
-    """Average covariance entries over all sensor pairs at each lag.
-
-    Returns a lag -> complex map on the full difference coarray.  Averaging
-    with the weight function keeps conjugate symmetry exact for Hermitian
-    input.  The sums run over the pairs in row-major order, real and
-    imaginary parts separately.
-    """
+def _lag_means(r, s):
+    """The array's coarray plan, and the mean of the covariance r over the
+    ordered sensor pairs at each lag of plan.lags.  The sums run over the
+    pairs in row-major order, real and imaginary parts separately; an r
+    that is not N x N for the N sensors of s is refused."""
+    r = np.asarray(r)
     n = len(s.positions)
     if r.shape != (n, n):
         raise InvalidParameterError(
@@ -280,14 +310,38 @@ def coarray_autocorrelation(r, s):
                             minlength=size)
     sums.imag = np.bincount(plan.pair_lags, weights=r.imag.ravel(),
                             minlength=size)
-    return dict(zip(plan.lags, sums / plan.counts))
+    return plan, sums / plan.counts
+
+
+def _toeplitz(col, index):
+    """T[p, q] = col[p - q] for p >= q and conj(col[q - p]) for p < q,
+    gathered through index = _toeplitz_index(len(col) - 1)."""
+    # values[u + k] is col[k] for k >= 0 and conj(col[-k]) for k < 0.
+    values = np.concatenate((col[:0:-1].conj(), col))
+    return values[index]
+
+
+def coarray_autocorrelation(r, s):
+    """Average covariance entries over all sensor pairs at each lag.
+
+    Returns a lag -> complex map on the full difference coarray.  Averaging
+    with the weight function keeps conjugate symmetry exact for Hermitian
+    input.  The sums run over the pairs in row-major order, real and
+    imaginary parts separately.  This is a map view of the lag means that
+    estimate_doas computes as an array, entry for entry the same values.
+    """
+    plan, means = _lag_means(r, s)
+    return dict(zip(plan.lags, means))
 
 
 def toeplitz_augment(ac, ula_segment):
     """(u+1) x (u+1) Hermitian Toeplitz matrix T[p, q] = ac(p - q).
 
     ``ula_segment`` is the symmetric interval (-u, u); every lag in it must
-    be present in the autocorrelation map.
+    be present in the autocorrelation map.  Only the lags 0 .. u are read:
+    the entries above the diagonal are their conjugates, so T is exactly
+    Hermitian.  After these checks it is the same gather estimate_doas
+    runs on its lag means, so both give the same matrix bit for bit.
     """
     lo, hi = ula_segment
     if lo != -hi or hi < 0:
@@ -300,10 +354,7 @@ def toeplitz_augment(ac, ula_segment):
             "lags %s missing from the central segment [-%d, %d]"
             % (missing, u, u))
     col = np.array([ac[k] for k in range(0, u + 1)], dtype=complex)
-    # values[u + k] is ac(k) for k >= 0 and conj(ac(-k)) for k < 0.
-    values = np.concatenate((col[:0:-1].conj(), col))
-    idx = np.arange(u + 1)
-    return values[idx[:, None] - idx[None, :] + u]
+    return _toeplitz(col, _toeplitz_index(u))
 
 
 def _real_form(t):
@@ -366,10 +417,13 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
 
     With P = E E^H and c_k the sum of P's k-th subdiagonal, the denominator
     a(theta)^H P a(theta) is c_0 + 2 Re sum_{k>0} c_k exp(-2 pi j k theta).
-    On grid point g, theta = -0.5 + g / grid_size, so it is the real part
-    of the length-grid_size DFT of h_0 = c_0, h_k = 2 (-1)^k c_k.  Folding
-    h modulo grid_size first makes this exact for any grid size, including
-    one smaller than dim.
+    On grid point g, theta = -0.5 + g / grid_size, so it is the
+    length-grid_size DFT of the Hermitian sequence y_0 = c_0,
+    y_k = (-1)^k c_k and y_{-k} = conj(y_k), a real DFT.  np.fft.hfft
+    computes it from the sequence's first grid_size // 2 + 1 entries, about
+    half the work of a complex FFT.  Folding the sequence modulo grid_size
+    first keeps it Hermitian, which makes this exact for any grid size,
+    including one smaller than 2 dim - 1.
     """
     t = np.asarray(t)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -389,20 +443,20 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     _, vecs = np.linalg.eigh(_real_form(t))
     noise = _from_real_form(vecs[:, :dim - m])
     proj = noise @ noise.conj().T
-    # Diagonal index p - q of each entry (p, q), offset to start at 0; the
-    # subdiagonal sums c_k (k >= 0) are the upper half of the bins.
-    idx = np.arange(dim)
-    diag = (idx[:, None] - idx[None, :] + (dim - 1)).ravel()
-    h = np.empty(dim, dtype=complex)
-    h.real = np.bincount(diag, weights=proj.real.ravel())[dim - 1:]
-    h.imag = np.bincount(diag, weights=proj.imag.ravel())[dim - 1:]
-    h[1:] *= 2.0
-    h[1::2] *= -1.0
-    bins = idx % grid_size
-    folded = np.empty(grid_size, dtype=complex)
-    folded.real = np.bincount(bins, weights=h.real, minlength=grid_size)
-    folded.imag = np.bincount(bins, weights=h.imag, minlength=grid_size)
-    denom = np.fft.fft(folded).real
+    diag = _diagonal_index(dim)
+    # y_k = (-1)^k c_k from the subdiagonal sums c_k (k >= 0), the upper
+    # half of the diagonal bins.
+    y = np.empty(dim, dtype=complex)
+    y.real = np.bincount(diag, weights=proj.real.ravel())[dim - 1:]
+    y.imag = np.bincount(diag, weights=proj.imag.ravel())[dim - 1:]
+    y[1::2] *= -1.0
+    # y_k at k and conj(y_k) at -k, folded modulo grid_size.
+    both = np.concatenate((y[:0:-1].conj(), y))
+    bins = np.arange(1 - dim, dim) % grid_size
+    herm = np.empty(grid_size, dtype=complex)
+    herm.real = np.bincount(bins, weights=both.real, minlength=grid_size)
+    herm.imag = np.bincount(bins, weights=both.imag, minlength=grid_size)
+    denom = np.fft.hfft(herm[:grid_size // 2 + 1], grid_size)
     spectrum = 1.0 / np.maximum(denom, np.finfo(float).tiny)
     spectrum = spectrum / spectrum.max()
     return MusicResult(grid=_grid(grid_size), spectrum=spectrum)
@@ -431,9 +485,10 @@ def pick_peaks(result, m):
 def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     """Full coarray-MUSIC pass from a covariance matrix to DOA estimates."""
     _check_count(m, "source count")
-    summary = _capacity_summary(s, m)
-    ac = coarray_autocorrelation(r, s)
-    t = toeplitz_augment(ac, summary.ula_segment)
+    _capacity_summary(s, m)
+    plan, means = _lag_means(r, s)
+    col = means[plan.zero:plan.zero + plan.summary.max_sources + 1]
+    t = _toeplitz(col, plan.toeplitz_index)
     return pick_peaks(music_spectrum(t, m, grid_size), m)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fractalarrays.coarray import difference_coarray, summarize
+from fractalarrays import doasim
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
                                   MusicResult, SourceScene,
                                   _coarray_plan, _real_form, _rmse,
@@ -120,6 +121,10 @@ def test_coarray_plan_summary_matches_difference_coarray(arr):
     assert np.array_equal(plan.counts, counts)
     assert np.array_equal(plan.pair_lags, inverse)
     assert plan.summary == summarize(difference_coarray(arr))
+    u = plan.summary.max_sources
+    assert plan.lags[plan.zero] == 0
+    idx = np.arange(u + 1)
+    assert np.array_equal(plan.toeplitz_index, idx[:, None] - idx[None, :] + u)
 
 
 def test_toeplitz_real_autocorrelation_is_complex():
@@ -143,10 +148,14 @@ def test_cached_grid_cannot_be_corrupted_through_a_result(nfa):
     assert np.allclose(again.spectrum, spectrum, rtol=1e-5, atol=0)
 
 
-@pytest.mark.parametrize("r, grid_sizes", [(1, (7, 16, 25)), (3, (100, 181))])
+@pytest.mark.parametrize("r, grid_sizes", [
+    (1, (1, 2, 7, 16, 25, 48, 49, 50)),
+    (3, (1, 2, 100, 181, 360, 361, 362))])
 def test_spectrum_fold_matches_reference_below_and_around_dim(r, grid_sizes):
-    # The polynomial has dim coefficients (25 for r = 1, 181 for r = 3);
-    # on a grid of fewer points they are folded modulo the grid size.
+    # The polynomial has dim coefficients (25 for r = 1, 181 for r = 3)
+    # and its Hermitian sequence 2 dim - 1 (49 and 361); on a grid of fewer
+    # points they are folded modulo the grid size, and below 2 dim - 1 the
+    # conjugate half lands on the first half that hfft reads.
     arr = make_sfa("nested", {"n": 6}, r)
     u = summarize(difference_coarray(arr)).max_sources
     scene = random_scene(u // 3, seed=r, min_separation=0.01)
@@ -601,6 +610,57 @@ def test_expected_covariance_takes_the_real_path(positions, m, seed):
     assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
     ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
     assert result.estimates == ref_peaks.estimates
+
+
+@pytest.mark.parametrize("arr", _exactness_arrays(),
+                         ids=lambda a: "%d-sensors" % len(a))
+def test_estimate_doas_equals_the_public_chain(arr, monkeypatch):
+    # The benchmark's replay rebuilds each trial through the public chain
+    # coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
+    # pick_peaks; estimate_doas gathers the same Toeplitz matrix from its
+    # lag means without the map and must agree bit for bit.
+    u = summarize(difference_coarray(arr)).max_sources
+    m = max(1, u // 2)
+    scene = SourceScene(tuple(np.linspace(-0.45, 0.45, m) + 0.003),
+                        (1.0,) * m, 1.0)
+    seen = []
+
+    def spy(t, *args):
+        seen.append(t)
+        return music_spectrum(t, *args)
+
+    monkeypatch.setattr(doasim, "music_spectrum", spy)
+    for seed in range(3):
+        r = sample_covariance(simulate(arr, scene, 50, seed=seed))
+        result = estimate_doas(arr, r, m)
+        t = toeplitz_augment(coarray_autocorrelation(r, arr), (-u, u))
+        chain = pick_peaks(music_spectrum(t, m), m)
+        assert seen[-1].dtype == t.dtype and np.array_equal(seen[-1], t)
+        assert np.array_equal(result.spectrum, chain.spectrum)
+        assert result.estimates == chain.estimates
+        assert result.under_resolved == chain.under_resolved
+
+
+def test_nested_list_covariance_gives_the_same_estimates(nfa):
+    scene = SourceScene((-0.2, 0.1, 0.3), (1.0,) * 3, 0.5)
+    r = sample_covariance(simulate(nfa, scene, 100, seed=5))
+    listed_ac = coarray_autocorrelation(r.tolist(), nfa)
+    ac = coarray_autocorrelation(r, nfa)
+    assert listed_ac.keys() == ac.keys()
+    assert all(np.array_equal(v, ac[k]) for k, v in listed_ac.items())
+    listed = estimate_doas(nfa, r.tolist(), 3)
+    assert listed.estimates == estimate_doas(nfa, r, 3).estimates
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (12,), (12, 13)])
+@pytest.mark.parametrize("stage", ["coarray_autocorrelation",
+                                   "estimate_doas"])
+def test_covariance_of_the_wrong_shape_is_refused(nfa, stage, shape):
+    r = np.ones(shape, dtype=complex)
+    call = {"coarray_autocorrelation": lambda: coarray_autocorrelation(r, nfa),
+            "estimate_doas": lambda: estimate_doas(nfa, r, 3)}[stage]
+    with pytest.raises(InvalidParameterError, match="does not match 12"):
+        call()
 
 
 def test_estimate_doas_refuses_an_imaginary_diagonal(nfa):
