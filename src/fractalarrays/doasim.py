@@ -20,20 +20,24 @@ and imaginary parts are standard normals: 2 N T normals instead of the
 draws every trial from the same F.
 
 Everything that depends only on the array (the coarray plan: the
-ordered-pair lag index, the coarray summary and the Toeplitz gather index)
-or only on a size (the theta' grid, the diagonal index of a dim x dim
-matrix) is computed once and kept in small, bounded, read-only caches, so
-a Monte-Carlo batch pays for it on its first trial.  estimate_doas goes
-from the covariance to the Toeplitz matrix through two array kernels, the
-lag means and the Toeplitz gather; coarray_autocorrelation and
-toeplitz_augment are the same kernels seen through a lag -> value map,
-and the chain of the two gives estimate_doas's matrix bit for bit.
+ordered-pair lag bins and the coarray summary) or only on a size (the
+theta' grid, the diagonal bins of a dim x dim matrix, the gather index of
+the real form, the folding bins of a grid and the cyclic shifts of the
+RMSE) is computed once and kept in small, bounded, read-only caches, so a
+Monte-Carlo batch pays for it on its first trial.  Every complex sum is one
+np.bincount over the float view of its terms.  estimate_doas goes from the
+covariance to the lag means, and from the lag means of the central
+segment straight to the real symmetric form of the Toeplitz matrix
+(below) by one gather, without forming the complex matrix.  The public
+coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain forms
+it and gives the same spectrum and estimates bit for bit.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
 Barabell 1983), so it is evaluated on the whole grid by one half-length
 Hermitian FFT (np.fft.hfft) of its coefficients instead of a
-dim x grid_size steering-matrix product.
+dim x grid_size steering-matrix product; only the half of the folded
+coefficient sequence that hfft reads is summed.
 
 The augmented matrix is Hermitian Toeplitz, hence centro-Hermitian
 (J conj(T) J = T with J the exchange matrix), and such a matrix is
@@ -59,10 +63,14 @@ from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 8192
 # Cache bounds.  A grid entry holds grid_size floats: 64 kB at 8192 points.
-# A diagonal-index entry holds dim**2 integers: 256 kB at dim 181.
+# The per-dim entries at dim 181: the diagonal bins hold 2 dim**2 integers
+# (512 kB) and the real-form gather as many (512 kB); a folding entry holds
+# at most 3 (2 dim - 1) integers (9 kB), and a shift entry m**2 (29 kB at
+# m = 60).
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
 _DIAGONAL_CACHE_SIZE = 4
+_SHIFT_CACHE_SIZE = 4
 
 
 class CoarrayHoleError(ValueError):
@@ -180,14 +188,85 @@ def _grid(grid_size):
     return grid
 
 
+def _interleaved(index):
+    """Read-only bins 2 i and 2 i + 1 for each i of index, in turn: the bins
+    of the real and imaginary parts of a complex array's float view."""
+    bins = np.empty(2 * len(index), dtype=np.intp)
+    bins[0::2] = 2 * index
+    bins[1::2] = bins[0::2] + 1
+    bins.flags.writeable = False
+    return bins
+
+
+def _complex_bincount(bins, x, size):
+    """Sums of the complex entries of x into size bins, through one
+    np.bincount over x's float view with bins = _interleaved(index).  Each
+    bin sums the same numbers in the same order as two bincounts over
+    x.real and x.imag would, so the sums are the same bit for bit."""
+    return np.bincount(bins, weights=x.ravel().view(float),
+                       minlength=2 * size).view(complex)
+
+
 @lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
-def _diagonal_index(dim):
-    """Diagonal p - q + dim - 1 of each entry (p, q) of a dim x dim matrix,
-    row-major and read-only."""
+def _diagonal_bins(dim):
+    """_interleaved bins of the diagonal p - q + dim - 1 of each entry
+    (p, q) of a dim x dim matrix, row-major."""
     idx = np.arange(dim)
-    diag = (idx[:, None] - idx[None, :] + (dim - 1)).ravel()
-    diag.flags.writeable = False
-    return diag
+    return _interleaved((idx[:, None] - idx[None, :] + (dim - 1)).ravel())
+
+
+@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
+def _fold_bins(dim, grid_size):
+    """The entries of the Hermitian sequence y_k, k = 1 - dim .. dim - 1,
+    that fold modulo grid_size into bins 0 .. grid_size // 2, the half that
+    np.fft.hfft reads, in sequence order; and their _interleaved bins.
+    Both read-only."""
+    bins = np.arange(1 - dim, dim) % grid_size
+    take = np.flatnonzero(bins <= grid_size // 2)
+    take.flags.writeable = False
+    return take, _interleaved(bins[take])
+
+
+@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
+def _real_form_index(dim):
+    """Read-only 2 x dim**2 gather index of _real_form(T) for the Hermitian
+    Toeplitz T with first column col: S.ravel() is v[i1] + v[i2], with
+    v = [col.view(float), -col.view(float), (sqrt 2 conj(col)).view(float),
+    -0.0] as _gather_real_form lays it out.
+
+    Every entry of _real_form is a sum or difference of the real or
+    imaginary parts of two entries of T, or, on the middle row and column
+    of an odd n, one part of sqrt 2 T[p, k] or Re T[k, k]; x - y is x + (-y)
+    in IEEE arithmetic, and x + (-0.0) is x, sign of zero included, so the
+    gather gives its S bit for bit.  With n = dim, k = n // 2 and p, q < k,
+    T[p, q] is col[p - q] for p >= q and conj(col[q - p]) otherwise, and
+    T[p, n - 1 - q] is conj(col[n - 1 - p - q]).
+    """
+    n, k = dim, dim // 2
+    neg, mid, pad = 2 * n, 4 * n, 6 * n
+    p = np.arange(k)[:, None]
+    q = np.arange(k)[None, :]
+    lag = 2 * np.abs(p - q)           # Re col[|p - q|] in v
+    anti = 2 * (n - 1 - p - q)        # Re col[n - 1 - p - q] in v
+    lower = p >= q
+    im_a = np.where(lower, lag + 1, neg + lag + 1)          # Im T[p, q]
+    neg_im_a = np.where(lower, neg + lag + 1, lag + 1)      # -Im T[p, q]
+    i1 = np.full((n, n), pad)
+    i2 = np.full((n, n), pad)
+    # [[Re A + Re BJ, Im BJ - Im A], [Im A + Im BJ, Re A - Re BJ]].
+    i1[:k, :k], i2[:k, :k] = lag, anti
+    i1[:k, n - k:], i2[:k, n - k:] = neg + anti + 1, neg_im_a
+    i1[n - k:, :k], i2[n - k:, :k] = im_a, neg + anti + 1
+    i1[n - k:, n - k:], i2[n - k:, n - k:] = lag, neg + anti
+    if n % 2:
+        # The middle row and column: sqrt 2 T[p, k] = sqrt 2 conj(col[k - p]).
+        at = mid + 2 * (k - np.arange(k))
+        i1[:k, k] = i1[k, :k] = at
+        i1[n - k:, k] = i1[k, n - k:] = at + 1
+        i1[k, k] = 0
+    index = np.stack((i1.ravel(), i2.ravel()))
+    index.flags.writeable = False
+    return index
 
 
 def _snapshot_factor(s, scene):
@@ -247,16 +326,16 @@ def expected_covariance(s, scene):
 @dataclass(frozen=True)
 class _CoarrayPlan:
     """Per-array data shared by every trial: the sorted coarray lags, their
-    ordered-pair counts, the index into ``lags`` of each ordered pair
-    (i, j) in row-major order, the coarray summary, the index of lag 0 in
-    ``lags``, and the Toeplitz gather index of the central segment."""
+    ordered-pair counts, the bins of each ordered pair (i, j) in row-major
+    order (2 l and 2 l + 1 for the pair's index l into ``lags``, see
+    _interleaved), the coarray summary and the index of lag 0 in
+    ``lags``."""
 
     lags: tuple
     counts: np.ndarray
-    pair_lags: np.ndarray
+    pair_bins: np.ndarray
     summary: CoarraySummary
     zero: int
-    toeplitz_index: np.ndarray
 
 
 def _toeplitz_index(u):
@@ -272,15 +351,13 @@ def _toeplitz_index(u):
 def _coarray_plan(positions):
     coarray = difference_coarray(positions)
     counts = np.array([coarray.weights[k] for k in coarray.lags])
+    counts.flags.writeable = False
     p = np.asarray(positions)
     pair_lags = np.searchsorted(coarray.lags,
                                 (p[:, None] - p[None, :]).ravel())
-    for a in (counts, pair_lags):
-        a.flags.writeable = False
-    summary = summarize(coarray)
-    return _CoarrayPlan(lags=coarray.lags, counts=counts, pair_lags=pair_lags,
-                        summary=summary, zero=coarray.lags.index(0),
-                        toeplitz_index=_toeplitz_index(summary.max_sources))
+    return _CoarrayPlan(lags=coarray.lags, counts=counts,
+                        pair_bins=_interleaved(pair_lags),
+                        summary=summarize(coarray), zero=coarray.lags.index(0))
 
 
 def _capacity_summary(s, m):
@@ -296,20 +373,21 @@ def _capacity_summary(s, m):
 def _lag_means(r, s):
     """The array's coarray plan, and the mean of the covariance r over the
     ordered sensor pairs at each lag of plan.lags.  The sums run over the
-    pairs in row-major order, real and imaginary parts separately; an r
-    that is not N x N for the N sensors of s is refused."""
+    pairs in row-major order, real and imaginary parts alike, in one
+    bincount (_complex_bincount).  An r that is not N x N for the N sensors
+    of s is refused, and so is one with a NaN or infinite entry, or whose
+    sums over a lag overflow."""
     r = np.asarray(r)
     n = len(s.positions)
     if r.shape != (n, n):
         raise InvalidParameterError(
             "covariance shape %s does not match %d sensors" % (r.shape, n))
     plan = _coarray_plan(s.positions)
-    size = len(plan.lags)
-    sums = np.empty(size, dtype=complex)
-    sums.real = np.bincount(plan.pair_lags, weights=r.real.ravel(),
-                            minlength=size)
-    sums.imag = np.bincount(plan.pair_lags, weights=r.imag.ravel(),
-                            minlength=size)
+    sums = _complex_bincount(plan.pair_bins, r.astype(complex, copy=False),
+                             len(plan.lags))
+    if not np.isfinite(sums).all():
+        raise InvalidParameterError(
+            "covariance entries, and their sums over each lag, must be finite")
     return plan, sums / plan.counts
 
 
@@ -327,8 +405,9 @@ def coarray_autocorrelation(r, s):
     Returns a lag -> complex map on the full difference coarray.  Averaging
     with the weight function keeps conjugate symmetry exact for Hermitian
     input.  The sums run over the pairs in row-major order, real and
-    imaginary parts separately.  This is a map view of the lag means that
+    imaginary parts alike.  This is a map view of the lag means that
     estimate_doas computes as an array, entry for entry the same values.
+    A covariance with a NaN or infinite entry is refused.
     """
     plan, means = _lag_means(r, s)
     return dict(zip(plan.lags, means))
@@ -340,8 +419,9 @@ def toeplitz_augment(ac, ula_segment):
     ``ula_segment`` is the symmetric interval (-u, u); every lag in it must
     be present in the autocorrelation map.  Only the lags 0 .. u are read:
     the entries above the diagonal are their conjugates, so T is exactly
-    Hermitian.  After these checks it is the same gather estimate_doas
-    runs on its lag means, so both give the same matrix bit for bit.
+    Hermitian.  estimate_doas does not form T: it gathers the real form
+    that music_spectrum takes of T straight from the same lag means, bit
+    for bit the same.
     """
     lo, hi = ula_segment
     if lo != -hi or hi < 0:
@@ -399,6 +479,44 @@ def _from_real_form(v):
     return e
 
 
+def _gather_real_form(col):
+    """_real_form of the Hermitian Toeplitz matrix with first column col,
+    straight from col (col[0] real) through _real_form_index, bit for bit
+    the same S."""
+    parts = col.view(float)
+    v = np.concatenate((parts, -parts,
+                        (np.sqrt(2.0) * col.conj()).view(float), [-0.0]))
+    i1, i2 = _real_form_index(len(col))
+    s = v[i1]
+    s += v[i2]
+    return s.reshape(len(col), len(col))
+
+
+def _spectrum(s, m, grid_size):
+    """MUSIC pseudospectrum from the real symmetric form s of the augmented
+    matrix, as music_spectrum describes: the noise eigenvectors of s mapped
+    back by Q, the diagonal sums of their projector, the folded Hermitian
+    sequence and one np.fft.hfft, normalised to peak at 1."""
+    dim = s.shape[0]
+    _, vecs = np.linalg.eigh(s)
+    noise = _from_real_form(vecs[:, :dim - m])
+    proj = noise @ noise.conj().T
+    # y_k = (-1)^k c_k from the subdiagonal sums c_k (k >= 0), the upper
+    # half of the diagonal bins.
+    y = _complex_bincount(_diagonal_bins(dim), proj, 2 * dim - 1)[dim - 1:]
+    y[1::2] *= -1.0
+    # y_k at k and conj(y_k) at -k, folded modulo grid_size; only the bins
+    # 0 .. grid_size // 2 that hfft reads are summed.
+    both = np.concatenate((y[:0:-1].conj(), y))
+    take, bins = _fold_bins(dim, grid_size)
+    herm = _complex_bincount(bins, both.take(take), grid_size // 2 + 1)
+    spectrum = np.fft.hfft(herm, grid_size)
+    np.maximum(spectrum, np.finfo(float).tiny, out=spectrum)
+    np.divide(1.0, spectrum, out=spectrum)
+    spectrum /= spectrum.max()
+    return MusicResult(grid=_grid(grid_size), spectrum=spectrum)
+
+
 def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     """MUSIC pseudospectrum of a centro-Hermitian matrix with m signal
     dimensions.
@@ -423,7 +541,9 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     computes it from the sequence's first grid_size // 2 + 1 entries, about
     half the work of a complex FFT.  Folding the sequence modulo grid_size
     first keeps it Hermitian, which makes this exact for any grid size,
-    including one smaller than 2 dim - 1.
+    including one smaller than 2 dim - 1; only the entries that fold into
+    those first grid_size // 2 + 1 bins are summed.  estimate_doas runs the
+    same steps from a real form gathered straight from the lag means.
     """
     t = np.asarray(t)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -440,26 +560,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
             and np.array_equal(t, t[::-1, ::-1].conj())):
         raise InvalidParameterError(
             "need an exactly Hermitian, persymmetric matrix")
-    _, vecs = np.linalg.eigh(_real_form(t))
-    noise = _from_real_form(vecs[:, :dim - m])
-    proj = noise @ noise.conj().T
-    diag = _diagonal_index(dim)
-    # y_k = (-1)^k c_k from the subdiagonal sums c_k (k >= 0), the upper
-    # half of the diagonal bins.
-    y = np.empty(dim, dtype=complex)
-    y.real = np.bincount(diag, weights=proj.real.ravel())[dim - 1:]
-    y.imag = np.bincount(diag, weights=proj.imag.ravel())[dim - 1:]
-    y[1::2] *= -1.0
-    # y_k at k and conj(y_k) at -k, folded modulo grid_size.
-    both = np.concatenate((y[:0:-1].conj(), y))
-    bins = np.arange(1 - dim, dim) % grid_size
-    herm = np.empty(grid_size, dtype=complex)
-    herm.real = np.bincount(bins, weights=both.real, minlength=grid_size)
-    herm.imag = np.bincount(bins, weights=both.imag, minlength=grid_size)
-    denom = np.fft.hfft(herm[:grid_size // 2 + 1], grid_size)
-    spectrum = 1.0 / np.maximum(denom, np.finfo(float).tiny)
-    spectrum = spectrum / spectrum.max()
-    return MusicResult(grid=_grid(grid_size), spectrum=spectrum)
+    return _spectrum(_real_form(t), m, grid_size)
 
 
 def pick_peaks(result, m):
@@ -483,13 +584,38 @@ def pick_peaks(result, m):
 
 
 def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
-    """Full coarray-MUSIC pass from a covariance matrix to DOA estimates."""
+    """Full coarray-MUSIC pass from a covariance matrix to DOA estimates.
+
+    The lag means of r over the central segment, lags 0 .. u, are the first
+    column col of the Hermitian Toeplitz matrix T that toeplitz_augment
+    builds; the real symmetric form of T that music_spectrum decomposes is
+    gathered from col directly, without forming T, and is bit for bit the
+    same.  So this gives the spectrum and estimates of the public chain
+    coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
+    pick_peaks bit for bit.  A covariance whose lag-0 mean is not real, of
+    which T would not be Hermitian, is refused, as music_spectrum refuses
+    such a T; _lag_means refuses non-finite entries.
+    """
     _check_count(m, "source count")
     _capacity_summary(s, m)
     plan, means = _lag_means(r, s)
+    _check_count(grid_size, "grid size")
     col = means[plan.zero:plan.zero + plan.summary.max_sources + 1]
-    t = _toeplitz(col, plan.toeplitz_index)
-    return pick_peaks(music_spectrum(t, m, grid_size), m)
+    if col[0].imag != 0:
+        raise InvalidParameterError(
+            "need a Hermitian covariance: its lag-0 mean %r is not real"
+            % col[0])
+    return pick_peaks(_spectrum(_gather_real_form(col), m, grid_size), m)
+
+
+@lru_cache(maxsize=_SHIFT_CACHE_SIZE)
+def _shift_index(m):
+    """Read-only m x m index whose row s rolls a length-m array by s
+    places: (j - s) mod m."""
+    idx = np.arange(m)
+    shifts = (idx - idx[:, None]) % m
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _rmse(estimates, truths):
@@ -498,12 +624,13 @@ def _rmse(estimates, truths):
     and each difference is wrapped to the nearest turn.  Wrapping leaves a
     difference below 0.5 in size unchanged, so when the unshifted match is
     best the result is the linear sorted-order RMSE bit for bit."""
+    return _sorted_rmse(estimates, np.sort(np.asarray(truths)))
+
+
+def _sorted_rmse(estimates, tru):
+    """_rmse against truths tru that are already sorted."""
     est = np.sort(np.asarray(estimates))
-    tru = np.sort(np.asarray(truths))
-    m = len(est)
-    # Row s matches est rolled by s places to the sorted truths.
-    shifts = (np.arange(m) - np.arange(m)[:, None]) % m
-    d = est[shifts] - tru
+    d = est[_shift_index(len(est))] - tru
     d -= np.rint(d)
     best = int(np.argmin(np.sum(d ** 2, axis=1)))
     return float(np.sqrt(np.mean(d[best] ** 2)))
@@ -548,6 +675,7 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     m = scene.source_count
     _capacity_summary(s, m)
     f = _snapshot_factor(s, scene)
+    tru = np.sort(np.asarray(scene.normalized_doas))
     per_rmse = []
     per_est = []
     resolved = 0
@@ -563,7 +691,7 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
             per_rmse.append(float("inf"))
             continue
         resolved += 1
-        trial_rmse = _rmse(result.estimates, scene.normalized_doas)
+        trial_rmse = _sorted_rmse(result.estimates, tru)
         per_rmse.append(trial_rmse)
         pooled_sq.append(trial_rmse ** 2)
     rmse = float(np.sqrt(np.mean(pooled_sq))) if pooled_sq else float("inf")

@@ -1,6 +1,7 @@
 import random as pyrandom
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays import doasim
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
                                   MusicResult, SourceScene,
-                                  _coarray_plan, _real_form, _rmse,
+                                  _coarray_plan, _gather_real_form,
+                                  _lag_means, _real_form, _rmse, _toeplitz,
+                                  _toeplitz_index,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
                                   music_spectrum, pick_peaks, random_scene,
@@ -110,7 +113,7 @@ def test_pipeline_matches_reference_bit_for_bit(arr):
                          ids=lambda a: "%d-sensors" % len(a))
 def test_coarray_plan_summary_matches_difference_coarray(arr):
     # The plan reads its lags, counts and summary from difference_coarray
-    # and adds the ordered-pair index, which must be np.unique's inverse
+    # and adds the ordered-pair bins, interleaved from np.unique's inverse
     # over the row-major position differences.
     plan = _coarray_plan(arr.positions)
     p = np.asarray(arr.positions)
@@ -119,12 +122,10 @@ def test_coarray_plan_summary_matches_difference_coarray(arr):
                                       return_counts=True)
     assert np.array_equal(plan.lags, lags)
     assert np.array_equal(plan.counts, counts)
-    assert np.array_equal(plan.pair_lags, inverse)
+    assert np.array_equal(plan.pair_bins[0::2], 2 * inverse)
+    assert np.array_equal(plan.pair_bins[1::2], 2 * inverse + 1)
     assert plan.summary == summarize(difference_coarray(arr))
-    u = plan.summary.max_sources
     assert plan.lags[plan.zero] == 0
-    idx = np.arange(u + 1)
-    assert np.array_equal(plan.toeplitz_index, idx[:, None] - idx[None, :] + u)
 
 
 def test_toeplitz_real_autocorrelation_is_complex():
@@ -298,10 +299,12 @@ def test_random_scene_rejects_bad_grid_size(grid_size):
 
 
 @pytest.mark.parametrize("grid_size", [0, -8, 2048.0, "2048", None])
-def test_music_spectrum_rejects_bad_grid_size(grid_size):
+def test_music_spectrum_rejects_bad_grid_size(nfa, grid_size):
     t = np.eye(4, dtype=complex)
     with pytest.raises(InvalidParameterError, match="grid size"):
         music_spectrum(t, 1, grid_size)
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        estimate_doas(nfa, np.eye(12), 1, grid_size)
 
 
 def test_grid_size_refuses_a_bool():
@@ -614,31 +617,102 @@ def test_expected_covariance_takes_the_real_path(positions, m, seed):
 
 @pytest.mark.parametrize("arr", _exactness_arrays(),
                          ids=lambda a: "%d-sensors" % len(a))
-def test_estimate_doas_equals_the_public_chain(arr, monkeypatch):
+def test_estimate_doas_equals_the_public_chain(arr):
     # The benchmark's replay rebuilds each trial through the public chain
     # coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
-    # pick_peaks; estimate_doas gathers the same Toeplitz matrix from its
-    # lag means without the map and must agree bit for bit.
+    # pick_peaks; estimate_doas gathers the real symmetric form of the same
+    # Toeplitz matrix from its lag means and must agree bit for bit, signs
+    # of zero included.
     u = summarize(difference_coarray(arr)).max_sources
     m = max(1, u // 2)
     scene = SourceScene(tuple(np.linspace(-0.45, 0.45, m) + 0.003),
                         (1.0,) * m, 1.0)
-    seen = []
-
-    def spy(t, *args):
-        seen.append(t)
-        return music_spectrum(t, *args)
-
-    monkeypatch.setattr(doasim, "music_spectrum", spy)
+    plan = _coarray_plan(arr.positions)
     for seed in range(3):
         r = sample_covariance(simulate(arr, scene, 50, seed=seed))
         result = estimate_doas(arr, r, m)
         t = toeplitz_augment(coarray_autocorrelation(r, arr), (-u, u))
+        _, means = _lag_means(r, arr)
+        gathered = _gather_real_form(means[plan.zero:plan.zero + u + 1])
+        _assert_same_bits(gathered, _real_form(t))
         chain = pick_peaks(music_spectrum(t, m), m)
-        assert seen[-1].dtype == t.dtype and np.array_equal(seen[-1], t)
         assert np.array_equal(result.spectrum, chain.spectrum)
         assert result.estimates == chain.estimates
         assert result.under_resolved == chain.under_resolved
+
+
+def _assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _columns():
+    """Random complex columns with a real first entry for dims 1-12, 25 and
+    181, some with zeros of either sign and exactly real or imaginary
+    entries, which the real form must carry with their sign bits."""
+    rng = np.random.default_rng(2025)
+    for dim in list(range(1, 13)) + [25, 181]:
+        col = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        col[0] = col[0].real
+        yield "random-%d" % dim, col
+        zeros = col.copy()
+        zeros.real[1::3] = -0.0
+        zeros.imag[2::3] = -0.0
+        zeros.imag[1::4] = 0.0
+        zeros[0] = -0.0
+        yield "zeros-%d" % dim, zeros
+
+
+@pytest.mark.parametrize("col", [pytest.param(col, id=name)
+                                 for name, col in _columns()])
+def test_gathered_real_form_is_the_real_form_of_the_toeplitz_matrix(col):
+    t = _toeplitz(col, _toeplitz_index(len(col) - 1))
+    _assert_same_bits(_gather_real_form(col), _real_form(t))
+
+
+@pytest.mark.parametrize("shape", [(7,), (5, 6), (13, 13)])
+def test_one_bincount_sums_as_two_do(shape):
+    # One bincount over the float view sums each bin's numbers in the same
+    # order as the bincounts over the real and imaginary parts.
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    x.imag[..., ::3] = -0.0
+    index = rng.integers(0, 4, x.size)
+    sums = doasim._complex_bincount(doasim._interleaved(index), x, 6)
+    flat = x.ravel()
+    assert np.array_equal(sums.real, np.bincount(index, weights=flat.real,
+                                                 minlength=6))
+    assert np.array_equal(sums.imag, np.bincount(index, weights=flat.imag,
+                                                 minlength=6))
+
+
+@pytest.mark.parametrize("r, m, t, trials", [(1, 24, 500, 5),
+                                             (3, 60, 1000, 2)])
+def test_trial_batch_equals_the_benchmark_replay(r, m, t, trials):
+    # The benchmark replays every trial of run_trial_batch through the
+    # public layers: simulate -> sample_covariance -> coarray_autocorrelation
+    # -> toeplitz_augment -> music_spectrum -> pick_peaks, at the spawned
+    # trial seeds.  Estimates and the first spectrum must agree bit for bit,
+    # also at full capacity (m = dim - 1 on the 12-sensor NFA), where the
+    # peaks depend on the eigensolver's rounding.
+    arr = make_sfa("nested", {"n": 6}, r)
+    summary = summarize(difference_coarray(arr))
+    rng = np.random.default_rng(r)
+    doas = np.sort(np.linspace(-0.48, 0.48, m)
+                   + rng.uniform(-0.004, 0.004, m))
+    scene = SourceScene(tuple(doas), (1.0,) * m, 1.0)
+    result = run_trial_batch(arr, scene, t, trials, seed=91)
+    replayed = []
+    for child in np.random.SeedSequence(91).spawn(trials):
+        seed = np.random.default_rng(child).integers(2 ** 63)
+        r_hat = sample_covariance(simulate(arr, scene, t, seed))
+        ac = coarray_autocorrelation(r_hat, arr)
+        spectrum = music_spectrum(toeplitz_augment(ac, summary.ula_segment),
+                                  m)
+        replayed.append(pick_peaks(spectrum, m))
+    assert result.per_trial_estimates == tuple(p.estimates for p in replayed)
+    assert np.array_equal(result.first_trial.spectrum, replayed[0].spectrum)
 
 
 def test_nested_list_covariance_gives_the_same_estimates(nfa):
@@ -661,6 +735,31 @@ def test_covariance_of_the_wrong_shape_is_refused(nfa, stage, shape):
             "estimate_doas": lambda: estimate_doas(nfa, r, 3)}[stage]
     with pytest.raises(InvalidParameterError, match="does not match 12"):
         call()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(4, 4), (2, 7)], ids=["diagonal",
+                                                     "off-diagonal"])
+@pytest.mark.parametrize("stage", ["coarray_autocorrelation",
+                                   "estimate_doas"])
+def test_non_finite_covariance_is_refused(nfa, stage, at, value):
+    r = expected_covariance(nfa, SourceScene((-0.2, 0.1, 0.3), (1.0,) * 3,
+                                             0.5))
+    i, j = at
+    r[i, j] = value
+    r[j, i] = np.conj(value)
+    call = {"coarray_autocorrelation": lambda: coarray_autocorrelation(r, nfa),
+            "estimate_doas": lambda: estimate_doas(nfa, r, 3)}[stage]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="finite"):
+            call()
+
+
+def test_covariance_whose_lag_sums_overflow_is_refused(nfa):
+    r = 1e308 * np.eye(12)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        estimate_doas(nfa, r, 3)
 
 
 def test_estimate_doas_refuses_an_imaginary_diagonal(nfa):
