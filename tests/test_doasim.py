@@ -10,8 +10,9 @@ from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays import doasim
 from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
                                   MusicResult, SourceScene,
-                                  _coarray_plan, _gather_real_form,
-                                  _lag_means, _real_form, _rmse, _toeplitz,
+                                  _coarray_plan, _gather_real_forms,
+                                  _lag_means, _real_form, _rmse,
+                                  _sorted_rmse, _toeplitz,
                                   _toeplitz_index,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
@@ -494,12 +495,17 @@ def test_noiseless_sample_covariance_has_rank_m(nfa):
     assert np.linalg.matrix_rank(r_hat, tol=1e-10 * lam[0]) == 5
 
 
-@pytest.mark.parametrize("r, m, t, trials", [(1, 8, 200, 4), (3, 40, 300, 2)])
+@pytest.mark.parametrize("r, m, t, trials", [
+    (1, 8, 200, 4), (3, 40, 300, 2),
+    # Across group boundaries: 52 trials a group at dim 25, so the last
+    # group holds 3; 8 at dim 64, so 19 trials are two full groups and 3.
+    (1, 8, 200, 55), (2, 20, 200, 19)])
 def test_trial_batch_equals_the_step_by_step_chain(r, m, t, trials):
     # The benchmark replays each trial as simulate -> sample_covariance ->
     # estimate_doas at the spawned trial seed; run_trial_batch, which
-    # factors the model covariance once per batch, must give the same
-    # estimates bit for bit.
+    # factors the model covariance once per batch and runs the MUSIC stages
+    # on groups of trials, must give the same estimates, RMSEs and first
+    # spectrum bit for bit.
     arr = make_sfa("nested", {"n": 6}, r)
     scene = random_scene(m, seed=40 + r, min_separation=0.01)
     result = run_trial_batch(arr, scene, t, trials, seed=77)
@@ -507,8 +513,48 @@ def test_trial_batch_equals_the_step_by_step_chain(r, m, t, trials):
     for child in np.random.SeedSequence(77).spawn(trials):
         seed = np.random.default_rng(child).integers(2 ** 63)
         r_hat = sample_covariance(simulate(arr, scene, t, seed))
-        chain.append(estimate_doas(arr, r_hat, m).estimates)
-    assert result.per_trial_estimates == tuple(chain)
+        chain.append(estimate_doas(arr, r_hat, m))
+    tru = np.sort(scene.normalized_doas)
+    rmse = [float("inf") if c.under_resolved else _sorted_rmse(c.estimates,
+                                                                tru)
+            for c in chain]
+    pooled = [e ** 2 for e in rmse if e < float("inf")]
+    assert result.per_trial_estimates == tuple(c.estimates for c in chain)
+    assert result.per_trial_rmse == tuple(rmse)
+    assert result.rmse == float(np.sqrt(np.mean(pooled)))
+    assert np.array_equal(result.first_trial.spectrum, chain[0].spectrum)
+
+
+@pytest.mark.parametrize("r, m, g", [(1, 24, 5), (3, 60, 3)],
+                         ids=["dim-25", "dim-181"])
+def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
+    # Every row of a stack, not only the first, comes out of the stacked
+    # lag means, gather, eigh and projector product as estimate_doas gives
+    # it on that covariance alone.
+    arr = make_sfa("nested", {"n": 6}, r)
+    scene = random_scene(m, seed=r, min_separation=0.5 / m)
+    stack = np.stack([sample_covariance(simulate(arr, scene, 300, seed))
+                      for seed in range(g)])
+    stacked = list(doasim._estimates(arr, stack, m, 8192))
+    assert len(stacked) == g
+    for row, r_hat in zip(stacked, stack):
+        alone = estimate_doas(arr, r_hat, m)
+        assert np.array_equal(row.spectrum, alone.spectrum)
+        assert row.estimates == alone.estimates
+        assert row.under_resolved == alone.under_resolved
+
+
+@pytest.mark.parametrize("grid_size", [0, True, 2.5])
+def test_trial_batch_checks_the_grid_size_before_drawing(nfa, grid_size,
+                                                          monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the grid size")
+
+    monkeypatch.setattr(doasim, "_snapshot_factor", no_draw)
+    monkeypatch.setattr(doasim, "_draw", no_draw)
+    with pytest.raises(InvalidParameterError, match="grid size"):
+        run_trial_batch(nfa, random_scene(4, seed=6), 200, 2, seed=1,
+                        grid_size=grid_size)
 
 
 @pytest.mark.parametrize("t", [0, -3, True, 64.0, np.float64(64.5), "64",
@@ -632,9 +678,9 @@ def test_estimate_doas_equals_the_public_chain(arr):
         r = sample_covariance(simulate(arr, scene, 50, seed=seed))
         result = estimate_doas(arr, r, m)
         t = toeplitz_augment(coarray_autocorrelation(r, arr), (-u, u))
-        _, means = _lag_means(r, arr)
-        gathered = _gather_real_form(means[plan.zero:plan.zero + u + 1])
-        _assert_same_bits(gathered, _real_form(t))
+        _, means = _lag_means(r[None], arr)
+        gathered = _gather_real_forms(means[:, plan.zero:plan.zero + u + 1])
+        _assert_same_bits(gathered[0], _real_form(t))
         chain = pick_peaks(music_spectrum(t, m), m)
         assert np.array_equal(result.spectrum, chain.spectrum)
         assert result.estimates == chain.estimates
@@ -668,23 +714,26 @@ def _columns():
                                  for name, col in _columns()])
 def test_gathered_real_form_is_the_real_form_of_the_toeplitz_matrix(col):
     t = _toeplitz(col, _toeplitz_index(len(col) - 1))
-    _assert_same_bits(_gather_real_form(col), _real_form(t))
+    _assert_same_bits(_gather_real_forms(col[None])[0], _real_form(t))
 
 
-@pytest.mark.parametrize("shape", [(7,), (5, 6), (13, 13)])
+@pytest.mark.parametrize("shape", [(1, 7), (5, 6), (3, 13, 13)])
 def test_one_bincount_sums_as_two_do(shape):
-    # One bincount over the float view sums each bin's numbers in the same
-    # order as the bincounts over the real and imaginary parts.
+    # One bincount over the float view of a stack sums each bin of each row
+    # in the same order as the bincounts over that row's real and imaginary
+    # parts.
     rng = np.random.default_rng(len(shape))
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x.imag[..., ::3] = -0.0
-    index = rng.integers(0, 4, x.size)
+    rows = x.reshape(shape[0], -1)
+    index = rng.integers(0, 4, rows.shape[1])
     sums = doasim._complex_bincount(doasim._interleaved(index), x, 6)
-    flat = x.ravel()
-    assert np.array_equal(sums.real, np.bincount(index, weights=flat.real,
-                                                 minlength=6))
-    assert np.array_equal(sums.imag, np.bincount(index, weights=flat.imag,
-                                                 minlength=6))
+    assert sums.shape == (shape[0], 6)
+    for row, row_sums in zip(rows, sums):
+        assert np.array_equal(row_sums.real, np.bincount(
+            index, weights=row.real, minlength=6))
+        assert np.array_equal(row_sums.imag, np.bincount(
+            index, weights=row.imag, minlength=6))
 
 
 @pytest.mark.parametrize("r, m, t, trials", [(1, 24, 500, 5),
