@@ -215,19 +215,10 @@ def _complex_bincount(bins, x, size):
     the same numbers in the same order as two bincounts over that row's
     real and imaginary parts would, so the sums are the same bit for bit."""
     rows = len(x)
-    if rows > 1:
-        bins = (bins + 2 * size * np.arange(rows)[:, None]).ravel()
+    bins = (bins + 2 * size * np.arange(rows)[:, None]).ravel()
     sums = np.bincount(bins, weights=x.ravel().view(float),
                        minlength=2 * size * rows)
     return sums.view(complex).reshape(rows, size)
-
-
-def _take_rows(x, index):
-    """x.reshape(g, -1)[:, index] for the g-row stack x; one row through its
-    flat view, which numpy gathers 3x faster (29 against 88 us at dim 181)."""
-    if len(x) == 1:
-        return x.ravel()[index][None]
-    return x.reshape(len(x), -1)[:, index]
 
 
 @lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
@@ -505,8 +496,8 @@ def _gather_real_forms(cols):
                         (np.sqrt(2.0) * cols.conj()).view(float),
                         np.full((g, 1), -0.0)), axis=1)
     i1, i2 = _real_form_index(dim)
-    s = _take_rows(v, i1)
-    s += _take_rows(v, i2)
+    s = v[:, i1]
+    s += v[:, i2]
     return s.reshape(g, dim, dim)
 
 
@@ -532,7 +523,7 @@ def _spectra(s, m, grid_size):
     # y_k = (-1)^k c_k from the subdiagonal sums c_k (k >= 0), summed over
     # the entries p >= q.
     take, bins = _diagonal_bins(dim)
-    ys = _complex_bincount(bins, _take_rows(proj, take), dim)
+    ys = _complex_bincount(bins, proj.reshape(g, -1)[:, take], dim)
     ys[:, 1::2] *= -1.0
     fold_take, fold_bins = _fold_bins(dim, grid_size)
     for y in ys:

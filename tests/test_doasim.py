@@ -713,8 +713,14 @@ def _columns():
 @pytest.mark.parametrize("col", [pytest.param(col, id=name)
                                  for name, col in _columns()])
 def test_gathered_real_form_is_the_real_form_of_the_toeplitz_matrix(col):
-    t = _toeplitz(col, _toeplitz_index(len(col) - 1))
-    _assert_same_bits(_gather_real_forms(col[None])[0], _real_form(t))
+    # A stack of one and a stack of two, whose second first column flips
+    # the sign of every real part and of no imaginary part.
+    index = _toeplitz_index(len(col) - 1)
+    _assert_same_bits(_gather_real_forms(col[None])[0],
+                      _real_form(_toeplitz(col, index)))
+    cols = np.stack((col, -col.conj()))
+    for s, c in zip(_gather_real_forms(cols), cols):
+        _assert_same_bits(s, _real_form(_toeplitz(c, index)))
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (5, 6), (3, 13, 13)])
