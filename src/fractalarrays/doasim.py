@@ -6,9 +6,11 @@ theta' = (d/lambda) sin(theta) in [-0.5, 0.5), a circular domain: 0.5
 and -0.5 give the same steering vector.  The pipeline is:
 snapshots -> sample covariance -> coarray autocorrelation -> Hermitian
 Toeplitz augmentation on the central ULA segment -> MUSIC pseudospectrum
--> peak picking -> RMSE over Monte-Carlo trials.  Snapshots are a plain
-complex N x T array, so measured data enters at sample_covariance as it
-is.  The noiseless, infinite-snapshot check is the same pass on the model
+on a theta' grid (2048 points by default) -> peak picking, with each grid
+peak refined off the grid from its two neighbours -> RMSE of the refined
+estimates over Monte-Carlo trials.  Snapshots are a plain complex N x T
+array, so measured data enters at sample_covariance as it is.  The
+noiseless, infinite-snapshot check is the same pass on the model
 covariance: estimate_doas(s, expected_covariance(s, scene), m).
 
 The snapshots Y = A S + N, with Gaussian waveforms S and noise N, have
@@ -37,8 +39,8 @@ one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
 consecutive trials (52 at dim 25, one at dim 181), each drawn alone.  Per
 group the lag means, the real forms, eigh, the projectors and their
 diagonal sums run once; the fold, FFT, peaks and RMSE run per trial, so no
-8192-point spectra are stacked.  Every sum keeps its terms and their
-order, so the estimates are bit for bit those of a trial alone.
+spectra are stacked.  Every sum keeps its terms and their order, so the
+estimates are bit for bit those of a trial alone.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
@@ -69,8 +71,8 @@ import numpy as np
 from .geometry import InvalidParameterError, _check_count
 from .coarray import CoarraySummary, difference_coarray, summarize
 
-DEFAULT_GRID_SIZE = 8192
-# Cache bounds.  A grid entry holds grid_size floats: 64 kB at 8192 points.
+DEFAULT_GRID_SIZE = 2048
+# Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
 # The per-dim entries at dim 181: the diagonal bins hold 3 dim (dim + 1) / 2
 # integers (393 kB) and the real-form gather 2 dim**2 (512 kB); a folding
 # entry holds at most 3 (2 dim - 1) integers (9 kB), and a shift entry m**2
@@ -81,6 +83,7 @@ _DIAGONAL_CACHE_SIZE = 4
 _SHIFT_CACHE_SIZE = 4
 # Bound on the entries of one dim x dim matrix stack in a trial group.
 _GROUP_ENTRIES = 2 ** 15
+_TINY = np.finfo(float).tiny
 
 
 class CoarrayHoleError(ValueError):
@@ -179,6 +182,7 @@ class MusicResult:
     spectrum: np.ndarray
     estimates: tuple = ()
     under_resolved: bool = False
+    refined: tuple = ()
 
 
 def steering_vector(s, theta_norm):
@@ -503,7 +507,7 @@ def _gather_real_forms(cols):
 
 def _spectra(s, m, grid_size):
     """MUSIC pseudospectra from the real symmetric forms s (g x dim x dim)
-    of augmented matrices, one MusicResult at a time, as music_spectrum
+    of augmented matrices, one spectrum array at a time, as music_spectrum
     describes: the noise eigenvectors of s mapped back by Q, the diagonal
     sums of their projectors, the folded Hermitian sequence and one
     np.fft.hfft, normalised to peak at 1.  Up to the diagonal sums each
@@ -533,10 +537,10 @@ def _spectra(s, m, grid_size):
         herm = _complex_bincount(fold_bins, both.take(fold_take)[None],
                                  grid_size // 2 + 1)[0]
         spectrum = np.fft.hfft(herm, grid_size)
-        np.maximum(spectrum, np.finfo(float).tiny, out=spectrum)
+        np.maximum(spectrum, _TINY, out=spectrum)
         np.divide(1.0, spectrum, out=spectrum)
         spectrum /= spectrum.max()
-        yield MusicResult(grid=_grid(grid_size), spectrum=spectrum)
+        yield spectrum
 
 
 def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
@@ -582,27 +586,63 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
             and np.array_equal(t, t[::-1, ::-1].conj())):
         raise InvalidParameterError(
             "need an exactly Hermitian, persymmetric matrix")
-    return next(_spectra(_real_form(t)[None], m, grid_size))
+    return MusicResult(grid=_grid(grid_size),
+                       spectrum=next(_spectra(_real_form(t)[None], m,
+                                              grid_size)))
 
 
 def pick_peaks(result, m):
-    """The m largest strict local maxima of the grid spectrum.
+    """The m largest strict local maxima of the grid spectrum: their grid
+    points (``estimates``, in grid order) and, in the same order, each one
+    refined off the grid (``refined``).
 
     The grid is circular, like the theta' domain: the first and last points
     are neighbours, so a peak on either end is found.  Fewer than m maxima
     is flagged as under-resolution rather than raised; ties are broken by
-    grid index so the output is deterministic.
+    grid index so the output is deterministic.  A refined estimate is the
+    vertex of the parabola through the MUSIC denominator 1 / spectrum at the
+    peak and its two neighbours (Jacobsen & Kootsookos, IEEE SPM 2007): with
+    p = s[i - 1] / s[i] and q = s[i + 1] / s[i], it lies
+    (q - p) / (2 (p + q - 2 p q)) grid steps off the peak, at most half a
+    step, wrapped into [-0.5, 0.5).  The ratios stay finite where
+    1 / spectrum overflows at a clipped null.  A grid of another length than
+    the spectrum, or a NaN or negative spectrum value, is refused.
     """
     _check_count(m, "source count")
-    spec = result.spectrum
+    spec = np.asarray(result.spectrum)
+    grid = np.asarray(result.grid)
+    if spec.ndim != 1 or grid.shape != spec.shape:
+        raise InvalidParameterError(
+            "need one grid point per spectrum value, got grid shape %s and "
+            "spectrum shape %s" % (grid.shape, spec.shape))
+    if len(spec) and not spec.min() >= 0.0:
+        raise InvalidParameterError(
+            "need a spectrum of non-negative numbers, without NaN")
+    return _picked(grid, spec, m)
+
+
+# Offsets of each peak's two neighbours in the padded ring of _picked.
+_SIDES = np.array([[0], [2]])
+
+
+def _picked(grid, spec, m):
+    """pick_peaks after its checks; with at most m maxima, none is sorted."""
     ring = np.concatenate((spec[-1:], spec, spec[:1]))
-    maxima = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
-    order = np.argsort(spec[maxima], kind="stable")[::-1]
-    chosen = np.sort(maxima[order[:m]])
-    estimates = tuple(result.grid[chosen])
-    under = len(chosen) < m
-    return MusicResult(grid=result.grid, spectrum=spec,
-                       estimates=estimates, under_resolved=under)
+    chosen = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
+    if len(chosen) > m:
+        order = np.argsort(spec[chosen], kind="stable")[::-1]
+        chosen = np.sort(chosen[order[:m]])
+    estimates = grid[chosen]
+    pq = ring[chosen + _SIDES] / spec[chosen]
+    p, q = pq[0], pq[1]
+    # p + q - 2 p q >= |q - p|, so where it is 0 the shift is 0 / tiny.
+    shift = (q - p) / np.maximum(p + q - 2.0 * p * q, _TINY)
+    refined = (estimates + shift * (0.5 / len(spec))).tolist()
+    if refined and refined[0] < -0.5:
+        refined[0] += 1.0
+    return MusicResult(grid=grid, spectrum=spec,
+                       estimates=tuple(estimates.tolist()),
+                       refined=tuple(refined), under_resolved=len(chosen) < m)
 
 
 def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
@@ -632,8 +672,9 @@ def _estimates(s, r, m, grid_size):
         raise InvalidParameterError(
             "need a Hermitian covariance: its lag-0 mean %r is not real"
             % cols[bad[0], 0])
-    for result in _spectra(_gather_real_forms(cols), m, grid_size):
-        yield pick_peaks(result, m)
+    grid = _grid(grid_size)
+    for spectrum in _spectra(_gather_real_forms(cols), m, grid_size):
+        yield _picked(grid, spectrum, m)
 
 
 @lru_cache(maxsize=_SHIFT_CACHE_SIZE)
@@ -668,13 +709,16 @@ def _sorted_rmse(estimates, tru):
 class TrialBatchResult:
     """Aggregate Monte-Carlo outcome for one array/scene configuration.
 
-    ``first_trial`` is trial 0's full MusicResult (spectrum and picked
-    peaks); only that one spectrum is kept.
+    ``per_trial_estimates`` are each trial's grid peaks and
+    ``per_trial_refined`` the refined ones (see pick_peaks), which the RMSEs
+    score.  ``first_trial`` is trial 0's full MusicResult (spectrum and
+    picked peaks); only that one spectrum is kept.
     """
 
     rmse: float
     per_trial_rmse: tuple
     per_trial_estimates: tuple
+    per_trial_refined: tuple
     resolved_trials: int
     trials: int
     seed: int
@@ -692,8 +736,9 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     the result does not depend on evaluation order.  The model covariance
     is factored once per batch and every trial draws its snapshots from
     that factor; the MUSIC stages run on groups of trials (see the module
-    docstring).  Each trial's estimates equal, bit for bit, those of
-    simulate -> sample_covariance -> estimate_doas at its seed.  The
+    docstring).  Each trial's estimates and refined estimates equal, bit
+    for bit, those of simulate -> sample_covariance -> estimate_doas at its
+    seed.  Each trial is scored on its refined estimates, and the
     aggregate RMSE pools squared errors of all resolved trials, with
     estimates matched to the truth in sorted order around the circle (the
     cyclic shift with the least error) and errors wrapped to the nearest
@@ -709,6 +754,7 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     children = np.random.SeedSequence(seed).spawn(trials)
     per_rmse = []
     per_est = []
+    per_refined = []
     resolved = 0
     pooled_sq = []
     first = None
@@ -720,17 +766,19 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
             if first is None:
                 first = result
             per_est.append(result.estimates)
+            per_refined.append(result.refined)
             if result.under_resolved:
                 per_rmse.append(float("inf"))
                 continue
             resolved += 1
-            trial_rmse = _sorted_rmse(result.estimates, tru)
+            trial_rmse = _sorted_rmse(result.refined, tru)
             per_rmse.append(trial_rmse)
             pooled_sq.append(trial_rmse ** 2)
     rmse = float(np.sqrt(np.mean(pooled_sq))) if pooled_sq else float("inf")
     return TrialBatchResult(rmse=rmse,
                             per_trial_rmse=tuple(per_rmse),
                             per_trial_estimates=tuple(per_est),
+                            per_trial_refined=tuple(per_refined),
                             resolved_trials=resolved,
                             trials=trials,
                             seed=seed,

@@ -213,7 +213,8 @@ def cmd_music(args):
     # no resolved trial, are written as null.
     report = {"label": arr.label, "M": m, "snapshots": args.snapshots,
               "snr_db": args.snr if math.isfinite(args.snr) else None,
-              "seed": args.seed, "capacity": capacity, "override": override}
+              "seed": args.seed, "capacity": capacity, "override": override,
+              "grid_size": args.grid_size}
     if override:
         # Run one pass at full capacity and report the unavoidable
         # under-resolution.
@@ -232,6 +233,9 @@ def cmd_music(args):
             under_resolved=batch_result.resolved_trials < args.trials,
             resolved_fraction=batch_result.resolved_fraction)
 
+    # Trial 0's grid peaks and their off-grid refinements.
+    report.update(estimates=list(result.estimates),
+                  refined=list(result.refined))
     _write_spectrum_csv(out_dir / "spectrum.csv", result)
     _write_json(out_dir / "trial.json", report)
     _dump(report)

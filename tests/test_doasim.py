@@ -8,8 +8,8 @@ import pytest
 
 from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays import doasim
-from fractalarrays.doasim import (CapacityError, CoarrayHoleError,
-                                  MusicResult, SourceScene,
+from fractalarrays.doasim import (DEFAULT_GRID_SIZE, CapacityError,
+                                  CoarrayHoleError, MusicResult, SourceScene,
                                   _coarray_plan, _gather_real_forms,
                                   _lag_means, _real_form, _rmse,
                                   _sorted_rmse, _toeplitz,
@@ -504,8 +504,8 @@ def test_trial_batch_equals_the_step_by_step_chain(r, m, t, trials):
     # The benchmark replays each trial as simulate -> sample_covariance ->
     # estimate_doas at the spawned trial seed; run_trial_batch, which
     # factors the model covariance once per batch and runs the MUSIC stages
-    # on groups of trials, must give the same estimates, RMSEs and first
-    # spectrum bit for bit.
+    # on groups of trials, must give the same estimates, refined estimates,
+    # RMSEs (of the refined estimates) and first spectrum bit for bit.
     arr = make_sfa("nested", {"n": 6}, r)
     scene = random_scene(m, seed=40 + r, min_separation=0.01)
     result = run_trial_batch(arr, scene, t, trials, seed=77)
@@ -515,11 +515,12 @@ def test_trial_batch_equals_the_step_by_step_chain(r, m, t, trials):
         r_hat = sample_covariance(simulate(arr, scene, t, seed))
         chain.append(estimate_doas(arr, r_hat, m))
     tru = np.sort(scene.normalized_doas)
-    rmse = [float("inf") if c.under_resolved else _sorted_rmse(c.estimates,
+    rmse = [float("inf") if c.under_resolved else _sorted_rmse(c.refined,
                                                                 tru)
             for c in chain]
     pooled = [e ** 2 for e in rmse if e < float("inf")]
     assert result.per_trial_estimates == tuple(c.estimates for c in chain)
+    assert result.per_trial_refined == tuple(c.refined for c in chain)
     assert result.per_trial_rmse == tuple(rmse)
     assert result.rmse == float(np.sqrt(np.mean(pooled)))
     assert np.array_equal(result.first_trial.spectrum, chain[0].spectrum)
@@ -535,12 +536,13 @@ def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
     scene = random_scene(m, seed=r, min_separation=0.5 / m)
     stack = np.stack([sample_covariance(simulate(arr, scene, 300, seed))
                       for seed in range(g)])
-    stacked = list(doasim._estimates(arr, stack, m, 8192))
+    stacked = list(doasim._estimates(arr, stack, m, DEFAULT_GRID_SIZE))
     assert len(stacked) == g
     for row, r_hat in zip(stacked, stack):
         alone = estimate_doas(arr, r_hat, m)
         assert np.array_equal(row.spectrum, alone.spectrum)
         assert row.estimates == alone.estimates
+        _assert_same_bits(np.array(row.refined), np.array(alone.refined))
         assert row.under_resolved == alone.under_resolved
 
 
@@ -655,7 +657,7 @@ def test_expected_covariance_takes_the_real_path(positions, m, seed):
     assert np.array_equal(t, t.conj().T)
     assert np.array_equal(t, t[::-1, ::-1].conj())
     result = estimate_doas(arr, r, m)
-    grid, spectrum = ref_music_spectrum(t, m, 8192)
+    grid, spectrum = ref_music_spectrum(t, m, DEFAULT_GRID_SIZE)
     assert np.allclose(result.spectrum, spectrum, rtol=1e-5, atol=0)
     ref_peaks = pick_peaks(MusicResult(grid=grid, spectrum=spectrum), m)
     assert result.estimates == ref_peaks.estimates
@@ -901,6 +903,10 @@ def test_pick_peaks_under_resolution():
     picked = pick_peaks(MusicResult(grid=grid, spectrum=spec), 3)
     assert picked.under_resolved
     assert len(picked.estimates) == 1
+    # Symmetric neighbours: the refined estimate is the grid peak.
+    assert picked.refined == picked.estimates == (grid[1],)
+    flat = pick_peaks(MusicResult(grid=grid, spectrum=np.ones(8)), 2)
+    assert flat.under_resolved and flat.estimates == flat.refined == ()
 
 
 def test_pick_peaks_wraps_the_circular_grid():
@@ -912,6 +918,127 @@ def test_pick_peaks_wraps_the_circular_grid():
     assert picked.under_resolved
     assert pick_peaks(MusicResult(grid=grid, spectrum=spec[::-1]),
                       1).estimates == (grid[7],)
+
+
+def test_pick_peaks_refined_shifts_by_hand():
+    # With p = s[i - 1] / s[i] and q = s[i + 1] / s[i], the refined estimate
+    # is (q - p) / (2 (p + q - 2 p q)) grid steps off the peak: 0 for equal
+    # neighbours, and -0.25 steps for p = 0.5 and q = 0.25.
+    grid = np.linspace(-0.5, 0.5, 8, endpoint=False)
+    spec = np.array([0.1, 0.3, 0.9, 0.3, 0.1, 0.5, 1.0, 0.25])
+    picked = pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
+    assert picked.estimates == (grid[2], grid[6])
+    assert picked.refined == (grid[2], grid[6] - 0.25 / 8)
+
+
+def test_pick_peaks_refined_wraps_at_both_ends_of_the_grid():
+    # A peak at index 0 whose wrapped left neighbour is the larger one moves
+    # below -0.5 and is wrapped one turn up; a peak at index G - 1 reads
+    # index 0 as its right neighbour.
+    grid = np.linspace(-0.5, 0.5, 8, endpoint=False)
+    spec = np.array([1.0, 0.25, 0.1, 0.05, 0.02, 0.05, 0.1, 0.5])
+    first = pick_peaks(MusicResult(grid=grid, spectrum=spec), 1)
+    assert first.estimates == (-0.5,)
+    assert first.refined == (0.5 - 0.25 / 8,)
+    last = pick_peaks(MusicResult(grid=grid, spectrum=spec[::-1]), 1)
+    assert last.estimates == (grid[7],)
+    assert last.refined == (grid[7] + 0.25 / 8,)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 25, 40])
+def test_refined_estimates_stay_within_half_a_grid_step(dim):
+    t = _random_hermitian_toeplitz(dim, seed=300 + dim)
+    for grid_size in (64, 1024, DEFAULT_GRID_SIZE):
+        for m in sorted({1, dim // 2, dim - 1}):
+            picked = pick_peaks(music_spectrum(t, m, grid_size), m)
+            assert len(picked.refined) == len(picked.estimates) > 0
+            d = np.asarray(picked.refined) - np.asarray(picked.estimates)
+            d -= np.rint(d)
+            assert np.all(np.abs(d) < 0.5 / grid_size)
+            assert all(-0.5 <= x < 0.5 for x in picked.refined)
+
+
+@pytest.mark.parametrize("grid_size", [16, 4])
+def test_pick_peaks_refuses_a_grid_of_another_length(grid_size):
+    # On a 16-point grid the peak at index 1 of this 8-point spectrum was
+    # reported at -0.4375, not at -0.375; a 4-point grid raised a bare
+    # IndexError.
+    spec = np.array([0.1, 0.9, 0.1, 0.2, 0.1, 0.3, 0.1, 0.05])
+    grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+    with pytest.raises(InvalidParameterError, match="one grid point"):
+        pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
+
+
+@pytest.mark.parametrize("value", [np.nan, -0.1])
+def test_pick_peaks_refuses_a_nan_or_negative_spectrum(value):
+    # A NaN is no local maximum and no neighbour's match, so it dropped the
+    # peaks beside it without a word.
+    grid = np.linspace(-0.5, 0.5, 8, endpoint=False)
+    spec = np.array([0.1, 0.9, 0.1, 0.2, 0.1, 0.3, 0.1, 0.05])
+    spec[2] = value
+    with pytest.raises(InvalidParameterError, match="non-negative"):
+        pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
+
+
+@pytest.mark.parametrize("r, m", [(1, 5), (1, 24), (3, 40)],
+                         ids=["NFA12-5", "NFA12-24", "NFA48-40"])
+def test_noiseless_off_grid_sources_are_recovered(r, m):
+    # Sources 0.37 grid steps off the default grid: the grid peaks miss
+    # them by that much, the refined estimates do not.
+    arr = make_sfa("nested", {"n": 6}, r)
+    grid = np.linspace(-0.5, 0.5, DEFAULT_GRID_SIZE, endpoint=False)
+    doas = tuple(grid[7 + DEFAULT_GRID_SIZE * np.arange(m) // m]
+                 + 0.37 / DEFAULT_GRID_SIZE)
+    scene = SourceScene(doas, (1.0,) * m, 0.0)
+    result = estimate_doas(arr, expected_covariance(arr, scene), m)
+    assert not result.under_resolved
+    assert _rmse(result.estimates, doas) > 0.3 / DEFAULT_GRID_SIZE
+    assert _rmse(result.refined, doas) <= 1e-6
+
+
+def test_refinement_at_clipped_nulls_warns_of_nothing():
+    # Noiseless and on the grid, the MUSIC denominator of the 48-sensor NFA
+    # is clipped at the smallest normal float at every source; 1 / spectrum
+    # would overflow there, the neighbour ratios do not.
+    arr = make_sfa("nested", {"n": 6}, 3)
+    grid = np.linspace(-0.5, 0.5, DEFAULT_GRID_SIZE, endpoint=False)
+    doas = tuple(grid[25 + 50 * np.arange(40)])
+    scene = SourceScene(doas, (1.0,) * 40, 0.0)
+    with warnings.catch_warnings(), \
+            np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        result = estimate_doas(arr, expected_covariance(arr, scene), 40)
+    assert _rmse(result.estimates, doas) == 0.0
+    assert np.all(np.isfinite(result.refined))
+    assert _rmse(result.refined, doas) <= 1e-6
+
+
+def _resolves_two(nfa, separation, centre, grid_size):
+    """Whether each refined estimate of two noiseless sources lies closer to
+    its own source than half their separation."""
+    doas = (centre - separation / 2, centre + separation / 2)
+    scene = SourceScene(doas, (1.0, 1.0), 0.0)
+    result = estimate_doas(nfa, expected_covariance(nfa, scene), 2,
+                           grid_size)
+    return bool(np.max(np.abs(np.sort(result.refined) - doas))
+                < separation / 2)
+
+
+@pytest.mark.parametrize("grid_size", [DEFAULT_GRID_SIZE, 8192])
+def test_noiseless_two_source_resolution_limit(nfa, grid_size):
+    # Two noiseless sources are told apart once a grid point falls between
+    # their two MUSIC nulls.  That takes 1.4 grid steps when their midpoint
+    # is a grid point and 2.25 when it is halfway between two, on any grid:
+    # 1.1e-3 on the default grid, 2.7e-4 at 8192 points.
+    step = 1.0 / grid_size
+    on = np.linspace(-0.5, 0.5, grid_size, endpoint=False)[grid_size // 2
+                                                          + 205]
+    for phase in (0.0, 0.25, 0.5, 0.75):
+        centre = on + phase * step
+        assert _resolves_two(nfa, 2.3 * step, centre, grid_size)
+        assert not _resolves_two(nfa, 1.35 * step, centre, grid_size)
+    assert _resolves_two(nfa, 1.45 * step, on, grid_size)
+    assert not _resolves_two(nfa, 2.2 * step, on + 0.5 * step, grid_size)
 
 
 def test_noiseless_source_on_the_first_grid_point_is_exact(nfa):
@@ -952,7 +1079,8 @@ def test_trial_batch_keeps_first_trial(nfa):
     result = run_trial_batch(nfa, scene, 200, 3, seed=99)
     first = result.first_trial
     assert first.estimates == result.per_trial_estimates[0]
-    assert first.spectrum.shape == first.grid.shape == (8192,)
+    assert first.refined == result.per_trial_refined[0]
+    assert first.spectrum.shape == first.grid.shape == (DEFAULT_GRID_SIZE,)
     r = sample_covariance(simulate(
         nfa, scene, 200,
         np.random.default_rng(np.random.SeedSequence(99).spawn(1)[0])
@@ -990,26 +1118,31 @@ def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
 def test_trial_batch_rmse_wraps_around_the_circle(nfa):
     # The source just below 0.5 is picked at -0.5, less than one grid step
     # away on the circle; matched in linear sorted order it counted as an
-    # error of almost 1 (RMSE 0.337).
+    # error of almost 1 (RMSE 0.337).  Its refined estimate, below -0.5, is
+    # wrapped one turn up, next to the source.
     scene = SourceScene((-0.2, 0.1, 0.49995), (1.0,) * 3, 0.0)
-    result = estimate_doas(nfa, expected_covariance(nfa, scene), 3)
-    assert not result.under_resolved
-    assert result.estimates[0] == -0.5
-    assert _rmse(result.estimates, scene.normalized_doas) < 1 / 8192
+    for grid_size in (DEFAULT_GRID_SIZE, 8192):
+        result = estimate_doas(nfa, expected_covariance(nfa, scene), 3,
+                               grid_size)
+        assert not result.under_resolved
+        assert result.estimates[0] == -0.5
+        assert _rmse(result.estimates, scene.normalized_doas) < 1 / grid_size
+        assert 0.49 < result.refined[0] < 0.5
+        assert _rmse(result.refined, scene.normalized_doas) < 1e-6
 
 
 def test_trial_batch_rmse_against_linear_sorted_matching(nfa):
-    # The circular RMSE never exceeds the linear sorted-order one, and it is
-    # the same number, bit for bit, when every estimate lies within half the
-    # smallest circular gap between truths of its own truth: then every
-    # other cyclic shift makes each error larger.
+    # The circular RMSE of the refined estimates never exceeds the linear
+    # sorted-order one, and it is the same number, bit for bit, when every
+    # estimate lies within half the smallest circular gap between truths of
+    # its own truth: then every other cyclic shift makes each error larger.
     checked = 0
     for scene_seed in range(6):
         scene = random_scene(6, seed=scene_seed)
         tru = np.sort(np.asarray(scene.normalized_doas))
         gap = np.min(np.diff(np.append(tru, tru[0] + 1.0)))
         result = run_trial_batch(nfa, scene, 100, 4, seed=scene_seed)
-        for est, rmse in zip(result.per_trial_estimates,
+        for est, rmse in zip(result.per_trial_refined,
                              result.per_trial_rmse):
             if len(est) < len(tru):
                 continue

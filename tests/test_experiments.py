@@ -6,7 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from fractalarrays.doasim import (MusicResult, estimate_doas, pick_peaks,
+from fractalarrays.doasim import (DEFAULT_GRID_SIZE, MusicResult,
+                                  estimate_doas, pick_peaks,
                                   random_scene, run_trial_batch,
                                   sample_covariance, simulate)
 from fractalarrays.experiments import PAPER_CASES, main
@@ -231,6 +232,23 @@ def test_music_spectrum_csv_is_trial_zero_of_the_batch(capsys, tmp_path):
     batch = run_trial_batch(arr, scene, 200, 3, 5, grid_size=2048)
     assert peaks == tuple(float("%.8f" % e)
                           for e in batch.per_trial_estimates[0])
+
+
+def test_music_report_names_the_grid_and_trial_zero_peaks(capsys, tmp_path):
+    # Without --grid-size the report states the default grid, and trial 0's
+    # grid peaks and refined estimates are run_trial_batch's.
+    code, out, _ = run(capsys, "music", "--kind", "sfa", "--sub", "nested",
+                       "--n", "6", "--sources", "6", "--snapshots", "200",
+                       "--trials", "3", "--seed", "5",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["grid_size"] == DEFAULT_GRID_SIZE
+    arr = make_sfa("nested", {"n": 6}, 1)
+    scene = random_scene(6, 5, snr_db=0.0)
+    batch = run_trial_batch(arr, scene, 200, 3, 5)
+    assert tuple(report["estimates"]) == batch.per_trial_estimates[0]
+    assert tuple(report["refined"]) == batch.per_trial_refined[0]
 
 
 def test_music_capacity_guard(capsys, tmp_path):
