@@ -604,9 +604,13 @@ def pick_peaks(result, m):
     peak and its two neighbours (Jacobsen & Kootsookos, IEEE SPM 2007): with
     p = s[i - 1] / s[i] and q = s[i + 1] / s[i], it lies
     (q - p) / (2 (p + q - 2 p q)) grid steps off the peak, at most half a
-    step, wrapped into [-0.5, 0.5).  The ratios stay finite where
-    1 / spectrum overflows at a clipped null.  A grid of another length than
-    the spectrum, or a NaN or negative spectrum value, is refused.
+    step.  The step is grid[1] - grid[0], and a refined estimate below
+    grid[0] wraps up by G steps, into [-0.5, 0.5) on the theta' grid: so
+    ``refined`` assumes a uniform grid over one period of the spectrum, as
+    music_spectrum's is; ``estimates`` assumes nothing.  The ratios stay
+    finite where 1 / spectrum overflows at a clipped null.  A grid of
+    another length than the spectrum, or a NaN or negative spectrum value,
+    is refused.
     """
     _check_count(m, "source count")
     spec = np.asarray(result.spectrum)
@@ -626,20 +630,21 @@ _SIDES = np.array([[0], [2]])
 
 
 def _picked(grid, spec, m):
-    """pick_peaks after its checks; with at most m maxima, none is sorted."""
+    """pick_peaks after its checks."""
     ring = np.concatenate((spec[-1:], spec, spec[:1]))
     chosen = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
-    if len(chosen) > m:
-        order = np.argsort(spec[chosen], kind="stable")[::-1]
-        chosen = np.sort(chosen[order[:m]])
+    order = np.argsort(spec[chosen], kind="stable")[::-1]
+    chosen = np.sort(chosen[order[:m]])
     estimates = grid[chosen]
     pq = ring[chosen + _SIDES] / spec[chosen]
     p, q = pq[0], pq[1]
     # p + q - 2 p q >= |q - p|, so where it is 0 the shift is 0 / tiny.
     shift = (q - p) / np.maximum(p + q - 2.0 * p * q, _TINY)
-    refined = (estimates + shift * (0.5 / len(spec))).tolist()
-    if refined and refined[0] < -0.5:
-        refined[0] += 1.0
+    step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.0
+    refined = (estimates + shift * (0.5 * step)).tolist()
+    # Only a peak on the first point can move below the grid's start.
+    if refined and refined[0] < grid[0]:
+        refined[0] += len(spec) * step
     return MusicResult(grid=grid, spectrum=spec,
                        estimates=tuple(estimates.tolist()),
                        refined=tuple(refined), under_resolved=len(chosen) < m)

@@ -19,7 +19,8 @@ import pytest
 
 from fractalarrays.coarray import (coarrays_equal, difference_coarray,
                                    summarize)
-from fractalarrays.doasim import (SourceScene, run_trial_batch)
+from fractalarrays.doasim import (DEFAULT_GRID_SIZE, SourceScene,
+                                  run_trial_batch)
 from fractalarrays.experiments import KNOWN_REFUTED, PAPER_CASES, main
 from fractalarrays.geometry import (SensorArray, gen_cantor, gen_nested,
                                     gen_super_nested, make_sfa)
@@ -229,12 +230,15 @@ def test_criterion9_music_statistical():
 def test_criterion10_noiseless_exactness():
     def check():
         nfa = make_sfa("nested", {"n": 6}, 1)
-        grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
-        doas = tuple(grid[[700, 2300, 4100, 5900, 7600]])
-        scene = SourceScene(doas, (1.0,) * 5, 0.0)
-        result = estimate_doas(nfa, expected_covariance(nfa, scene), 5)
-        assert not result.under_resolved
-        assert _rmse(result.estimates, doas) == 0.0
+        for grid_size in (DEFAULT_GRID_SIZE, 8192):
+            grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+            index = np.array([700, 2300, 4100, 5900, 7600])
+            doas = tuple(grid[index * grid_size // 8192])
+            scene = SourceScene(doas, (1.0,) * 5, 0.0)
+            result = estimate_doas(nfa, expected_covariance(nfa, scene), 5,
+                                   grid_size)
+            assert not result.under_resolved
+            assert _rmse(result.estimates, doas) == 0.0
     _report("10 noiseless on-grid expected-covariance RMSE exactly 0",
             check)
 

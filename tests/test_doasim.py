@@ -945,6 +945,23 @@ def test_pick_peaks_refined_wraps_at_both_ends_of_the_grid():
     assert last.refined == (grid[7] + 0.25 / 8,)
 
 
+def test_pick_peaks_refines_on_the_grid_it_is_given(nfa):
+    # The step and the wrap come from the grid, so the same spectrum on a
+    # grid over [0, 1) or in degrees gives the same refined estimates, moved
+    # or scaled with the grid.
+    scene = SourceScene((-0.2, 0.1, 0.3, 0.4999), (1.0,) * 4, 0.0)
+    result = estimate_doas(nfa, expected_covariance(nfa, scene), 4, 64)
+    assert result.estimates[0] == -0.5 and result.refined[0] > 0.49
+    for grid, turn in ((result.grid + 0.5, lambda x: (x + 0.5) % 1.0),
+                       (result.grid * 360.0, lambda x: x * 360.0)):
+        moved = pick_peaks(MusicResult(grid=grid, spectrum=result.spectrum),
+                           4)
+        assert moved.estimates == tuple(grid[np.searchsorted(
+            result.grid, result.estimates)])
+        assert np.allclose(moved.refined, turn(np.asarray(result.refined)),
+                           rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("dim", [2, 5, 12, 25, 40])
 def test_refined_estimates_stay_within_half_a_grid_step(dim):
     t = _random_hermitian_toeplitz(dim, seed=300 + dim)
@@ -1042,13 +1059,15 @@ def test_noiseless_two_source_resolution_limit(nfa, grid_size):
 
 
 def test_noiseless_source_on_the_first_grid_point_is_exact(nfa):
-    grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
-    scene = SourceScene(tuple(grid[[0, 2400, 4000, 5600, 7200]]),
-                        (1.0,) * 5, 0.0)
-    result = estimate_doas(nfa, expected_covariance(nfa, scene), 5)
-    assert not result.under_resolved
-    assert _rmse(result.estimates, scene.normalized_doas) == 0.0
-    assert result.estimates[0] == -0.5
+    for grid_size in (DEFAULT_GRID_SIZE, 8192):
+        grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+        index = np.array([0, 2400, 4000, 5600, 7200]) * grid_size // 8192
+        scene = SourceScene(tuple(grid[index]), (1.0,) * 5, 0.0)
+        result = estimate_doas(nfa, expected_covariance(nfa, scene), 5,
+                               grid_size)
+        assert not result.under_resolved
+        assert _rmse(result.estimates, scene.normalized_doas) == 0.0
+        assert result.estimates[0] == -0.5
 
 
 def test_estimate_doas_noiseless_multi(nfa):
@@ -1096,23 +1115,28 @@ def test_trial_batch_rejects_bad_arguments(nfa):
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):
-    grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
-    doas = tuple(grid[[800, 2400, 4000, 5600, 7200]])
-    scene = SourceScene(doas, (1.0,) * 5, 0.0)
-    result = estimate_doas(nfa, expected_covariance(nfa, scene), 5)
-    assert not result.under_resolved
-    assert _rmse(result.estimates, doas) == 0.0
+    for grid_size in (DEFAULT_GRID_SIZE, 8192):
+        grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+        index = np.array([800, 2400, 4000, 5600, 7200]) * grid_size // 8192
+        doas = tuple(grid[index])
+        scene = SourceScene(doas, (1.0,) * 5, 0.0)
+        result = estimate_doas(nfa, expected_covariance(nfa, scene), 5,
+                               grid_size)
+        assert not result.under_resolved
+        assert _rmse(result.estimates, doas) == 0.0
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
     # 40 sources on the 48-sensor NFA (dim 181), noiseless and on the grid.
     arr = make_sfa("nested", {"n": 6}, 3)
-    grid = np.linspace(-0.5, 0.5, 8192, endpoint=False)
-    scene = SourceScene(tuple(grid[100 + 200 * np.arange(40)]),
-                        (1.0,) * 40, 0.0)
-    result = estimate_doas(arr, expected_covariance(arr, scene), 40)
-    assert not result.under_resolved
-    assert _rmse(result.estimates, scene.normalized_doas) == 0.0
+    for grid_size in (DEFAULT_GRID_SIZE, 8192):
+        grid = np.linspace(-0.5, 0.5, grid_size, endpoint=False)
+        index = (100 + 200 * np.arange(40)) * grid_size // 8192
+        scene = SourceScene(tuple(grid[index]), (1.0,) * 40, 0.0)
+        result = estimate_doas(arr, expected_covariance(arr, scene), 40,
+                               grid_size)
+        assert not result.under_resolved
+        assert _rmse(result.estimates, scene.normalized_doas) == 0.0
 
 
 def test_trial_batch_rmse_wraps_around_the_circle(nfa):
