@@ -23,31 +23,27 @@ draws every trial from the same F.
 
 Everything that depends only on the array (the coarray plan: the
 ordered-pair lag bins and the coarray summary) or only on a size (the
-theta' grid, the diagonal bins of a dim x dim matrix, the gather index of
-the real form, the folding bins of a grid and the cyclic shifts of the
-RMSE) is computed once and kept in small, bounded, read-only caches, so a
-Monte-Carlo batch pays for it on its first trial.  Every complex sum is one
-np.bincount over the float view of its terms.  estimate_doas goes from the
-covariance to the lag means, and from the lag means of the central
-segment straight to the real symmetric form of the Toeplitz matrix
-(below) by one gather, without forming the complex matrix.  The public
-coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain forms
-it and gives the same spectrum and estimates bit for bit.
+theta' grid, the Toeplitz gather index, the diagonal bins of a dim x dim
+matrix and the cyclic shifts of the RMSE) is computed once and kept in
+small, bounded, read-only caches, so a Monte-Carlo batch pays for it on its
+first trial.  Every complex sum is one np.bincount over the float view of
+its terms.  estimate_doas runs the stages of the public
+coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain, the
+same functions on arrays: lag means, Toeplitz gather, real form (below).
 
 These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
 consecutive trials (52 at dim 25, one at dim 181), each drawn alone.  Per
-group the lag means, the real forms, eigh, the projectors and their
-diagonal sums run once; the fold, FFT, peaks and RMSE run per trial, so no
-spectra are stacked.  Every sum keeps its terms and their order, so the
-estimates are bit for bit those of a trial alone.
+group the lag means, the Toeplitz matrices, their real forms, eigh, the
+projectors and their diagonal sums run once; the FFT, peaks and RMSE run
+per trial, so no spectra are stacked.  Every sum keeps its terms and their
+order, so the estimates are bit for bit those of a trial alone.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
 Barabell 1983), so it is evaluated on the whole grid by one half-length
 Hermitian FFT (np.fft.hfft) of its coefficients instead of a
-dim x grid_size steering-matrix product; only the half of the folded
-coefficient sequence that hfft reads is summed.
+dim x grid_size steering-matrix product.
 
 The augmented matrix is Hermitian Toeplitz, hence centro-Hermitian
 (J conj(T) J = T with J the exchange matrix), and such a matrix is
@@ -74,9 +70,8 @@ from .coarray import CoarraySummary, difference_coarray, summarize
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
 # The per-dim entries at dim 181: the diagonal bins hold 3 dim (dim + 1) / 2
-# integers (393 kB) and the real-form gather 2 dim**2 (512 kB); a folding
-# entry holds at most 3 (2 dim - 1) integers (9 kB), and a shift entry m**2
-# (29 kB at m = 60).
+# integers (393 kB) and the Toeplitz index dim**2 (262 kB); a shift entry
+# holds m**2 integers (29 kB at m = 60).
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
 _DIAGONAL_CACHE_SIZE = 4
@@ -134,9 +129,11 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
                  grid_size=DEFAULT_GRID_SIZE):
     """Equal-power random scene with a minimum DOA separation.
 
-    The default separation of two grid steps keeps neighbouring sources
-    from merging into one pseudospectrum peak.  SNR is per source against
-    unit source power, so SNR 0 dB means sigma_i^2 = sigma^2 = 1.
+    The default separation is three grid steps, above the 1.4 to 2.25 steps
+    at which two noiseless sources start to resolve on the grid, depending
+    on where it falls between them.  SNR is per source against unit source
+    power, so SNR 0 dB means sigma_i^2 = sigma^2 = 1.  The seed must be a
+    non-negative integer.
 
     The separation holds on the circle: the last source and the first one,
     one turn on, are at least min_separation apart too, so m sources fit
@@ -151,8 +148,9 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     """
     _check_count(m, "source count")
     _check_count(grid_size, "grid size")
+    _check_seed(seed)
     if min_separation is None:
-        min_separation = 2.0 / grid_size
+        min_separation = 3.0 / grid_size
     if not min_separation >= 0:
         raise InvalidParameterError("need a non-negative separation")
     pad = 4 * np.finfo(float).eps
@@ -236,58 +234,14 @@ def _diagonal_bins(dim):
     return take, _interleaved(p - q)
 
 
-@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
-def _fold_bins(dim, grid_size):
-    """The entries of the Hermitian sequence y_k, k = 1 - dim .. dim - 1,
-    that fold modulo grid_size into bins 0 .. grid_size // 2, the half that
-    np.fft.hfft reads, in sequence order; and their _interleaved bins.
-    Both read-only."""
-    bins = np.arange(1 - dim, dim) % grid_size
-    take = np.flatnonzero(bins <= grid_size // 2)
-    take.flags.writeable = False
-    return take, _interleaved(bins[take])
-
-
-@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
-def _real_form_index(dim):
-    """Read-only 2 x dim**2 gather index of _real_form(T) for the Hermitian
-    Toeplitz T with first column col: S.ravel() is v[i1] + v[i2], with
-    v = [col.view(float), -col.view(float), (sqrt 2 conj(col)).view(float),
-    -0.0] as _gather_real_forms lays it out.
-
-    Every entry of _real_form is a sum or difference of the real or
-    imaginary parts of two entries of T, or, on the middle row and column
-    of an odd n, one part of sqrt 2 T[p, k] or Re T[k, k]; x - y is x + (-y)
-    in IEEE arithmetic, and x + (-0.0) is x, sign of zero included, so the
-    gather gives its S bit for bit.  With n = dim, k = n // 2 and p, q < k,
-    T[p, q] is col[p - q] for p >= q and conj(col[q - p]) otherwise, and
-    T[p, n - 1 - q] is conj(col[n - 1 - p - q]).
-    """
-    n, k = dim, dim // 2
-    neg, mid, pad = 2 * n, 4 * n, 6 * n
-    p = np.arange(k)[:, None]
-    q = np.arange(k)[None, :]
-    lag = 2 * np.abs(p - q)           # Re col[|p - q|] in v
-    anti = 2 * (n - 1 - p - q)        # Re col[n - 1 - p - q] in v
-    lower = p >= q
-    im_a = np.where(lower, lag + 1, neg + lag + 1)          # Im T[p, q]
-    neg_im_a = np.where(lower, neg + lag + 1, lag + 1)      # -Im T[p, q]
-    i1 = np.full((n, n), pad)
-    i2 = np.full((n, n), pad)
-    # [[Re A + Re BJ, Im BJ - Im A], [Im A + Im BJ, Re A - Re BJ]].
-    i1[:k, :k], i2[:k, :k] = lag, anti
-    i1[:k, n - k:], i2[:k, n - k:] = neg + anti + 1, neg_im_a
-    i1[n - k:, :k], i2[n - k:, :k] = im_a, neg + anti + 1
-    i1[n - k:, n - k:], i2[n - k:, n - k:] = lag, neg + anti
-    if n % 2:
-        # The middle row and column: sqrt 2 T[p, k] = sqrt 2 conj(col[k - p]).
-        at = mid + 2 * (k - np.arange(k))
-        i1[:k, k] = i1[k, :k] = at
-        i1[n - k:, k] = i1[k, n - k:] = at + 1
-        i1[k, k] = 0
-    index = np.stack((i1.ravel(), i2.ravel()))
-    index.flags.writeable = False
-    return index
+def _check_seed(seed):
+    """Refuse a seed that is not a non-negative integer.  None, which would
+    draw from fresh entropy that no record can repeat, and a bool (True is
+    an int to Python) are refused, not coerced; numpy integers are taken."""
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or seed < 0):
+        raise InvalidParameterError(
+            "seed must be a non-negative integer, got %r" % (seed,))
 
 
 def _snapshot_factor(s, scene):
@@ -316,9 +270,10 @@ def simulate(s, scene, t, seed):
     CN(0, R) with R = expected_covariance(s, scene).  They are drawn in
     that law as Y = F Z, with F F^H = R / 2 and Z an N x T matrix of
     complex numbers whose real and imaginary parts are independent standard
-    normals.  Deterministic for a given seed.
+    normals.  Deterministic for a given seed, a non-negative integer.
     """
     _check_count(t, "snapshot count")
+    _check_seed(seed)
     return _draw(_snapshot_factor(s, scene), t, seed)
 
 
@@ -359,6 +314,7 @@ class _CoarrayPlan:
     zero: int
 
 
+@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
 def _toeplitz_index(u):
     """Read-only (u+1) x (u+1) index p - q + u: entry (p, q) of the
     Toeplitz matrix is entry p - q + u of its 2u+1 values, lags -u .. u."""
@@ -417,10 +373,11 @@ def _lag_means(r, s):
 
 def _toeplitz(col, index):
     """T[p, q] = col[p - q] for p >= q and conj(col[q - p]) for p < q,
-    gathered through index = _toeplitz_index(len(col) - 1)."""
-    # values[u + k] is col[k] for k >= 0 and conj(col[-k]) for k < 0.
-    values = np.concatenate((col[:0:-1].conj(), col))
-    return values[index]
+    gathered through index = _toeplitz_index(col.shape[-1] - 1); for a
+    g x dim stack of first columns, the g x dim x dim stack of matrices."""
+    # values[..., u + k] is col[k] for k >= 0 and conj(col[-k]) for k < 0.
+    values = np.concatenate((col[..., :0:-1].conj(), col), axis=-1)
+    return values[..., index]
 
 
 def coarray_autocorrelation(r, s):
@@ -443,9 +400,8 @@ def toeplitz_augment(ac, ula_segment):
     ``ula_segment`` is the symmetric interval (-u, u); every lag in it must
     be present in the autocorrelation map.  Only the lags 0 .. u are read:
     the entries above the diagonal are their conjugates, so T is exactly
-    Hermitian.  estimate_doas does not form T: it gathers the real form
-    that music_spectrum takes of T straight from the same lag means, bit
-    for bit the same.
+    Hermitian.  estimate_doas builds T from the same lag means by the same
+    gather, on a stack of covariances at once.
     """
     lo, hi = ula_segment
     if lo != -hi or hi < 0:
@@ -471,47 +427,33 @@ def _real_form(t):
     A = t[:k, :k] and BJ = t[:k, n-k:] J,
     S = [[Re A + Re BJ, Im BJ - Im A], [Im A + Im BJ, Re A - Re BJ]], and
     for odd n the middle row and column are sqrt 2 Re and sqrt 2 Im of
-    t[:k, k], crossing at Re t[k, k].
+    t[:k, k], crossing at Re t[k, k].  A stack of matrices gives the stack
+    of their real forms, each by the same arithmetic as alone.
     """
-    n = t.shape[0]
+    n = t.shape[-1]
     k = n // 2
-    a = t[:k, :k]
-    bj = t[:k, n - k:][:, ::-1]
-    s = np.empty((n, n))
-    s[:k, :k] = a.real + bj.real
-    s[:k, n - k:] = bj.imag - a.imag
-    s[n - k:, :k] = a.imag + bj.imag
-    s[n - k:, n - k:] = a.real - bj.real
+    a = t[..., :k, :k]
+    bj = t[..., :k, n - k:][..., ::-1]
+    s = np.empty(t.shape)
+    s[..., :k, :k] = a.real + bj.real
+    s[..., :k, n - k:] = bj.imag - a.imag
+    s[..., n - k:, :k] = a.imag + bj.imag
+    s[..., n - k:, n - k:] = a.real - bj.real
     if n % 2:
-        mid = np.sqrt(2.0) * t[:k, k]
-        s[:k, k] = s[k, :k] = mid.real
-        s[n - k:, k] = s[k, n - k:] = mid.imag
-        s[k, k] = t[k, k].real
+        mid = np.sqrt(2.0) * t[..., :k, k]
+        s[..., :k, k] = s[..., k, :k] = mid.real
+        s[..., n - k:, k] = s[..., k, n - k:] = mid.imag
+        s[..., k, k] = t[..., k, k].real
     return s
-
-
-def _gather_real_forms(cols):
-    """_real_form of each Hermitian Toeplitz matrix whose first column col
-    is a row of cols (col[0] real), g x dim x dim, straight from the cols
-    through _real_form_index, bit for bit the same S."""
-    g, dim = cols.shape
-    parts = cols.view(float)
-    v = np.concatenate((parts, -parts,
-                        (np.sqrt(2.0) * cols.conj()).view(float),
-                        np.full((g, 1), -0.0)), axis=1)
-    i1, i2 = _real_form_index(dim)
-    s = v[:, i1]
-    s += v[:, i2]
-    return s.reshape(g, dim, dim)
 
 
 def _spectra(s, m, grid_size):
     """MUSIC pseudospectra from the real symmetric forms s (g x dim x dim)
     of augmented matrices, one spectrum array at a time, as music_spectrum
     describes: the noise eigenvectors of s mapped back by Q, the diagonal
-    sums of their projectors, the folded Hermitian sequence and one
-    np.fft.hfft, normalised to peak at 1.  Up to the diagonal sums each
-    stage runs once on the whole stack."""
+    sums of their projectors and one np.fft.hfft of the Hermitian
+    sequence, normalised to peak at 1.  Up to the diagonal sums each stage
+    runs once on the whole stack."""
     g, dim, _ = s.shape
     _, vecs = np.linalg.eigh(s)
     # Q v for the noise eigenvectors v, with the Q of _real_form.
@@ -529,14 +471,11 @@ def _spectra(s, m, grid_size):
     take, bins = _diagonal_bins(dim)
     ys = _complex_bincount(bins, proj.reshape(g, -1)[:, take], dim)
     ys[:, 1::2] *= -1.0
-    fold_take, fold_bins = _fold_bins(dim, grid_size)
+    # The least multiple c G of the grid size that holds all 2 dim - 1
+    # lags; every c-th point of that DFT is a grid point.
+    c = -(-(2 * dim - 1) // grid_size)
     for y in ys:
-        # y_k at k and conj(y_k) at -k, folded modulo grid_size; only the
-        # bins 0 .. grid_size // 2 that hfft reads are summed.
-        both = np.concatenate((y[:0:-1].conj(), y))
-        herm = _complex_bincount(fold_bins, both.take(fold_take)[None],
-                                 grid_size // 2 + 1)[0]
-        spectrum = np.fft.hfft(herm, grid_size)
+        spectrum = np.fft.hfft(y, c * grid_size)[::c]
         np.maximum(spectrum, _TINY, out=spectrum)
         np.divide(1.0, spectrum, out=spectrum)
         spectrum /= spectrum.max()
@@ -564,12 +503,11 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     On grid point g, theta = -0.5 + g / grid_size, so it is the
     length-grid_size DFT of the Hermitian sequence y_0 = c_0,
     y_k = (-1)^k c_k and y_{-k} = conj(y_k), a real DFT.  np.fft.hfft
-    computes it from the sequence's first grid_size // 2 + 1 entries, about
-    half the work of a complex FFT.  Folding the sequence modulo grid_size
-    first keeps it Hermitian, which makes this exact for any grid size,
-    including one smaller than 2 dim - 1; only the entries that fold into
-    those first grid_size // 2 + 1 bins are summed.  estimate_doas runs the
-    same steps from a real form gathered straight from the lag means.
+    computes it from y_0 .. y_{dim-1}, zero-padded, about half the work of
+    a complex FFT.  A grid of fewer than 2 dim - 1 points cannot hold the
+    sequence, so the DFT is taken on the least multiple c grid_size that
+    does, and every c-th point of it is read.
+    estimate_doas runs the same steps on a stack of one.
     """
     t = np.asarray(t)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -654,10 +592,9 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     """Full coarray-MUSIC pass from a covariance matrix to DOA estimates.
 
     The lag means of r over the central segment, lags 0 .. u, are the first
-    column col of the Hermitian Toeplitz matrix T that toeplitz_augment
-    builds; the real symmetric form of T that music_spectrum decomposes is
-    gathered from col directly, without forming T, and is bit for bit the
-    same.  So this gives the spectrum and estimates of the public chain
+    column of the Hermitian Toeplitz matrix T that toeplitz_augment
+    builds, by the same gather, and music_spectrum's stages run on T; so
+    this gives the spectrum and estimates of the public chain
     coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
     pick_peaks bit for bit.  A covariance whose lag-0 mean is not real, of
     which T would not be Hermitian, is refused, as music_spectrum refuses
@@ -671,14 +608,16 @@ def _estimates(s, r, m, grid_size):
     """estimate_doas on each covariance of the g x N x N stack r, one
     result at a time, after the checks of _music_summary."""
     plan, means = _lag_means(r, s)
-    cols = means[:, plan.zero:plan.zero + plan.summary.max_sources + 1]
+    u = plan.summary.max_sources
+    cols = means[:, plan.zero:plan.zero + u + 1]
     bad = np.flatnonzero(cols[:, 0].imag)
     if len(bad):
         raise InvalidParameterError(
             "need a Hermitian covariance: its lag-0 mean %r is not real"
             % cols[bad[0], 0])
+    t = _toeplitz(cols, _toeplitz_index(u))
     grid = _grid(grid_size)
-    for spectrum in _spectra(_gather_real_forms(cols), m, grid_size):
+    for spectrum in _spectra(_real_form(t), m, grid_size):
         yield _picked(grid, spectrum, m)
 
 
@@ -737,20 +676,21 @@ class TrialBatchResult:
 def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     """Repeat simulate -> coarray MUSIC over independent trials.
 
-    Per-trial seeds are spawned deterministically from the batch seed, so
-    the result does not depend on evaluation order.  The model covariance
-    is factored once per batch and every trial draws its snapshots from
-    that factor; the MUSIC stages run on groups of trials (see the module
-    docstring).  Each trial's estimates and refined estimates equal, bit
-    for bit, those of simulate -> sample_covariance -> estimate_doas at its
-    seed.  Each trial is scored on its refined estimates, and the
-    aggregate RMSE pools squared errors of all resolved trials, with
-    estimates matched to the truth in sorted order around the circle (the
-    cyclic shift with the least error) and errors wrapped to the nearest
-    turn.
+    Per-trial seeds are spawned deterministically from the batch seed, a
+    non-negative integer, so the result does not depend on evaluation
+    order.  The model covariance is factored once per batch and every trial
+    draws its snapshots from that factor; the MUSIC stages run on groups of
+    trials (see the module docstring).  Each trial's estimates and refined
+    estimates equal, bit for bit, those of simulate -> sample_covariance ->
+    estimate_doas at its seed.  Each trial is scored on its refined
+    estimates, and the aggregate RMSE pools squared errors of all resolved
+    trials, with estimates matched to the truth in sorted order around the
+    circle (the cyclic shift with the least error) and errors wrapped to
+    the nearest turn.
     """
     _check_count(t, "snapshot count")
     _check_count(trials, "trial count")
+    _check_seed(seed)
     m = scene.source_count
     dim = _music_summary(s, m, grid_size).max_sources + 1
     group = max(1, _GROUP_ENTRIES // dim ** 2)

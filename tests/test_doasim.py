@@ -10,8 +10,7 @@ from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays import doasim
 from fractalarrays.doasim import (DEFAULT_GRID_SIZE, CapacityError,
                                   CoarrayHoleError, MusicResult, SourceScene,
-                                  _coarray_plan, _gather_real_forms,
-                                  _lag_means, _real_form, _rmse,
+                                  _coarray_plan, _real_form, _rmse,
                                   _sorted_rmse, _toeplitz,
                                   _toeplitz_index,
                                   coarray_autocorrelation,
@@ -156,8 +155,8 @@ def test_cached_grid_cannot_be_corrupted_through_a_result(nfa):
 def test_spectrum_fold_matches_reference_below_and_around_dim(r, grid_sizes):
     # The polynomial has dim coefficients (25 for r = 1, 181 for r = 3)
     # and its Hermitian sequence 2 dim - 1 (49 and 361); on a grid of fewer
-    # points they are folded modulo the grid size, and below 2 dim - 1 the
-    # conjugate half lands on the first half that hfft reads.
+    # points the DFT is taken on the least multiple of the grid size that
+    # holds the sequence, and only the grid's points of it are read.
     arr = make_sfa("nested", {"n": 6}, r)
     u = summarize(difference_coarray(arr)).max_sources
     scene = random_scene(u // 3, seed=r, min_separation=0.01)
@@ -559,6 +558,47 @@ def test_trial_batch_checks_the_grid_size_before_drawing(nfa, grid_size,
                         grid_size=grid_size)
 
 
+# None would draw from fresh entropy that no record can repeat, and True
+# would run as seed 1.
+_BAD_SEEDS = [-1, np.int64(-2), None, True, False, np.bool_(True), 1.0,
+              np.float64(2), "3"]
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_random_scene_refuses_a_bad_seed(seed):
+    with pytest.raises(InvalidParameterError, match="seed"):
+        random_scene(3, seed)
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_simulate_refuses_a_bad_seed(nfa, seed):
+    with pytest.raises(InvalidParameterError, match="seed"):
+        simulate(nfa, random_scene(3, seed=1), 10, seed)
+
+
+@pytest.mark.parametrize("seed", _BAD_SEEDS)
+def test_trial_batch_checks_the_seed_before_drawing(nfa, seed, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before checking the seed")
+
+    scene = random_scene(4, seed=6)
+    monkeypatch.setattr(doasim, "_snapshot_factor", no_draw)
+    monkeypatch.setattr(doasim, "_draw", no_draw)
+    with pytest.raises(InvalidParameterError, match="seed"):
+        run_trial_batch(nfa, scene, 200, 2, seed=seed)
+
+
+def test_numpy_integer_and_zero_seeds_are_taken(nfa):
+    # The benchmark's replay passes np.int64 trial seeds to simulate.
+    scene = random_scene(3, np.int64(5))
+    assert scene == random_scene(3, 5)
+    assert np.array_equal(simulate(nfa, scene, 10, np.int64(2 ** 62)),
+                          simulate(nfa, scene, 10, 2 ** 62))
+    assert (run_trial_batch(nfa, scene, 50, 2, seed=np.uint64(7))
+            == run_trial_batch(nfa, scene, 50, 2, seed=7))
+    assert run_trial_batch(nfa, random_scene(3, 0), 50, 2, seed=0).trials == 2
+
+
 @pytest.mark.parametrize("t", [0, -3, True, 64.0, np.float64(64.5), "64",
                                None])
 def test_simulate_refuses_a_bad_snapshot_count(nfa, t):
@@ -668,21 +708,16 @@ def test_expected_covariance_takes_the_real_path(positions, m, seed):
 def test_estimate_doas_equals_the_public_chain(arr):
     # The benchmark's replay rebuilds each trial through the public chain
     # coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
-    # pick_peaks; estimate_doas gathers the real symmetric form of the same
-    # Toeplitz matrix from its lag means and must agree bit for bit, signs
-    # of zero included.
+    # pick_peaks; estimate_doas runs the same stages on a stack of one
+    # covariance and must agree bit for bit.
     u = summarize(difference_coarray(arr)).max_sources
     m = max(1, u // 2)
     scene = SourceScene(tuple(np.linspace(-0.45, 0.45, m) + 0.003),
                         (1.0,) * m, 1.0)
-    plan = _coarray_plan(arr.positions)
     for seed in range(3):
         r = sample_covariance(simulate(arr, scene, 50, seed=seed))
         result = estimate_doas(arr, r, m)
         t = toeplitz_augment(coarray_autocorrelation(r, arr), (-u, u))
-        _, means = _lag_means(r[None], arr)
-        gathered = _gather_real_forms(means[:, plan.zero:plan.zero + u + 1])
-        _assert_same_bits(gathered[0], _real_form(t))
         chain = pick_peaks(music_spectrum(t, m), m)
         assert np.array_equal(result.spectrum, chain.spectrum)
         assert result.estimates == chain.estimates
@@ -714,14 +749,15 @@ def _columns():
 
 @pytest.mark.parametrize("col", [pytest.param(col, id=name)
                                  for name, col in _columns()])
-def test_gathered_real_form_is_the_real_form_of_the_toeplitz_matrix(col):
+def test_stacked_real_form_is_each_matrix_real_form(col):
     # A stack of one and a stack of two, whose second first column flips
-    # the sign of every real part and of no imaginary part.
+    # the sign of every real part and of no imaginary part: each row of the
+    # stacked _real_form(_toeplitz(...)) is that of its column alone.
     index = _toeplitz_index(len(col) - 1)
-    _assert_same_bits(_gather_real_forms(col[None])[0],
-                      _real_form(_toeplitz(col, index)))
+    alone = _real_form(_toeplitz(col, index))
+    _assert_same_bits(_real_form(_toeplitz(col[None], index))[0], alone)
     cols = np.stack((col, -col.conj()))
-    for s, c in zip(_gather_real_forms(cols), cols):
+    for s, c in zip(_real_form(_toeplitz(cols, index)), cols):
         _assert_same_bits(s, _real_form(_toeplitz(c, index)))
 
 
@@ -1053,6 +1089,8 @@ def test_noiseless_two_source_resolution_limit(nfa, grid_size):
     for phase in (0.0, 0.25, 0.5, 0.75):
         centre = on + phase * step
         assert _resolves_two(nfa, 2.3 * step, centre, grid_size)
+        # random_scene's default separation.
+        assert _resolves_two(nfa, 3.0 * step, centre, grid_size)
         assert not _resolves_two(nfa, 1.35 * step, centre, grid_size)
     assert _resolves_two(nfa, 1.45 * step, on, grid_size)
     assert not _resolves_two(nfa, 2.2 * step, on + 0.5 * step, grid_size)

@@ -298,6 +298,16 @@ def test_music_refuses_an_snr_without_a_finite_noise_power(capsys, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_music_refuses_a_negative_seed(capsys, tmp_path):
+    code, out, err = run(capsys, "music", "--kind", "ula", "--n", "4",
+                         "--sources", "1", "--seed", "-1",
+                         "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_music_infinite_snr_is_noiseless(capsys, tmp_path):
     code, out, _ = run(capsys, "music", "--kind", "ula", "--n", "4",
                        "--sources", "1", "--snr", "inf", "--trials", "2",
