@@ -14,12 +14,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import index
 
-from .geometry import InvalidParameterError
+from .geometry import InvalidParameterError, _integers
 
 # summarize lists every hole, so it refuses a coarray with more than this.
 _HOLE_LIMIT = 10 ** 6
+
+
+def _positions(array):
+    """Sorted positions of an array or a sequence, read by _integers."""
+    return tuple(sorted(_integers(getattr(array, "positions", array),
+                                  "sensor positions")))
 
 
 def _lag_rows(positions):
@@ -79,14 +84,7 @@ def difference_coarray(array):
     The positions may come in any order and may be negative; they must be
     integers, at least one, and distinct.  A float or a bool is refused, not
     coerced."""
-    raw = tuple(getattr(array, "positions", array))
-    try:
-        pos = tuple(sorted(map(index, raw)))
-    except TypeError:
-        pos = ()
-    if not pos or bool in map(type, raw):
-        raise InvalidParameterError(
-            "need one or more integer sensor positions, got %r" % (raw,))
+    pos = _positions(array)
     # One Counter.update over the rows, which are made one at a time.
     counts = Counter(chain.from_iterable(_lag_rows(pos)))
     weights = {0: len(pos)}

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -89,12 +90,22 @@ class CapacityError(ValueError):
     """More sources requested than the coarray can support."""
 
 
+def _real(value, what):
+    """value as a float, after refusing one that is not a real number: a
+    str, which float() would parse, and a bool are refused, not coerced."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise InvalidParameterError(
+            "%s must be a real number, got %r" % (what, value))
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SourceScene:
     """Normalized DOAs with per-source powers and a common noise power.
 
     DOAs lie in the half-open [-0.5, 0.5): the domain is circular, so 0.5
-    would be a second name for -0.5.
+    would be a second name for -0.5.  Every value must be a real number: a
+    str or a bool, which float() would read as one, is refused.
     """
 
     normalized_doas: tuple
@@ -102,8 +113,8 @@ class SourceScene:
     noise_power: float
 
     def __post_init__(self):
-        doas = tuple(float(t) for t in self.normalized_doas)
-        powers = tuple(float(p) for p in self.powers)
+        doas = tuple(_real(t, "a DOA") for t in self.normalized_doas)
+        powers = tuple(_real(p, "a source power") for p in self.powers)
         if len(doas) == 0 or len(doas) != len(powers):
             raise InvalidParameterError(
                 "need matching, non-empty DOA and power lists")
@@ -111,7 +122,7 @@ class SourceScene:
             raise InvalidParameterError("normalized DOAs must lie in [-0.5, 0.5)")
         if len(set(doas)) != len(doas):
             raise InvalidParameterError("normalized DOAs must be distinct")
-        noise = float(self.noise_power)
+        noise = _real(self.noise_power, "the noise power")
         if any(not 0 < p < np.inf for p in powers) or not 0 <= noise < np.inf:
             raise InvalidParameterError(
                 "source powers must be positive and noise power non-negative, "
@@ -133,7 +144,7 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     at which two noiseless sources start to resolve on the grid, depending
     on where it falls between them.  SNR is per source against unit source
     power, so SNR 0 dB means sigma_i^2 = sigma^2 = 1.  The seed must be a
-    non-negative integer.
+    non-negative integer, and the SNR and separation real numbers.
 
     The separation holds on the circle: the last source and the first one,
     one turn on, are at least min_separation apart too, so m sources fit
@@ -148,10 +159,11 @@ def random_scene(m, seed, snr_db=0.0, min_separation=None,
     """
     _check_count(m, "source count")
     _check_count(grid_size, "grid size")
-    _check_seed(seed)
+    _check_count(seed, "seed", low=0)
+    _real(snr_db, "the SNR")
     if min_separation is None:
         min_separation = 3.0 / grid_size
-    if not min_separation >= 0:
+    if not _real(min_separation, "the separation") >= 0:
         raise InvalidParameterError("need a non-negative separation")
     pad = 4 * np.finfo(float).eps
     step = min_separation + pad
@@ -234,16 +246,6 @@ def _diagonal_bins(dim):
     return take, _interleaved(p - q)
 
 
-def _check_seed(seed):
-    """Refuse a seed that is not a non-negative integer.  None, which would
-    draw from fresh entropy that no record can repeat, and a bool (True is
-    an int to Python) are refused, not coerced; numpy integers are taken."""
-    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
-            or seed < 0):
-        raise InvalidParameterError(
-            "seed must be a non-negative integer, got %r" % (seed,))
-
-
 def _snapshot_factor(s, scene):
     """F with F F^H = R / 2 for the model covariance R, as V sqrt(lambda / 2)
     from R's eigendecomposition.  Rounding can leave the zero eigenvalues of
@@ -273,7 +275,7 @@ def simulate(s, scene, t, seed):
     normals.  Deterministic for a given seed, a non-negative integer.
     """
     _check_count(t, "snapshot count")
-    _check_seed(seed)
+    _check_count(seed, "seed", low=0)
     return _draw(_snapshot_factor(s, scene), t, seed)
 
 
@@ -514,11 +516,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         raise InvalidParameterError(
             "need a square matrix, got shape %s" % (t.shape,))
     dim = t.shape[0]
-    _check_count(m, "source count")
-    if not m < dim:
-        raise InvalidParameterError(
-            "need 1 <= sources < matrix dimension, got m=%d, dim=%d"
-            % (m, dim))
+    _check_count(m, "source count", high=dim - 1)
     _check_count(grid_size, "grid size")
     if not (np.array_equal(t, t.conj().T)
             and np.array_equal(t, t[::-1, ::-1].conj())):
@@ -690,7 +688,7 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     """
     _check_count(t, "snapshot count")
     _check_count(trials, "trial count")
-    _check_seed(seed)
+    _check_count(seed, "seed", low=0)
     m = scene.source_count
     dim = _music_summary(s, m, grid_size).max_sources + 1
     group = max(1, _GROUP_ENTRIES // dim ** 2)

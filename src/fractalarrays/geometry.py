@@ -3,13 +3,15 @@
 All sensor positions are exact non-negative integers in units of the base
 inter-element spacing d1 = lambda/2.  The cross-sum of a sparse subarray
 with a scaled Cantor subarray produces the sparse fractal arrays analysed
-by the rest of the library.
+by the rest of the library.  Every integer input of the library (positions,
+sizes, counts, seeds, k) is read by _as_ints here: 1.0 and True are refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -22,13 +24,35 @@ class UnsupportedParameterError(ValueError):
     """The requested parameters are valid but not covered by a closed form."""
 
 
-def _check_count(value, what):
-    """Refuse a count that is not a positive integer.  A float or a bool
-    (True is an int to Python) is refused, not coerced."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or value < 1):
+def _as_ints(values):
+    """The tuple of values as Python ints, or () when one is not an integer:
+    operator.index must take it, and a bool or numpy bool (True is an int to
+    Python) is refused by its type."""
+    try:
+        ints = tuple(map(index, values))
+    except TypeError:
+        return ()
+    return ints if {bool, np.bool_}.isdisjoint(map(type, values)) else ()
+
+
+def _check_count(value, what, low=1, high=None):
+    """Refuse a value that is not an integer in [low, high] (None: no cap)."""
+    n = _as_ints((value,))
+    if not n or n[0] < low or high is not None and n[0] > high:
+        raise InvalidParameterError("%s must be a %s integer%s%s, got %r" % (
+            what, "non-negative" if low == 0 else "positive",
+            " >= %d" % low if low > 1 else "",
+            "" if high is None else " <= %d" % high, value))
+
+
+def _integers(values, what):
+    """values as a non-empty tuple of Python ints; anything else is refused."""
+    values = tuple(values)
+    ints = _as_ints(values)
+    if not ints:
         raise InvalidParameterError(
-            "%s must be a positive integer, got %r" % (what, value))
+            "%s must be one or more integers, got %r" % (what, values))
+    return ints
 
 
 @dataclass(frozen=True)
@@ -36,10 +60,10 @@ class SensorArray:
     """An immutable, named set of integer sensor positions.
 
     Positions are strictly increasing non-negative integers in units of d1,
-    at most 2**63 - 1 so that numpy holds them as int64; a non-integer
-    position such as 1.7 is rejected, not truncated, and so is a bool.
+    at most 2**63 - 1 so that numpy holds them as int64; a position that is
+    not an integer, such as 1.7, 1.0 or a bool, is rejected, not coerced.
     ``kind`` is a free-form family tag (ULA, Nested, Coprime, ANA1, ANA2,
-    SuperNested, Cantor, SFA, or custom).
+    SuperNested, Cantor, SFA, or custom); it and ``label`` must be strings.
     """
 
     positions: tuple
@@ -47,17 +71,11 @@ class SensorArray:
     label: str = ""
 
     def __post_init__(self):
-        raw = tuple(self.positions)
-        try:
-            pos = tuple(int(p) for p in raw)
-        except (TypeError, ValueError, OverflowError):
-            pos = None
-        if (pos is None or pos != raw
-                or not {bool, np.bool_}.isdisjoint(map(type, raw))):
+        pos = _integers(self.positions, "sensor positions")
+        if not isinstance(self.kind, str) or not isinstance(self.label, str):
             raise InvalidParameterError(
-                "sensor positions must be integers, got %s" % list(raw))
-        if len(pos) == 0:
-            raise InvalidParameterError("sensor array must be non-empty")
+                "kind and label must be strings, got %r and %r"
+                % (self.kind, self.label))
         if any(not 0 <= p < 2 ** 63 for p in pos):
             raise InvalidParameterError(
                 "sensor positions must be non-negative and fit in int64")
@@ -120,9 +138,7 @@ def gen_nested(n):
 
     N1 = N2 = n/2 for even n, N1 = (n-1)/2 and N2 = (n+1)/2 for odd n.
     """
-    _check_count(n, "nested array size n")
-    if n < 2:
-        raise InvalidParameterError("nested array needs n >= 2")
+    _check_count(n, "nested array size n", low=2)
     n1, n2 = _nested_split(n)
     pos = set(range(1, n1 + 1)) | {m * (n1 + 1) for m in range(1, n2 + 1)}
     return SensorArray(tuple(sorted(pos)), kind="Nested",
@@ -158,9 +174,7 @@ def gen_ana2(n):
 
 
 def _gen_ana(n, right_heavy, kind):
-    _check_count(n, "augmented nested array size n")
-    if n < 6:
-        raise InvalidParameterError("augmented nested array needs n >= 6")
+    _check_count(n, "augmented nested array size n", low=6)
     n1, n2 = _nested_split(n)
     small, big = n1 // 2, n1 - n1 // 2
     left, right = (small, big) if right_heavy else (big, small)
@@ -188,10 +202,8 @@ def gen_super_nested(n1, n2):
     n1 = 2 leaves nothing to rearrange, so it returns the parent nested
     array itself.
     """
-    _check_count(n1, "super-nested n1")
-    _check_count(n2, "super-nested n2")
-    if n1 < 2 or n2 < 2:
-        raise InvalidParameterError("super-nested array needs n1, n2 >= 2")
+    _check_count(n1, "super-nested n1", low=2)
+    _check_count(n2, "super-nested n2", low=2)
     g = n1 + 1
     if n1 == 2:
         pos = {1, 2} | {l * g for l in range(1, n2 + 1)}

@@ -48,6 +48,7 @@ size s <= r:
   has more positive lags.  Only the largest k of a profile that this does
   not settle needs the tree.
 
+Positions are read by ``coarray``'s parser, so 1.5, 1.0 or True is refused.
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
 Python ints, so nothing is rounded.  The graphs are grouped from the lag
 rows of ``coarray``'s kernel, the one every coarray view is read from,
@@ -75,11 +76,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
-from numbers import Integral
 from operator import or_
 
-from .coarray import _lag_rows
-from .geometry import InvalidParameterError
+from .coarray import _lag_rows, _positions
+from .geometry import InvalidParameterError, _check_count
 
 # C(|S|, k) above this is refused.  The count does not visit the subsets,
 # but its branch tree can still grow with C(|S|, k).
@@ -291,20 +291,10 @@ def _check_limit(n, k):
             % (n, k, total, ENUMERATION_LIMIT))
 
 
-def _check_k(s, k, name):
-    """Refuse a k (or k_max) that is not an integer with 1 <= k < |S|.  A
-    float or a bool (True is an int to Python) is refused, not coerced."""
-    if (not isinstance(k, Integral) or isinstance(k, bool)
-            or not 1 <= k < len(s)):
-        raise InvalidParameterError(
-            "need an integer 1 <= %s < sensor count, got %s=%r for %d "
-            "sensors" % (name, name, k, len(s)))
-
-
 def _profile(s, k_max):
     """FragilityReports for k = 1 .. k_max from one branch tree."""
     n = len(s)
-    graphs = _pair_graphs(tuple(sorted(s.positions)))
+    graphs = _pair_graphs(_positions(s))
     # n - k kept sensors span at most C(n - k, 2) positive lags, so every
     # k-subset is essential past the largest k where they can span them all.
     top = max(k for k in range(k_max + 1) if comb(n - k, 2) >= len(graphs))
@@ -325,7 +315,7 @@ def essential_sensors(s):
     if len(s) < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    positions = tuple(sorted(s.positions))
+    positions = _positions(s)
     _, single = _coverable(_pair_graphs(positions), (1 << len(s)) - 1, 1)
     essential = []
     inessential = []
@@ -337,7 +327,7 @@ def essential_sensors(s):
 
 def k_fragility(s, k):
     """Exactly count size-k subsets whose removal changes the coarray."""
-    _check_k(s, k, "k")
+    _check_count(k, "k", high=len(s) - 1)
     _check_limit(len(s), k)
     return _profile(s, k)[-1]
 
@@ -348,7 +338,7 @@ def fragility_profile(s, k_max):
     Every k is checked against ENUMERATION_LIMIT before any is computed,
     and one branch tree, for the largest k that needs one, counts them all.
     """
-    _check_k(s, k_max, "k_max")
+    _check_count(k_max, "k_max", high=len(s) - 1)
     for k in range(1, k_max + 1):
         _check_limit(len(s), k)
     return _profile(s, k_max)

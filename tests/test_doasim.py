@@ -206,6 +206,34 @@ def test_scene_refuses_non_finite_powers(powers, noise):
         SourceScene((0.1,), powers, noise)
 
 
+# float() reads each of these as a number: "0.1" as 0.1 and True as 1.0.
+@pytest.mark.parametrize("doas, powers, noise", [
+    (("0.1",), (1.0,), 1.0), ((b"0.1",), (1.0,), 1.0), ((True,), (1.0,), 1.0),
+    ((0.1,), (True,), 1.0), ((0.1,), (np.True_,), 1.0), ((0.1,), ("1",), 1.0),
+    ((0.1,), (1.0,), True), ((0.1,), (1.0,), "1"), ((None,), (1.0,), 1.0)],
+    ids=repr)
+def test_scene_refuses_strings_and_bools(doas, powers, noise):
+    with pytest.raises(InvalidParameterError, match="real number"):
+        SourceScene(doas, powers, noise)
+
+
+def test_scene_takes_python_and_numpy_numbers():
+    scene = SourceScene((np.float64(0.1), 0, np.float32(-0.25)),
+                        (1, np.int64(2), 0.5), np.float64(1))
+    assert scene.normalized_doas == (0.1, 0.0, -0.25)
+    assert scene.powers == (1.0, 2.0, 0.5) and scene.noise_power == 1.0
+    assert all(type(v) is float for v in scene.normalized_doas + scene.powers)
+
+
+@pytest.mark.parametrize("kwargs", [{"snr_db": "0"}, {"snr_db": None},
+                                    {"snr_db": True}, {"min_separation": "0"},
+                                    {"min_separation": 1j}], ids=repr)
+def test_random_scene_refuses_a_bad_snr_or_separation(kwargs):
+    # Each raised a bare TypeError, or was read as a number.
+    with pytest.raises(InvalidParameterError, match="real number"):
+        random_scene(2, 0, **kwargs)
+
+
 @pytest.mark.parametrize("snr_db", [float("nan"), -float("inf"), -4000.0])
 def test_random_scene_refuses_a_noise_power_that_is_not_finite(snr_db):
     with pytest.raises(InvalidParameterError):
@@ -921,8 +949,9 @@ def test_music_boundary_source_count():
     t = _random_hermitian_toeplitz(6, seed=0)
     result = music_spectrum(t, 5, grid_size=512)
     assert np.all(np.isfinite(result.spectrum))
-    with pytest.raises(InvalidParameterError):
-        music_spectrum(t, 6)
+    for m in (6, 7):
+        with pytest.raises(InvalidParameterError, match="integer <= 5"):
+            music_spectrum(t, m)
 
 
 def test_pick_peaks_tie_determinism():

@@ -151,7 +151,8 @@ def test_analyze_malformed_json(capsys, tmp_path):
                                      '{"positions": null}',
                                      '{"positions": [0, 1, %d]}' % 2 ** 63,
                                      '{"positions": [0, 1, %d]}' % 2 ** 62,
-                                     '{"positions": [true, 2]}'])
+                                     '{"positions": [true, 2]}',
+                                     '{"positions": [0, 1.0, 3]}'])
 @pytest.mark.parametrize("command", [["analyze", "-"],
                                      ["music", "--geometry", "-",
                                       "--sources", "1"]])
@@ -163,6 +164,14 @@ def test_malformed_geometry_is_refused(capsys, monkeypatch, payload,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "positions" in err
+
+
+def test_analyze_refuses_a_label_that_is_not_a_string(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO('{"positions": [0, 1, 3], "label": 5}'))
+    code, out, err = run(capsys, "analyze", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "label" in err
 
 
 # Flags each subcommand does not read: only music takes --seed and

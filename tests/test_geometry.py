@@ -42,15 +42,12 @@ def test_sensor_array_rejects_empty():
 @pytest.mark.parametrize("positions", [(0, 1.7, 3), (0, 1, 2.5),
                                        (0, float("nan")), (0, float("inf")),
                                        (0, "1"), (True, 2), (0, False),
-                                       (np.True_, 2)])
+                                       (np.True_, 2), (0, 1.0, 3),
+                                       (0, np.float64(2))])
 def test_sensor_array_rejects_non_integers(positions):
-    with pytest.raises(InvalidParameterError):
+    # 1.0 was coerced to 1, where every other integer input refused it.
+    with pytest.raises(InvalidParameterError, match="integers"):
         SensorArray(positions)
-
-
-def test_sensor_array_accepts_integral_values():
-    assert SensorArray((0, 1.0, 3)).positions == (0, 1, 3)
-    assert all(type(p) is int for p in SensorArray((0, 1.0, 3)).positions)
 
 
 def test_sensor_array_accepts_numpy_integers():
@@ -68,8 +65,11 @@ def test_sensor_array_json_round_trip():
 
 
 @pytest.mark.parametrize("payload", [[1, 2, 3], "x", {"positions": 5},
-                                     {"positions": None}])
+                                     {"positions": None},
+                                     {"positions": [0, 1, 3], "label": 5},
+                                     {"positions": [0, 1, 3], "kind": None}])
 def test_sensor_array_from_dict_rejects_malformed_payload(payload):
+    # A label of 5 was taken, and remove() then raised a bare TypeError.
     with pytest.raises(InvalidParameterError):
         SensorArray.from_dict(payload)
 
@@ -87,7 +87,7 @@ def test_nested():
     assert gen_nested(2).positions == (1, 2)
     assert gen_nested(5).positions == (1, 2, 3, 6, 9)
     assert summarize(difference_coarray(gen_nested(5))).hole_free
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="integer >= 2, got 1"):
         gen_nested(1)
 
 
@@ -106,7 +106,7 @@ def test_coprime():
 def test_ana1():
     assert gen_ana1(6).positions == (1, 4, 8, 12, 13, 14)
     assert summarize(difference_coarray(gen_ana1(8))).hole_free
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="integer >= 6, got 5"):
         gen_ana1(5)
 
 
@@ -244,8 +244,10 @@ def test_super_nested_even_guard():
     assert sn.positions == (1, 3, 5, 6, 8, 11, 13, 16, 18, 27, 36, 45, 54,
                             63, 71, 72)
     assert lag_set(sn) == lag_set(parent_nested(8, 8))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="integer >= 2, got 1"):
         gen_super_nested(1, 3)
+    with pytest.raises(InvalidParameterError, match="integer >= 2, got 1"):
+        gen_super_nested(3, 1)
 
 
 def test_super_nested_changed_outputs():

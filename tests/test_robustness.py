@@ -64,6 +64,20 @@ class Positions:
         return len(self.positions)
 
 
+@pytest.mark.parametrize("positions", [(0, 1.5, 3, 7), (0, 1.0, 3, 7),
+                                       (0, True, 3, 7), (0, np.True_, 3, 7),
+                                       (0, "1", 3, 7)], ids=repr)
+@pytest.mark.parametrize("call", [essential_sensors,
+                                  lambda s: k_fragility(s, 1),
+                                  lambda s: fragility_profile(s, 2)],
+                         ids=["essential_sensors", "k_fragility",
+                              "fragility_profile"])
+def test_positions_that_are_not_integers_are_refused(call, positions):
+    # The positions were read unchecked: 1.5 and True gave a silent answer.
+    with pytest.raises(InvalidParameterError, match="integers"):
+        call(Positions(positions))
+
+
 def assert_matches_reference(arr, k_max):
     ess = essential_sensors(arr)
     assert (ess.essential, ess.inessential) \
