@@ -35,9 +35,11 @@ These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
 consecutive trials (52 at dim 25, one at dim 181), each drawn alone.  Per
 group the lag means, the Toeplitz matrices, their real forms, eigh, the
-projectors and their diagonal sums run once; the FFT, peaks and RMSE run
-per trial, so no spectra are stacked.  Every sum keeps its terms and their
-order, so the estimates are bit for bit those of a trial alone.
+projectors and their diagonal sums, the FFT into a g x grid_size stack of
+spectra, the peak picking and the RMSE run once; pick_peaks and the RMSE
+of one trial are the same functions on a stack of one.  Every sum keeps
+its terms and their order, so the estimates are bit for bit those of a
+trial alone.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
@@ -450,12 +452,13 @@ def _real_form(t):
 
 
 def _spectra(s, m, grid_size):
-    """MUSIC pseudospectra from the real symmetric forms s (g x dim x dim)
-    of augmented matrices, one spectrum array at a time, as music_spectrum
-    describes: the noise eigenvectors of s mapped back by Q, the diagonal
-    sums of their projectors and one np.fft.hfft of the Hermitian
-    sequence, normalised to peak at 1.  Up to the diagonal sums each stage
-    runs once on the whole stack."""
+    """The g x grid_size stack of MUSIC pseudospectra from the real
+    symmetric forms s (g x dim x dim) of augmented matrices, as
+    music_spectrum describes: the noise eigenvectors of s mapped back by Q,
+    the diagonal sums of their projectors, one np.fft.hfft of the stack of
+    Hermitian sequences, and each row clipped at _TINY, inverted and
+    normalised to peak at 1, in place.  Every stage runs once on the whole
+    stack, and each row comes out bit for bit as it would alone."""
     g, dim, _ = s.shape
     _, vecs = np.linalg.eigh(s)
     # Q v for the noise eigenvectors v, with the Q of _real_form.
@@ -476,12 +479,11 @@ def _spectra(s, m, grid_size):
     # The least multiple c G of the grid size that holds all 2 dim - 1
     # lags; every c-th point of that DFT is a grid point.
     c = -(-(2 * dim - 1) // grid_size)
-    for y in ys:
-        spectrum = np.fft.hfft(y, c * grid_size)[::c]
-        np.maximum(spectrum, _TINY, out=spectrum)
-        np.divide(1.0, spectrum, out=spectrum)
-        spectrum /= spectrum.max()
-        yield spectrum
+    spectra = np.fft.hfft(ys, c * grid_size)[:, ::c]
+    np.maximum(spectra, _TINY, out=spectra)
+    np.divide(1.0, spectra, out=spectra)
+    spectra /= spectra.max(axis=1, keepdims=True)
+    return spectra
 
 
 def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
@@ -523,8 +525,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         raise InvalidParameterError(
             "need an exactly Hermitian, persymmetric matrix")
     return MusicResult(grid=_grid(grid_size),
-                       spectrum=next(_spectra(_real_form(t)[None], m,
-                                              grid_size)))
+                       spectrum=_spectra(_real_form(t)[None], m, grid_size)[0])
 
 
 def pick_peaks(result, m):
@@ -534,8 +535,9 @@ def pick_peaks(result, m):
 
     The grid is circular, like the theta' domain: the first and last points
     are neighbours, so a peak on either end is found.  Fewer than m maxima
-    is flagged as under-resolution rather than raised; ties are broken by
-    grid index so the output is deterministic.  A refined estimate is the
+    is flagged as under-resolution rather than raised; of maxima of equal
+    value the one at the higher grid index ranks first, so the output is
+    deterministic.  A refined estimate is the
     vertex of the parabola through the MUSIC denominator 1 / spectrum at the
     peak and its two neighbours (Jacobsen & Kootsookos, IEEE SPM 2007): with
     p = s[i - 1] / s[i] and q = s[i + 1] / s[i], it lies
@@ -547,6 +549,9 @@ def pick_peaks(result, m):
     finite where 1 / spectrum overflows at a clipped null.  A grid of
     another length than the spectrum, or a NaN or negative spectrum value,
     is refused.
+
+    This is the peak pass that run_trial_batch makes once over a group's
+    whole stack of spectra, on a stack of one.
     """
     _check_count(m, "source count")
     spec = np.asarray(result.spectrum)
@@ -558,32 +563,53 @@ def pick_peaks(result, m):
     if len(spec) and not spec.min() >= 0.0:
         raise InvalidParameterError(
             "need a spectrum of non-negative numbers, without NaN")
-    return _picked(grid, spec, m)
+    estimates, refined, under = _picked(grid, spec[None], m)
+    return MusicResult(grid=grid, spectrum=spec, estimates=estimates[0],
+                       refined=refined[0], under_resolved=under[0])
 
 
-# Offsets of each peak's two neighbours in the padded ring of _picked.
-_SIDES = np.array([[0], [2]])
-
-
-def _picked(grid, spec, m):
-    """pick_peaks after its checks."""
-    ring = np.concatenate((spec[-1:], spec, spec[:1]))
-    chosen = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
-    order = np.argsort(spec[chosen], kind="stable")[::-1]
-    chosen = np.sort(chosen[order[:m]])
-    estimates = grid[chosen]
-    pq = ring[chosen + _SIDES] / spec[chosen]
-    p, q = pq[0], pq[1]
+def _picked(grid, spectra, m):
+    """pick_peaks on each row of the g x G stack spectra, after its checks:
+    the lists of each row's estimates and refined estimates, as tuples of
+    floats, and of its under-resolution flag, as a bool."""
+    g, size = spectra.shape
+    # Strict circular local maxima: the interior against both neighbours,
+    # then columns G - 1 and 0, whose outer neighbours wrap around (the
+    # indices taken mod G, as column 0 is its own neighbour at G = 1).
+    peak = np.empty((g, size), dtype=bool)
+    mid = spectra[:, 1:-1]
+    peak[:, 1:-1] = (mid > spectra[:, :-2]) & (mid > spectra[:, 2:])
+    if size:
+        last, first = spectra[:, -1], spectra[:, 0]
+        peak[:, -1] = (last > spectra[:, -2 % size]) & (last > first)
+        peak[:, 0] = (first > last) & (first > spectra[:, 1 % size])
+    # Rank each row's maxima by value, then by index, both descending (a
+    # stable ascending argsort reversed): the maxima in descending flat
+    # order, sorted stably by row and by value, descending.  Keep the first
+    # m of each row, in grid order.
+    flat = np.flatnonzero(peak)[::-1]
+    rows, cols = np.divmod(flat, size)
+    order = np.lexsort((-spectra[rows, cols], rows))
+    found = np.bincount(rows, minlength=g)
+    rank = np.arange(len(flat)) - (np.cumsum(found) - found)[rows[order]]
+    rows, cols = np.divmod(np.sort(flat[order][rank < m]), size)
+    centre = spectra[rows, cols]
+    p = spectra[rows, cols - 1] / centre
+    q = spectra[rows, (cols + 1) % size] / centre
     # p + q - 2 p q >= |q - p|, so where it is 0 the shift is 0 / tiny.
     shift = (q - p) / np.maximum(p + q - 2.0 * p * q, _TINY)
-    step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.0
-    refined = (estimates + shift * (0.5 * step)).tolist()
-    # Only a peak on the first point can move below the grid's start.
-    if refined and refined[0] < grid[0]:
-        refined[0] += len(spec) * step
-    return MusicResult(grid=grid, spectrum=spec,
-                       estimates=tuple(estimates.tolist()),
-                       refined=tuple(refined), under_resolved=len(chosen) < m)
+    step = float(grid[1] - grid[0]) if size > 1 else 0.0
+    estimates = grid[cols]
+    refined = estimates + shift * (0.5 * step)
+    # Only a row's first peak can move below the grid's start.
+    kept = np.minimum(found, m)
+    ends = np.cumsum(kept)
+    starts = (ends - kept)[kept > 0]
+    refined[starts[refined[starts] < grid[0]]] += size * step
+    est, ref = estimates.tolist(), refined.tolist()
+    bounds = list(zip([0] + ends.tolist(), ends.tolist()))
+    return ([tuple(est[a:b]) for a, b in bounds],
+            [tuple(ref[a:b]) for a, b in bounds], (found < m).tolist())
 
 
 def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
@@ -599,12 +625,17 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     such a T; _lag_means refuses non-finite entries.
     """
     _music_summary(s, m, grid_size)
-    return next(_estimates(s, np.asarray(r)[None], m, grid_size))
+    spectra, (estimates, refined, under) = _estimates(
+        s, np.asarray(r)[None], m, grid_size)
+    return MusicResult(grid=_grid(grid_size), spectrum=spectra[0],
+                       estimates=estimates[0], refined=refined[0],
+                       under_resolved=under[0])
 
 
 def _estimates(s, r, m, grid_size):
-    """estimate_doas on each covariance of the g x N x N stack r, one
-    result at a time, after the checks of _music_summary."""
+    """estimate_doas on each covariance of the g x N x N stack r, after the
+    checks of _music_summary: the g x grid_size stack of spectra and their
+    peaks as _picked gives them."""
     plan, means = _lag_means(r, s)
     u = plan.summary.max_sources
     cols = means[:, plan.zero:plan.zero + u + 1]
@@ -614,9 +645,8 @@ def _estimates(s, r, m, grid_size):
             "need a Hermitian covariance: its lag-0 mean %r is not real"
             % cols[bad[0], 0])
     t = _toeplitz(cols, _toeplitz_index(u))
-    grid = _grid(grid_size)
-    for spectrum in _spectra(_real_form(t), m, grid_size):
-        yield _picked(grid, spectrum, m)
+    spectra = _spectra(_real_form(t), m, grid_size)
+    return spectra, _picked(_grid(grid_size), spectra, m)
 
 
 @lru_cache(maxsize=_SHIFT_CACHE_SIZE)
@@ -635,16 +665,18 @@ def _rmse(estimates, truths):
     and each difference is wrapped to the nearest turn.  Wrapping leaves a
     difference below 0.5 in size unchanged, so when the unshifted match is
     best the result is the linear sorted-order RMSE bit for bit."""
-    return _sorted_rmse(estimates, np.sort(np.asarray(truths)))
+    return float(_sorted_rmse(np.asarray(estimates)[None],
+                              np.sort(np.asarray(truths)))[0])
 
 
 def _sorted_rmse(estimates, tru):
-    """_rmse against truths tru that are already sorted."""
-    est = np.sort(np.asarray(estimates))
-    d = est[_shift_index(len(est))] - tru
+    """_rmse of each row of the r x m stack estimates against truths tru
+    that are already sorted: r values, each as _rmse gives it alone."""
+    est = np.sort(estimates, axis=1)
+    d = est[:, _shift_index(est.shape[1])] - tru
     d -= np.rint(d)
-    best = int(np.argmin(np.sum(d ** 2, axis=1)))
-    return float(np.sqrt(np.mean(d[best] ** 2)))
+    best = np.argmin(np.sum(d ** 2, axis=2), axis=1)
+    return np.sqrt(np.mean(d[np.arange(len(d)), best] ** 2, axis=1))
 
 
 @dataclass(frozen=True)
@@ -677,9 +709,11 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     Per-trial seeds are spawned deterministically from the batch seed, a
     non-negative integer, so the result does not depend on evaluation
     order.  The model covariance is factored once per batch and every trial
-    draws its snapshots from that factor; the MUSIC stages run on groups of
-    trials (see the module docstring).  Each trial's estimates and refined
-    estimates equal, bit for bit, those of simulate -> sample_covariance ->
+    draws its snapshots from that factor; the MUSIC stages, up to the
+    peaks and the RMSE, run on groups of trials (see the module docstring),
+    and only per-trial tuples of the results are kept, with a copy of the
+    first trial's spectrum.  Each trial's estimates and refined estimates
+    equal, bit for bit, those of simulate -> sample_covariance ->
     estimate_doas at its seed.  Each trial is scored on its refined
     estimates, and the aggregate RMSE pools squared errors of all resolved
     trials, with estimates matched to the truth in sorted order around the
@@ -698,31 +732,31 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     per_rmse = []
     per_est = []
     per_refined = []
-    resolved = 0
-    pooled_sq = []
     first = None
     for start in range(0, trials, group):
         r = np.stack([sample_covariance(_draw(
             f, t, np.random.default_rng(child).integers(2 ** 63)))
             for child in children[start:start + group]])
-        for result in _estimates(s, r, m, grid_size):
-            if first is None:
-                first = result
-            per_est.append(result.estimates)
-            per_refined.append(result.refined)
-            if result.under_resolved:
-                per_rmse.append(float("inf"))
-                continue
-            resolved += 1
-            trial_rmse = _sorted_rmse(result.refined, tru)
-            per_rmse.append(trial_rmse)
-            pooled_sq.append(trial_rmse ** 2)
+        spectra, (estimates, refined, under) = _estimates(s, r, m, grid_size)
+        if first is None:
+            # A copy, so that the result does not keep the group's stack.
+            first = MusicResult(grid=_grid(grid_size),
+                                spectrum=spectra[0].copy(),
+                                estimates=estimates[0], refined=refined[0],
+                                under_resolved=under[0])
+        per_est += estimates
+        per_refined += refined
+        scores = iter(_sorted_rmse(np.reshape(
+            [x for x, low in zip(refined, under) if not low], (-1, m)),
+            tru).tolist())
+        per_rmse += [float("inf") if low else next(scores) for low in under]
+    pooled_sq = [e ** 2 for e in per_rmse if e < float("inf")]
     rmse = float(np.sqrt(np.mean(pooled_sq))) if pooled_sq else float("inf")
     return TrialBatchResult(rmse=rmse,
                             per_trial_rmse=tuple(per_rmse),
                             per_trial_estimates=tuple(per_est),
                             per_trial_refined=tuple(per_refined),
-                            resolved_trials=resolved,
+                            resolved_trials=len(pooled_sq),
                             trials=trials,
                             seed=seed,
                             first_trial=first)

@@ -46,8 +46,13 @@ def _check_count(value, what, low=1, high=None):
 
 
 def _integers(values, what):
-    """values as a non-empty tuple of Python ints; anything else is refused."""
-    values = tuple(values)
+    """values as a non-empty tuple of Python ints; anything else, a value
+    that is not a sequence among them, is refused."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise InvalidParameterError(
+            "%s must be one or more integers, got %r" % (what, values)) from None
     ints = _as_ints(values)
     if not ints:
         raise InvalidParameterError(
@@ -96,8 +101,13 @@ class SensorArray:
         return self.positions[-1] - self.positions[0]
 
     def remove(self, sensors):
-        """Return a copy with the given sensor positions deleted."""
-        drop = set(sensors)
+        """Return a copy with the given sensor positions deleted.
+
+        ``sensors`` is a non-empty sequence of integer positions, read as
+        the positions themselves are: 8.0 or True is refused, not taken
+        for sensor 8 or 1, and the label names them as Python ints.
+        """
+        drop = set(_integers(sensors, "sensors to remove"))
         missing = drop - set(self.positions)
         if missing:
             raise InvalidParameterError(

@@ -49,6 +49,37 @@ def ref_coarray_autocorrelation(r, s):
     return {k: acc[k] / counts[k] for k in acc}
 
 
+def ref_picked(grid, spec, m):
+    """pick_peaks on one spectrum through a padded ring copy and a stable
+    argsort, as it ran one trial at a time: (estimates, refined,
+    under_resolved)."""
+    ring = np.concatenate((spec[-1:], spec, spec[:1]))
+    chosen = np.flatnonzero((spec > ring[:-2]) & (spec > ring[2:]))
+    order = np.argsort(spec[chosen], kind="stable")[::-1]
+    chosen = np.sort(chosen[order[:m]])
+    estimates = grid[chosen]
+    pq = ring[chosen + np.array([[0], [2]])] / spec[chosen]
+    p, q = pq[0], pq[1]
+    shift = (q - p) / np.maximum(p + q - 2.0 * p * q, np.finfo(float).tiny)
+    step = float(grid[1] - grid[0]) if len(grid) > 1 else 0.0
+    refined = (estimates + shift * (0.5 * step)).tolist()
+    if refined and refined[0] < grid[0]:
+        refined[0] += len(spec) * step
+    return tuple(estimates.tolist()), tuple(refined), len(chosen) < m
+
+
+def ref_rmse(estimates, truths):
+    """The circular RMSE of one trial, every cyclic shift of the sorted
+    estimates against the sorted truths."""
+    est = np.sort(np.asarray(estimates))
+    tru = np.sort(np.asarray(truths))
+    m = len(est)
+    d = est[(np.arange(m) - np.arange(m)[:, None]) % m] - tru
+    d -= np.rint(d)
+    best = int(np.argmin(np.sum(d ** 2, axis=1)))
+    return float(np.sqrt(np.mean(d[best] ** 2)))
+
+
 def ref_toeplitz_augment(ac, ula_segment):
     u = ula_segment[1]
     col = np.array([ac[k] for k in range(0, u + 1)])
@@ -535,22 +566,43 @@ def test_trial_batch_equals_the_step_by_step_chain(r, m, t, trials):
     # RMSEs (of the refined estimates) and first spectrum bit for bit.
     arr = make_sfa("nested", {"n": 6}, r)
     scene = random_scene(m, seed=40 + r, min_separation=0.01)
-    result = run_trial_batch(arr, scene, t, trials, seed=77)
+    _assert_batch_equals_the_chain(arr, scene, t, trials, 77)
+
+
+def _assert_batch_equals_the_chain(arr, scene, t, trials, seed):
+    """run_trial_batch against simulate -> sample_covariance ->
+    estimate_doas at each spawned trial seed, bit for bit; returns the
+    batch."""
+    m = scene.source_count
+    result = run_trial_batch(arr, scene, t, trials, seed=seed)
     chain = []
-    for child in np.random.SeedSequence(77).spawn(trials):
-        seed = np.random.default_rng(child).integers(2 ** 63)
-        r_hat = sample_covariance(simulate(arr, scene, t, seed))
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        trial_seed = np.random.default_rng(child).integers(2 ** 63)
+        r_hat = sample_covariance(simulate(arr, scene, t, trial_seed))
         chain.append(estimate_doas(arr, r_hat, m))
     tru = np.sort(scene.normalized_doas)
-    rmse = [float("inf") if c.under_resolved else _sorted_rmse(c.refined,
-                                                                tru)
+    rmse = [float("inf") if c.under_resolved else _rmse(c.refined, tru)
             for c in chain]
     pooled = [e ** 2 for e in rmse if e < float("inf")]
     assert result.per_trial_estimates == tuple(c.estimates for c in chain)
     assert result.per_trial_refined == tuple(c.refined for c in chain)
     assert result.per_trial_rmse == tuple(rmse)
+    assert result.resolved_trials == len(pooled)
     assert result.rmse == float(np.sqrt(np.mean(pooled)))
     assert np.array_equal(result.first_trial.spectrum, chain[0].spectrum)
+    return result
+
+
+def test_trial_batch_mixing_resolved_and_under_resolved_trials(nfa):
+    # 20 sources 0.01 apart from 30 snapshots: about half the trials
+    # resolve.  The 60 trials run as a group of 52 and one of 8, each with
+    # trials of both kinds, and each under-resolved trial must score inf in
+    # its own place while the stacked RMSE scores the others.
+    scene = random_scene(20, seed=5, min_separation=0.01)
+    result = _assert_batch_equals_the_chain(nfa, scene, 30, 60, 3)
+    low = np.isinf(result.per_trial_rmse)
+    assert 0 < low[:52].sum() < 52 and 0 < low[52:].sum() < 8
+    assert result.resolved_trials == 60 - low.sum()
 
 
 @pytest.mark.parametrize("r, m, g", [(1, 24, 5), (3, 60, 3)],
@@ -563,14 +615,16 @@ def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
     scene = random_scene(m, seed=r, min_separation=0.5 / m)
     stack = np.stack([sample_covariance(simulate(arr, scene, 300, seed))
                       for seed in range(g)])
-    stacked = list(doasim._estimates(arr, stack, m, DEFAULT_GRID_SIZE))
-    assert len(stacked) == g
-    for row, r_hat in zip(stacked, stack):
+    spectra, (estimates, refined, under) = doasim._estimates(
+        arr, stack, m, DEFAULT_GRID_SIZE)
+    assert spectra.shape == (g, DEFAULT_GRID_SIZE)
+    assert len(estimates) == len(refined) == len(under) == g
+    for i, r_hat in enumerate(stack):
         alone = estimate_doas(arr, r_hat, m)
-        assert np.array_equal(row.spectrum, alone.spectrum)
-        assert row.estimates == alone.estimates
-        _assert_same_bits(np.array(row.refined), np.array(alone.refined))
-        assert row.under_resolved == alone.under_resolved
+        assert np.array_equal(spectra[i], alone.spectrum)
+        assert estimates[i] == alone.estimates
+        _assert_same_bits(np.array(refined[i]), np.array(alone.refined))
+        assert under[i] is alone.under_resolved
 
 
 @pytest.mark.parametrize("grid_size", [0, True, 2.5])
@@ -1062,6 +1116,67 @@ def test_pick_peaks_refuses_a_nan_or_negative_spectrum(value):
         pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
 
 
+def _adversarial_spectra(size, stride, seed):
+    """A seeded g x size stack of non-negative spectra, as a view that
+    takes every stride-th column of a wider array: smooth rows with many
+    maxima, rows of a few levels (equal peak values and plateaus), a flat
+    row, a single bump (fewer maxima than a full row) and rows that peak at
+    column 0 and at column size - 1."""
+    rng = np.random.default_rng(seed)
+    base = np.empty((8, size * stride))
+    x = np.arange(size * stride) / (size * stride)
+    base[0] = 1.5 + np.sin(2 * np.pi * 5 * x + rng.uniform(0, 7))
+    base[1] = rng.uniform(0.0, 1.0, size * stride)
+    base[2] = rng.integers(0, 3, size * stride) / 2.0
+    base[3] = rng.integers(0, 2, size * stride) * 0.5 + 0.25
+    base[4] = 0.7
+    base[5] = np.exp(-((x - rng.uniform(0, 1)) ** 2) * 50.0)
+    base[6] = rng.uniform(0.0, 0.5, size * stride)
+    base[6, 0] = 1.0
+    base[7] = rng.uniform(0.0, 0.5, size * stride)
+    base[7, -stride] = 1.0
+    return base[:, ::stride]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 16, 64])
+@pytest.mark.parametrize("stride", [1, 3])
+def test_stacked_peaks_equal_the_per_row_reference(size, stride):
+    # _picked takes a whole stack of spectra at once; each row must come
+    # out as the one-spectrum reference gives it, bit for bit and of the
+    # same types: tuples of floats and a bool.
+    grid = np.linspace(-0.5, 0.5, size, endpoint=False)
+    for seed in range(4):
+        spectra = _adversarial_spectra(size, stride, seed)
+        for m in (1, 2, 5):
+            estimates, refined, under = doasim._picked(grid, spectra, m)
+            assert len(estimates) == len(refined) == len(under) == 8
+            for i, spec in enumerate(spectra):
+                want = ref_picked(grid, spec, m)
+                got = (estimates[i], refined[i], under[i])
+                assert [type(x) for x in got] == [tuple, tuple, bool]
+                assert all(type(x) is float for x in got[0] + got[1])
+                assert got[0] == want[0] and got[2] is want[2]
+                _assert_same_bits(np.array(got[1]), np.array(want[1]))
+
+
+def test_stacked_rmse_equals_the_per_row_reference():
+    # One stacked circular RMSE scores a group's trials; each row must be
+    # the one-trial RMSE bit for bit, also where the estimate of the source
+    # at 0.4999 wraps to -0.4998, so that a cyclic shift beats the sorted
+    # match.
+    rng = np.random.default_rng(17)
+    for m in (1, 2, 5, 24):
+        tru = np.sort(rng.uniform(-0.5, 0.5, m))
+        tru[-1] = 0.4999
+        est = tru + rng.normal(0.0, 1e-3, (40, m))
+        est[::3, -1] = -0.4998
+        stacked = _sorted_rmse(est, tru)
+        for row, got in zip(est, stacked):
+            want = ref_rmse(row, tru)
+            assert got == want == _rmse(row, tru)
+            assert type(_rmse(row, tru)) is float
+
+
 @pytest.mark.parametrize("r, m", [(1, 5), (1, 24), (3, 40)],
                          ids=["NFA12-5", "NFA12-24", "NFA48-40"])
 def test_noiseless_off_grid_sources_are_recovered(r, m):
@@ -1173,6 +1288,19 @@ def test_trial_batch_keeps_first_trial(nfa):
         .integers(2 ** 63)))
     alone = estimate_doas(nfa, r, 4)
     assert np.array_equal(first.spectrum, alone.spectrum)
+    assert type(first.under_resolved) is bool
+
+
+@pytest.mark.parametrize("grid_size", [DEFAULT_GRID_SIZE, 16])
+def test_trial_batch_first_spectrum_owns_its_data(nfa, grid_size):
+    # The first trial's spectrum is a row of its group's stack of spectra,
+    # which on a 16-point grid is every 4th point of a 64-point DFT (dim
+    # 25).  A view would keep the whole stack alive with the result.
+    result = run_trial_batch(nfa, random_scene(4, seed=6), 200, 10, seed=99,
+                             grid_size=grid_size)
+    spectrum = result.first_trial.spectrum
+    assert spectrum.base is None
+    assert spectrum.shape == (grid_size,)
 
 
 def test_trial_batch_rejects_bad_arguments(nfa):

@@ -456,3 +456,22 @@ def test_remove_sensor():
     assert arr.remove([8]).positions == (1, 2, 3, 4, 12)
     with pytest.raises(InvalidParameterError):
         arr.remove([99])
+
+
+def test_remove_reads_integer_positions():
+    # A numpy integer is a position and is labelled as a Python int; it was
+    # labelled [np.int64(8)].
+    arr = gen_nested(6)
+    fewer = arr.remove([np.int64(8), 12])
+    assert fewer.positions == (1, 2, 3, 4)
+    assert fewer.label == "Nested(6) minus [8, 12]"
+    assert all(type(p) is int for p in fewer.positions)
+
+
+@pytest.mark.parametrize("sensors", [[True], [np.bool_(True)], [8.0],
+                                     [np.float64(8)], ["8"], 8, None, []])
+def test_remove_refuses_what_is_not_a_list_of_positions(sensors):
+    # [True] dropped sensor 1 and [8.0] sensor 8; 8 raised a bare
+    # TypeError.
+    with pytest.raises(InvalidParameterError, match="sensors to remove"):
+        gen_nested(6).remove(sensors)
