@@ -17,9 +17,15 @@ The snapshots Y = A S + N, with Gaussian waveforms S and noise N, have
 i.i.d. CN(0, R) columns, R = A P A^H + sigma^2 I the model covariance.  They
 are drawn in that law directly as Y = F Z, with F F^H = R / 2 from one
 eigendecomposition of R and Z an N x T matrix of complex numbers whose real
-and imaginary parts are standard normals: 2 N T normals instead of the
-2 (M + N) T of drawing S and N.  A Monte-Carlo batch factors R once and
-draws every trial from the same F.
+and imaginary parts are standard normals.  Z is drawn through its LQ
+factors Z = L Q^H: first the lower-triangular Bartlett factor L (Goodman
+1963), N x min(N, T) with complex normals below a diagonal of chi roots,
+then a Haar isometry Q (Mezzadri 2007).  A Monte-Carlo batch needs only
+the sample covariance Y Y^H / T = W W^H / T with W = F L, so it factors R
+once, draws L alone for every trial, about 2 N^2 random numbers instead of
+2 N T, and never forms snapshots.  simulate draws the same L at the same
+seed and then Q, so simulate -> sample_covariance reaches the batch's
+covariance to rounding (Q^H Q = I holds exactly only in exact arithmetic).
 
 Everything that depends only on the array (the coarray plan: the
 ordered-pair lag bins and the coarray summary) or only on a size (the
@@ -38,8 +44,8 @@ group the lag means, the Toeplitz matrices, their real forms, eigh, the
 projectors and their diagonal sums, the FFT into a g x grid_size stack of
 spectra, the peak picking and the RMSE run once; pick_peaks and the RMSE
 of one trial are the same functions on a stack of one.  Every sum keeps
-its terms and their order, so the estimates are bit for bit those of a
-trial alone.
+its terms and their order, so the estimates are bit for bit those of
+estimate_doas on each trial's covariance alone.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
@@ -258,11 +264,25 @@ def _snapshot_factor(s, scene):
 
 
 def _draw(f, t, seed):
-    """T snapshots F Z.  Z is an N x 2T standard normal draw read as N x T
-    complex numbers (interleaved real and imaginary parts, no copy), so
-    E[Z Z^H] = 2 T I and E[Y Y^H] = T R."""
-    z = np.random.default_rng(seed).standard_normal((f.shape[1], 2 * t))
-    return f @ z.view(complex)
+    """W = F L for T snapshots, and the generator default_rng(seed) that
+    drew L, for simulate to draw on from.
+
+    L is the lower-triangular factor of the LQ factorisation Z = L Q^H of
+    an N x T matrix Z of complex numbers whose real and imaginary parts are
+    standard normals (Bartlett's decomposition; Goodman 1963).  With
+    k = min(N, T), L is N x k: its entries below the diagonal are such
+    complex numbers, and its diagonal entry i is the root of a chi-square
+    draw with 2 (T - i) degrees of freedom.  They are drawn in that order:
+    an N x 2k standard normal draw read as N x k complex numbers (no copy)
+    with its diagonal and upper triangle dropped, then the k chi-square
+    draws.  So W W^H / T has the law of the sample covariance of T
+    snapshots F Z, E[W W^H] = 2 T F F^H = T R, from 2 N k + k random
+    numbers, not 2 N T."""
+    rng = np.random.default_rng(seed)
+    n, k = f.shape[1], min(f.shape[1], t)
+    lower = np.tril(rng.standard_normal((n, 2 * k)).view(complex), -1)
+    np.fill_diagonal(lower, np.sqrt(rng.chisquare(2 * (t - np.arange(k)))))
+    return f @ lower, rng
 
 
 def simulate(s, scene, t, seed):
@@ -272,13 +292,32 @@ def simulate(s, scene, t, seed):
     Source waveforms and noise are zero-mean circular complex Gaussians
     with variances sigma_i^2 and sigma^2, so the snapshots are i.i.d.
     CN(0, R) with R = expected_covariance(s, scene).  They are drawn in
-    that law as Y = F Z, with F F^H = R / 2 and Z an N x T matrix of
-    complex numbers whose real and imaginary parts are independent standard
-    normals.  Deterministic for a given seed, a non-negative integer.
+    that law as Y = F Z, with F F^H = R / 2 and Z = L Q^H an N x T matrix
+    of complex numbers whose real and imaginary parts are independent
+    standard normals, drawn through its LQ factors: the Bartlett factor L
+    of _draw, then from the same generator a T x min(N, T) Haar isometry Q
+    independent of L.  Q is the Q factor of a T x min(N, T) complex
+    Gaussian draw with the phases of its R factor's diagonal divided out
+    (Mezzadri, "How to generate random matrices from the classical compact
+    groups", Notices AMS 2007).  So Y = W Q^H for the W = F L of _draw at
+    the same seed, and Y Y^H = W W^H in exact arithmetic: the sample
+    covariance of Y is the covariance that run_trial_batch draws at that
+    seed, to rounding.  Deterministic for a given seed, a non-negative
+    integer.
     """
     _check_count(t, "snapshot count")
     _check_count(seed, "seed", low=0)
-    return _draw(_snapshot_factor(s, scene), t, seed)
+    w, rng = _draw(_snapshot_factor(s, scene), t, seed)
+    q, r = np.linalg.qr(
+        rng.standard_normal((t, 2 * w.shape[1])).view(complex))
+    phases = r.diagonal() / np.abs(r.diagonal())
+    return w @ (q * phases).conj().T
+
+
+def _gram(w, t):
+    """W W^H / T, forced exactly Hermitian."""
+    r = w @ w.conj().T / t
+    return (r + r.conj().T) / 2.0
 
 
 def sample_covariance(y):
@@ -290,8 +329,7 @@ def sample_covariance(y):
         raise InvalidParameterError(
             "need an N x T snapshot matrix with T >= 1, got shape %s"
             % (y.shape,))
-    r = y @ y.conj().T / y.shape[1]
-    return (r + r.conj().T) / 2.0
+    return _gram(y, y.shape[1])
 
 
 def expected_covariance(s, scene):
@@ -586,10 +624,13 @@ def _picked(grid, spectra, m):
     # Rank each row's maxima by value, then by index, both descending (a
     # stable ascending argsort reversed): the maxima in descending flat
     # order, sorted stably by row and by value, descending.  Keep the first
-    # m of each row, in grid order.
+    # m of each row, in grid order.  The row key is cast to the narrowest
+    # unsigned type that holds g, which numpy sorts stably by radix sort at
+    # 8 and 16 bits, with the same order as the int64 rows.
     flat = np.flatnonzero(peak)[::-1]
     rows, cols = np.divmod(flat, size)
-    order = np.lexsort((-spectra[rows, cols], rows))
+    order = np.lexsort((-spectra[rows, cols],
+                        rows.astype(np.min_scalar_type(g))))
     found = np.bincount(rows, minlength=g)
     rank = np.arange(len(flat)) - (np.cumsum(found) - found)[rows[order]]
     rows, cols = np.divmod(np.sort(flat[order][rank < m]), size)
@@ -708,13 +749,17 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
 
     Per-trial seeds are spawned deterministically from the batch seed, a
     non-negative integer, so the result does not depend on evaluation
-    order.  The model covariance is factored once per batch and every trial
-    draws its snapshots from that factor; the MUSIC stages, up to the
+    order.  The model covariance is factored once per batch, F F^H = R / 2,
+    and each trial's sample covariance is W W^H / T, made exactly Hermitian
+    as sample_covariance makes it, for the W = F L that _draw gives at the
+    trial's seed: no snapshots are formed.  The MUSIC stages, up to the
     peaks and the RMSE, run on groups of trials (see the module docstring),
     and only per-trial tuples of the results are kept, with a copy of the
-    first trial's spectrum.  Each trial's estimates and refined estimates
-    equal, bit for bit, those of simulate -> sample_covariance ->
-    estimate_doas at its seed.  Each trial is scored on its refined
+    first trial's spectrum.  simulate at a trial's seed returns
+    Y = W Q^H, so simulate -> sample_covariance -> estimate_doas gives the
+    trial's spectrum and refined estimates to rounding; its grid estimates
+    are the ones a spectrum that close picks, the same unless two spectrum
+    values tie to within rounding.  Each trial is scored on its refined
     estimates, and the aggregate RMSE pools squared errors of all resolved
     trials, with estimates matched to the truth in sorted order around the
     circle (the cyclic shift with the least error) and errors wrapped to
@@ -734,8 +779,8 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     per_refined = []
     first = None
     for start in range(0, trials, group):
-        r = np.stack([sample_covariance(_draw(
-            f, t, np.random.default_rng(child).integers(2 ** 63)))
+        r = np.stack([_gram(_draw(
+            f, t, np.random.default_rng(child).integers(2 ** 63))[0], t)
             for child in children[start:start + group]])
         spectra, (estimates, refined, under) = _estimates(s, r, m, grid_size)
         if first is None:
