@@ -26,6 +26,9 @@ once, draws L alone for every trial, about 2 N^2 random numbers instead of
 2 N T, and never forms snapshots.  simulate draws the same L at the same
 seed and then Q, so simulate -> sample_covariance reaches the batch's
 covariance to rounding (Q^H Q = I holds exactly only in exact arithmetic).
+Only a trial's own generator calls run trial by trial; the triangles, the
+chi roots on the diagonals, the product with F and W W^H / T run once on
+a group's stack of factors.
 
 Everything that depends only on the array (the coarray plan: the
 ordered-pair lag bins and the coarray summary) or only on a size (the
@@ -39,13 +42,15 @@ same functions on arrays: lag means, Toeplitz gather, real form (below).
 
 These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
-consecutive trials (52 at dim 25, one at dim 181), each drawn alone.  Per
-group the lag means, the Toeplitz matrices, their real forms, eigh, the
+consecutive trials (52 at dim 25, one at dim 181), each from its own
+seed's draws.  Per group the Bartlett factors and their covariances, the
+lag means, the Toeplitz matrices, their real forms, eigh, the
 projectors and their diagonal sums, the FFT into a g x grid_size stack of
 spectra, the peak picking and the RMSE run once; pick_peaks and the RMSE
 of one trial are the same functions on a stack of one.  Every sum keeps
-its terms and their order, so the estimates are bit for bit those of
-estimate_doas on each trial's covariance alone.
+its terms and their order, so each trial's covariance is bit for bit the
+one its seed draws alone, and its estimates those of estimate_doas on that
+covariance alone.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
@@ -263,25 +268,35 @@ def _snapshot_factor(s, scene):
     return v * np.sqrt(np.clip(lam, 0.0, None) / 2.0)
 
 
-def _draw(f, t, seed):
-    """W = F L for T snapshots, and the generator default_rng(seed) that
-    drew L, for simulate to draw on from.
+def _draw(f, t, seeds):
+    """The g x N x min(N, T) stack of W = F L for T snapshots, one per
+    trial seed in seeds, and the generator default_rng(seeds[-1]) that drew
+    the last L, for simulate to draw on from.
 
     L is the lower-triangular factor of the LQ factorisation Z = L Q^H of
     an N x T matrix Z of complex numbers whose real and imaginary parts are
     standard normals (Bartlett's decomposition; Goodman 1963).  With
     k = min(N, T), L is N x k: its entries below the diagonal are such
     complex numbers, and its diagonal entry i is the root of a chi-square
-    draw with 2 (T - i) degrees of freedom.  They are drawn in that order:
-    an N x 2k standard normal draw read as N x k complex numbers (no copy)
-    with its diagonal and upper triangle dropped, then the k chi-square
-    draws.  So W W^H / T has the law of the sample covariance of T
-    snapshots F Z, E[W W^H] = 2 T F F^H = T R, from 2 N k + k random
-    numbers, not 2 N T."""
-    rng = np.random.default_rng(seed)
+    draw with 2 (T - i) degrees of freedom.  Each seed's generator draws
+    them in that order: an N x 2k standard normal draw, read as N x k
+    complex numbers (no copy), then the k chi-square draws.  Only these
+    draws run per seed; the diagonal and upper triangle are dropped, the
+    chi roots written on the diagonal and the product with F taken once
+    for the whole stack, each row as it would be alone.  So W W^H / T has
+    the law of the sample covariance of T snapshots F Z,
+    E[W W^H] = 2 T F F^H = T R, from 2 N k + k random numbers, not 2 N T."""
     n, k = f.shape[1], min(f.shape[1], t)
-    lower = np.tril(rng.standard_normal((n, 2 * k)).view(complex), -1)
-    np.fill_diagonal(lower, np.sqrt(rng.chisquare(2 * (t - np.arange(k)))))
+    z = np.empty((len(seeds), n, 2 * k))
+    chi = np.empty((len(seeds), k))
+    dof = 2 * (t - np.arange(k))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=z[i])
+        chi[i] = rng.chisquare(dof)
+    lower = np.tril(z.view(complex), -1)
+    diagonal = np.arange(k)
+    lower[:, diagonal, diagonal] = np.sqrt(chi)
     return f @ lower, rng
 
 
@@ -307,7 +322,7 @@ def simulate(s, scene, t, seed):
     """
     _check_count(t, "snapshot count")
     _check_count(seed, "seed", low=0)
-    w, rng = _draw(_snapshot_factor(s, scene), t, seed)
+    (w,), rng = _draw(_snapshot_factor(s, scene), t, [seed])
     q, r = np.linalg.qr(
         rng.standard_normal((t, 2 * w.shape[1])).view(complex))
     phases = r.diagonal() / np.abs(r.diagonal())
@@ -315,9 +330,10 @@ def simulate(s, scene, t, seed):
 
 
 def _gram(w, t):
-    """W W^H / T, forced exactly Hermitian."""
-    r = w @ w.conj().T / t
-    return (r + r.conj().T) / 2.0
+    """W W^H / T of a matrix W or of each matrix in a stack W, forced
+    exactly Hermitian."""
+    r = w @ w.conj().swapaxes(-1, -2) / t
+    return (r + r.conj().swapaxes(-1, -2)) / 2.0
 
 
 def sample_covariance(y):
@@ -752,10 +768,12 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     order.  The model covariance is factored once per batch, F F^H = R / 2,
     and each trial's sample covariance is W W^H / T, made exactly Hermitian
     as sample_covariance makes it, for the W = F L that _draw gives at the
-    trial's seed: no snapshots are formed.  The MUSIC stages, up to the
-    peaks and the RMSE, run on groups of trials (see the module docstring),
-    and only per-trial tuples of the results are kept, with a copy of the
-    first trial's spectrum.  simulate at a trial's seed returns
+    trial's seed: no snapshots are formed.  Trials run in groups (see the
+    module docstring): one _draw call takes a group's trial seeds, one
+    _gram call its stack of factors, and the MUSIC stages, up to the peaks
+    and the RMSE, run once on its stack of covariances.  Only per-trial
+    tuples of the results are kept, with a copy of the first trial's
+    spectrum.  simulate at a trial's seed returns
     Y = W Q^H, so simulate -> sample_covariance -> estimate_doas gives the
     trial's spectrum and refined estimates to rounding; its grid estimates
     are the ones a spectrum that close picks, the same unless two spectrum
@@ -779,9 +797,9 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     per_refined = []
     first = None
     for start in range(0, trials, group):
-        r = np.stack([_gram(_draw(
-            f, t, np.random.default_rng(child).integers(2 ** 63))[0], t)
-            for child in children[start:start + group]])
+        seeds = [np.random.default_rng(child).integers(2 ** 63)
+                 for child in children[start:start + group]]
+        r = _gram(_draw(f, t, seeds)[0], t)
         spectra, (estimates, refined, under) = _estimates(s, r, m, grid_size)
         if first is None:
             # A copy, so that the result does not keep the group's stack.

@@ -38,7 +38,6 @@ PAPER_CASES = {
         "max_sources": 24,
         "essential": [1, 2, 3, 4, 17, 21, 25],
         "fragility": {1: "0.5833", 2: "0.8788", 3: "0.9909"},
-        "rmse": 0.0014,
     },
     "cfa": {
         "name": "CFA",
@@ -48,7 +47,6 @@ PAPER_CASES = {
         "max_sources": 22,
         "essential": [0, 2, 4, 9, 17, 22],
         "fragility": {1: "0.5000", 2: "0.8182", 3: "0.9727"},
-        "rmse": 0.0027,
     },
     "auggen1": {
         "name": "AUGGENIFA",
@@ -58,7 +56,6 @@ PAPER_CASES = {
         "max_sources": 26,
         "essential": [1, 4, 8, 12, 17, 21, 25, 26, 27],
         "fragility": {1: "0.8182", 2: "1.0000"},
-        "rmse": 0.00156,
     },
     "auggen2": {
         "name": "AUGGENIIFA",
@@ -68,7 +65,6 @@ PAPER_CASES = {
         "max_sources": 26,
         "essential": [1, 2, 3, 4, 17, 21, 25],
         "fragility": {1: "0.5833", 2: "0.8788", 3: "0.9909"},
-        "rmse": 0.00127,
     },
     "snfa": {
         "name": "SNFA",
@@ -79,7 +75,6 @@ PAPER_CASES = {
         "max_sources": 25,
         "essential": [1, 3, 6, 8, 11, 12, 21, 24, 25],
         "fragility": {1: "0.7500", 2: "1.0000"},
-        "rmse": 0.00174,
     },
 }
 

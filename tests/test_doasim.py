@@ -525,7 +525,7 @@ def test_large_t_limit_matches_expected():
 def _batch_covariance(s, scene, t, seed):
     """The covariance run_trial_batch draws at a trial seed: W W^H / T for
     the Bartlett draw W = F L, with no snapshots."""
-    w, _ = doasim._draw(doasim._snapshot_factor(s, scene), t, seed)
+    (w,), _ = doasim._draw(doasim._snapshot_factor(s, scene), t, [seed])
     return doasim._gram(w, t)
 
 
@@ -588,8 +588,7 @@ def test_bartlett_factor_has_the_law_of_the_lq_factor(nfa):
     # with E|L_ij|^2 = 2 (variance 4 / K of the mean).  Tolerance 5
     # standard errors of each mean.
     n, t, k = len(nfa), 40, 4000
-    draws = np.array([doasim._draw(np.eye(n), t, seed)[0]
-                      for seed in range(k)])
+    draws = doasim._draw(np.eye(n), t, range(k))[0]
     assert draws.shape == (k, n, n)
     upper = np.triu_indices(n, 1)
     assert not draws[:, upper[0], upper[1]].any()
@@ -719,7 +718,7 @@ def test_simulate_is_the_batch_factor_times_a_haar_isometry(nfa, t):
     # generator; so its sample covariance is the batch's to rounding.
     # Q^H Q = I to 1e-13, and W is N x min(N, T).
     scene = random_scene(6, seed=3)
-    w, rng = doasim._draw(doasim._snapshot_factor(nfa, scene), t, 2024)
+    (w,), rng = doasim._draw(doasim._snapshot_factor(nfa, scene), t, [2024])
     k = min(len(nfa), t)
     assert w.shape == (len(nfa), k)
     q = _haar_isometry(rng, t, k)
@@ -729,6 +728,54 @@ def test_simulate_is_the_batch_factor_times_a_haar_isometry(nfa, t):
     r_hat = doasim._gram(w, t)
     assert np.allclose(sample_covariance(y), r_hat, rtol=0.0,
                        atol=1e-13 * np.max(np.abs(r_hat)))
+
+
+@pytest.mark.parametrize("g", [1, 3, 52])
+@pytest.mark.parametrize("t", [1, 5, 12, 500])
+def test_stacked_draw_is_each_seed_drawn_alone(nfa, t, g):
+    # Below, at and above T = N: each row of the stacked draw is the draw
+    # of its seed alone, byte for byte, and that draw takes the seed's
+    # normals and then its chi-square draws in the order written out here.
+    # The generator returned is the last seed's, after its draws.
+    f = doasim._snapshot_factor(nfa, random_scene(6, seed=3))
+    n, k = len(nfa), min(len(nfa), t)
+    seeds = np.random.default_rng(g).integers(2 ** 63, size=g)
+    w, rng = doasim._draw(f, t, seeds)
+    assert w.shape == (g, n, k)
+    for row, seed in zip(w, seeds):
+        (alone,), _ = doasim._draw(f, t, [seed])
+        assert row.tobytes() == alone.tobytes()
+        by_hand = np.random.default_rng(seed)
+        lower = np.tril(by_hand.standard_normal((n, 2 * k)).view(complex), -1)
+        np.fill_diagonal(lower,
+                         np.sqrt(by_hand.chisquare(2 * (t - np.arange(k)))))
+        assert alone.tobytes() == (f @ lower).tobytes()
+    assert rng.bit_generator.state == by_hand.bit_generator.state
+
+
+@pytest.mark.parametrize("t", [5, 500])
+def test_trial_batch_covariances_are_each_trial_drawn_alone(nfa, t,
+                                                             monkeypatch):
+    # 55 trials at dim 25 run as a group of 52 and one of 3.  Every
+    # covariance the batch hands to the MUSIC stages is, byte for byte,
+    # the one its trial seed gives alone.
+    seen = []
+    estimates = doasim._estimates
+
+    def recording(s, r, m, grid_size):
+        seen.append(r.copy())
+        return estimates(s, r, m, grid_size)
+
+    monkeypatch.setattr(doasim, "_estimates", recording)
+    scene = random_scene(8, seed=5)
+    run_trial_batch(nfa, scene, t, 55, seed=17)
+    assert [len(r) for r in seen] == [52, 3]
+    f = doasim._snapshot_factor(nfa, scene)
+    children = np.random.SeedSequence(17).spawn(55)
+    for r_hat, child in zip(np.concatenate(seen), children):
+        seed = np.random.default_rng(child).integers(2 ** 63)
+        alone = doasim._gram(doasim._draw(f, t, [seed])[0], t)[0]
+        assert r_hat.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("r, m, g", [(1, 24, 5), (3, 60, 3)],
