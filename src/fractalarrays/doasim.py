@@ -32,13 +32,14 @@ a group's stack of factors.
 
 Everything that depends only on the array (the coarray plan: the
 ordered-pair lag bins and the coarray summary) or only on a size (the
-theta' grid, the Toeplitz gather index, the diagonal bins of a dim x dim
-matrix and the cyclic shifts of the RMSE) is computed once and kept in
-small, bounded, read-only caches, so a Monte-Carlo batch pays for it on its
-first trial.  Every complex sum is one np.bincount over the float view of
-its terms.  estimate_doas runs the stages of the public
+theta' grid and the diagonal bins of a dim x dim matrix) is computed once
+and kept in small, bounded, read-only caches, so a Monte-Carlo batch pays
+for it on its first trial.  The Toeplitz matrices and the cyclic shifts of
+the RMSE need no index: each is a stack of sliding windows over one 1-D
+sequence, read as a view.  Every complex sum is one np.bincount over the
+float view of its terms.  estimate_doas runs the stages of the public
 coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain, the
-same functions on arrays: lag means, Toeplitz gather, real form (below).
+same functions on arrays: lag means, Toeplitz windows, real form (below).
 
 These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
@@ -77,19 +78,17 @@ from functools import lru_cache
 from numbers import Real
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import InvalidParameterError, _check_count
+from .geometry import InvalidParameterError, _check_count, _integers
 from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
-# The per-dim entries at dim 181: the diagonal bins hold 3 dim (dim + 1) / 2
-# integers (393 kB) and the Toeplitz index dim**2 (262 kB); a shift entry
-# holds m**2 integers (29 kB at m = 60).
+# A diagonal-bins entry holds 3 dim (dim + 1) / 2 integers: 393 kB at dim 181.
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
 _DIAGONAL_CACHE_SIZE = 4
-_SHIFT_CACHE_SIZE = 4
 # Bound on the entries of one dim x dim matrix stack in a trial group.
 _GROUP_ENTRIES = 2 ** 15
 _TINY = np.finfo(float).tiny
@@ -372,16 +371,6 @@ class _CoarrayPlan:
     zero: int
 
 
-@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
-def _toeplitz_index(u):
-    """Read-only (u+1) x (u+1) index p - q + u: entry (p, q) of the
-    Toeplitz matrix is entry p - q + u of its 2u+1 values, lags -u .. u."""
-    idx = np.arange(u + 1)
-    index = idx[:, None] - idx[None, :] + u
-    index.flags.writeable = False
-    return index
-
-
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _coarray_plan(positions):
     coarray = difference_coarray(positions)
@@ -429,13 +418,15 @@ def _lag_means(r, s):
     return plan, sums / plan.counts
 
 
-def _toeplitz(col, index):
-    """T[p, q] = col[p - q] for p >= q and conj(col[q - p]) for p < q,
-    gathered through index = _toeplitz_index(col.shape[-1] - 1); for a
-    g x dim stack of first columns, the g x dim x dim stack of matrices."""
+def _toeplitz(col):
+    """T[p, q] = col[p - q] for p >= q and conj(col[q - p]) for p < q; for a
+    g x dim stack of first columns, the g x dim x dim stack of matrices.
+    With u = dim - 1, T[p, q] is values[u + p - q] of the 2u + 1 values at
+    lags -u .. u: row p is the window values[p:p + dim] reversed.  So T is
+    a read-only view of those windows; no entry is copied."""
     # values[..., u + k] is col[k] for k >= 0 and conj(col[-k]) for k < 0.
     values = np.concatenate((col[..., :0:-1].conj(), col), axis=-1)
-    return values[..., index]
+    return sliding_window_view(values, col.shape[-1], axis=-1)[..., ::-1]
 
 
 def coarray_autocorrelation(r, s):
@@ -455,24 +446,26 @@ def coarray_autocorrelation(r, s):
 def toeplitz_augment(ac, ula_segment):
     """(u+1) x (u+1) Hermitian Toeplitz matrix T[p, q] = ac(p - q).
 
-    ``ula_segment`` is the symmetric interval (-u, u); every lag in it must
-    be present in the autocorrelation map.  Only the lags 0 .. u are read:
-    the entries above the diagonal are their conjugates, so T is exactly
-    Hermitian.  estimate_doas builds T from the same lag means by the same
-    gather, on a stack of covariances at once.
+    ``ula_segment`` is the symmetric interval (-u, u), two integers; every
+    lag in it must be present in the autocorrelation map.  Only the lags
+    0 .. u are read: the entries above the diagonal are their conjugates, so
+    T is exactly Hermitian.  estimate_doas reads T from the same lag means
+    as the same windows (_toeplitz), on a stack of covariances at once; here
+    they are copied into a new, writable array that the caller owns.
     """
-    lo, hi = ula_segment
-    if lo != -hi or hi < 0:
+    bounds = _integers(ula_segment, "the central segment")
+    if len(bounds) != 2 or bounds[0] != -bounds[1] or bounds[1] < 0:
         raise InvalidParameterError(
-            "central segment must be symmetric about 0, got %s" % (ula_segment,))
-    u = hi
+            "central segment must be two integers (-u, u) with u >= 0, got %r"
+            % (ula_segment,))
+    u = bounds[1]
     missing = [k for k in range(-u, u + 1) if k not in ac]
     if missing:
         raise CoarrayHoleError(
             "lags %s missing from the central segment [-%d, %d]"
             % (missing, u, u))
     col = np.array([ac[k] for k in range(0, u + 1)], dtype=complex)
-    return _toeplitz(col, _toeplitz_index(u))
+    return _toeplitz(col).copy()
 
 
 def _real_form(t):
@@ -674,8 +667,8 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
 
     The lag means of r over the central segment, lags 0 .. u, are the first
     column of the Hermitian Toeplitz matrix T that toeplitz_augment
-    builds, by the same gather, and music_spectrum's stages run on T; so
-    this gives the spectrum and estimates of the public chain
+    builds, read as the same windows, and music_spectrum's stages run on
+    T; so this gives the spectrum and estimates of the public chain
     coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
     pick_peaks bit for bit.  A covariance whose lag-0 mean is not real, of
     which T would not be Hermitian, is refused, as music_spectrum refuses
@@ -701,19 +694,8 @@ def _estimates(s, r, m, grid_size):
         raise InvalidParameterError(
             "need a Hermitian covariance: its lag-0 mean %r is not real"
             % cols[bad[0], 0])
-    t = _toeplitz(cols, _toeplitz_index(u))
-    spectra = _spectra(_real_form(t), m, grid_size)
+    spectra = _spectra(_real_form(_toeplitz(cols)), m, grid_size)
     return spectra, _picked(_grid(grid_size), spectra, m)
-
-
-@lru_cache(maxsize=_SHIFT_CACHE_SIZE)
-def _shift_index(m):
-    """Read-only m x m index whose row s rolls a length-m array by s
-    places: (j - s) mod m."""
-    idx = np.arange(m)
-    shifts = (idx - idx[:, None]) % m
-    shifts.flags.writeable = False
-    return shifts
 
 
 def _rmse(estimates, truths):
@@ -728,9 +710,14 @@ def _rmse(estimates, truths):
 
 def _sorted_rmse(estimates, tru):
     """_rmse of each row of the r x m stack estimates against truths tru
-    that are already sorted: r values, each as _rmse gives it alone."""
+    that are already sorted: r values, each as _rmse gives it alone.  Shift
+    s of a sorted row rolls it by s places, est[(j - s) mod m]: the window
+    of its doubled row that starts at m - s, so the m shifts are windows
+    m .. 1 of the doubled rows, read as a view."""
     est = np.sort(estimates, axis=1)
-    d = est[:, _shift_index(est.shape[1])] - tru
+    m = est.shape[1]
+    doubled = np.concatenate((est, est), axis=1)
+    d = sliding_window_view(doubled, m, axis=1)[:, m:0:-1] - tru
     d -= np.rint(d)
     best = np.argmin(np.sum(d ** 2, axis=2), axis=1)
     return np.sqrt(np.mean(d[np.arange(len(d)), best] ** 2, axis=1))

@@ -280,6 +280,8 @@ def cmd_reproduce(args):
     if tag not in REPRODUCE_TAGS:
         raise UsageError("unknown tag %r; valid tags: %s"
                          % (tag, ", ".join(REPRODUCE_TAGS)))
+    if args.k_max < 1:
+        raise UsageError("--k-max must be 1 or more, got %d" % args.k_max)
     cases = [case for case in PAPER_CASES if tag in (case, "table1")]
     needed = max((k for case in cases for k in PAPER_CASES[case]["fragility"]),
                  default=0)

@@ -12,7 +12,6 @@ from fractalarrays.doasim import (DEFAULT_GRID_SIZE, CapacityError,
                                   CoarrayHoleError, MusicResult, SourceScene,
                                   _coarray_plan, _real_form, _rmse,
                                   _sorted_rmse, _toeplitz,
-                                  _toeplitz_index,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
                                   music_spectrum, pick_peaks, random_scene,
@@ -144,8 +143,9 @@ def test_pipeline_matches_reference_bit_for_bit(arr):
                          ids=lambda a: "%d-sensors" % len(a))
 def test_coarray_plan_summary_matches_difference_coarray(arr):
     # The plan reads its lags, counts and summary from difference_coarray
-    # and adds the ordered-pair bins, interleaved from np.unique's inverse
-    # over the row-major position differences.
+    # and adds the ordered-pair bins, interleaved from np.searchsorted of
+    # the row-major position differences in the lags; np.unique's inverse
+    # is the reference for them.
     plan = _coarray_plan(arr.positions)
     p = np.asarray(arr.positions)
     lags, inverse, counts = np.unique((p[:, None] - p[None, :]).ravel(),
@@ -163,6 +163,26 @@ def test_toeplitz_real_autocorrelation_is_complex():
     t = toeplitz_augment({-1: 0.5, 0: 2.0, 1: 0.5}, (-1, 1))
     assert t.dtype == complex
     assert np.array_equal(t, ref_toeplitz_augment({0: 2.0, 1: 0.5}, (-1, 1)))
+    assert np.array_equal(toeplitz_augment({-1: 0.5, 0: 2.0, 1: 0.5},
+                                           (np.int64(-1), np.intc(1))), t)
+
+
+@pytest.mark.parametrize("segment", [(-1.0, 1.0), (False, False), (-1, True),
+                                     (-1, 1, 2), (1,), (), 1, "-1", (-1, 2),
+                                     (1, -1)], ids=repr)
+def test_toeplitz_augment_refuses_a_segment_not_two_symmetric_integers(
+        segment):
+    with pytest.raises(InvalidParameterError):
+        toeplitz_augment({-1: 0.5, 0: 2.0, 1: 0.5}, segment)
+
+
+def test_toeplitz_augment_returns_an_array_the_caller_owns(nfa):
+    # _toeplitz is a read-only view of windows; toeplitz_augment copies it.
+    ac = coarray_autocorrelation(np.eye(len(nfa.positions)), nfa)
+    first, second = (toeplitz_augment(ac, (-24, 24)) for _ in range(2))
+    for t in (first, second):
+        assert t.flags.writeable and t.flags.c_contiguous
+    assert not np.shares_memory(first, second)
 
 
 def test_cached_grid_cannot_be_corrupted_through_a_result(nfa):
@@ -1005,15 +1025,23 @@ def _columns():
 @pytest.mark.parametrize("col", [pytest.param(col, id=name)
                                  for name, col in _columns()])
 def test_stacked_real_form_is_each_matrix_real_form(col):
-    # A stack of one and a stack of two, whose second first column flips
-    # the sign of every real part and of no imaginary part: each row of the
-    # stacked _real_form(_toeplitz(...)) is that of its column alone.
-    index = _toeplitz_index(len(col) - 1)
-    alone = _real_form(_toeplitz(col, index))
-    _assert_same_bits(_real_form(_toeplitz(col[None], index))[0], alone)
+    # _toeplitz is the gather values[p - q + u] of the 2u + 1 values at lags
+    # -u .. u, byte for byte.  Then a stack of one and a stack of two, whose
+    # second first column flips the sign of every real part and of no
+    # imaginary part: each row of the stacked _real_form(_toeplitz(...)) is
+    # that of its column alone.
+    u = len(col) - 1
+    values = np.array([col[k] if k >= 0 else np.conj(col[-k])
+                       for k in range(-u, u + 1)])
+    idx = np.arange(u + 1)
+    gathered = values[idx[:, None] - idx[None, :] + u]
+    assert _toeplitz(col).shape == gathered.shape
+    assert _toeplitz(col).tobytes() == gathered.tobytes()
+    alone = _real_form(_toeplitz(col))
+    _assert_same_bits(_real_form(_toeplitz(col[None]))[0], alone)
     cols = np.stack((col, -col.conj()))
-    for s, c in zip(_real_form(_toeplitz(cols, index)), cols):
-        _assert_same_bits(s, _real_form(_toeplitz(c, index)))
+    for s, c in zip(_real_form(_toeplitz(cols)), cols):
+        _assert_same_bits(s, _real_form(_toeplitz(c)))
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (5, 6), (3, 13, 13)])

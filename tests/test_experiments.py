@@ -10,7 +10,7 @@ from fractalarrays.doasim import (DEFAULT_GRID_SIZE, MusicResult,
                                   estimate_doas, pick_peaks,
                                   random_scene, run_trial_batch,
                                   sample_covariance, simulate)
-from fractalarrays.experiments import PAPER_CASES, main
+from fractalarrays.experiments import PAPER_CASES, REPRODUCE_TAGS, main
 from fractalarrays.geometry import (gen_ana1, gen_ana2, gen_cantor,
                                     gen_coprime, gen_nested,
                                     gen_super_nested, gen_ula, make_sfa)
@@ -378,6 +378,19 @@ def test_reproduce_k_max_below_published_fragility(capsys, tmp_path, tag,
     assert out == ""
     assert err.startswith("usage error:")
     assert "--k-max %d" % needed in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+@pytest.mark.parametrize("tag", REPRODUCE_TAGS)
+def test_reproduce_k_max_below_one_is_a_usage_error(capsys, tmp_path, tag,
+                                                    k_max):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "reproduce", tag, "--k-max", k_max,
+                         "--out-dir", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: --k-max must be 1 or more, got %s\n" % k_max
     assert not out_dir.exists()
 
 
