@@ -156,6 +156,11 @@ def _load_geometry(source):
     return SensorArray.from_dict(json.loads(payload))
 
 
+def _check_k_max(k_max):
+    if k_max < 1:
+        raise UsageError("--k-max must be 1 or more, got %d" % k_max)
+
+
 def _analysis_bundle(arr, k_max):
     co = difference_coarray(arr)
     k_max = min(k_max, len(arr) - 1)
@@ -176,6 +181,7 @@ def cmd_generate(args):
 
 
 def cmd_analyze(args):
+    _check_k_max(args.k_max)
     arr = _load_geometry(args.geometry)
     _dump(_analysis_bundle(arr, args.k_max))
     return 0
@@ -280,8 +286,7 @@ def cmd_reproduce(args):
     if tag not in REPRODUCE_TAGS:
         raise UsageError("unknown tag %r; valid tags: %s"
                          % (tag, ", ".join(REPRODUCE_TAGS)))
-    if args.k_max < 1:
-        raise UsageError("--k-max must be 1 or more, got %d" % args.k_max)
+    _check_k_max(args.k_max)
     cases = [case for case in PAPER_CASES if tag in (case, "table1")]
     needed = max((k for case in cases for k in PAPER_CASES[case]["fragility"]),
                  default=0)

@@ -60,11 +60,12 @@ array share one build; a translated copy is a new key.
 Cost: N(N-1)/2 lags to build the graphs, once per array, then one branch
 tree at most k - 3 deep in deletions, each node passing a few times over
 the graphs that are still coverable.  The tree for the top k counts every
-smaller k too, so a profile costs about its top k alone.  For the
-48-sensor NFA at k <= 3 the build takes about 0.23 ms and the tree, one
-leaf over 51 graphs, about 0.24 ms, where rebuilding the lag set for each
-of the C(N, k) subsets took seconds; at k = 4, 5 and 6 the tree takes
-about 6, 60 and 490 ms.
+smaller k too, so a profile costs about its top k alone.  Its time
+follows the edges it reads, about 0.15-0.9 us each (2-vCPU x86_64), not
+C(N, k): the 40-sensor ULA at k = 10 (C(N, k) = 8.5e8) reads 18 243 in
+0.013 s, the 48-sensor NFA at k = 5 (1.7e6) 85 057 in 0.04 s.  A tree
+that would read more than _WORK_BUDGET = 2^22 is refused once it has read
+that many, a few seconds in: the same NFA at k = 8 needs 13.5 million.
 Lists of covers would be quicker still at small k, but they grow like 2^k
 per lag: the 29-sensor ULA has 2.6 million covers of at most 21 sensors.
 """
@@ -81,9 +82,8 @@ from operator import or_
 from .coarray import _lag_rows, _positions
 from .geometry import InvalidParameterError, _check_count
 
-# C(|S|, k) above this is refused.  The count does not visit the subsets,
-# but its branch tree can still grow with C(|S|, k).
-ENUMERATION_LIMIT = 10_000_000
+# Edge reads one count may make before it is refused; see Cost above.
+_WORK_BUDGET = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -240,17 +240,24 @@ def _count_holding_a_pair(pairs, n):
     return len(pairs) * (n - 2) - paths + triangles
 
 
-def _uncovering_counts(graphs, pool, r):
+def _uncovering_counts(graphs, pool, r, reads=0):
     """Number of s-subsets of the bitmask ``pool`` that cover no graph, for
-    every s = 0 .. r, as a list indexed by s.
+    every s = 0 .. r, as a list indexed by s, and ``reads`` plus the edges
+    the tree read.
 
     Edges are read through ``pool``: an endpoint outside it is sure to stay.
     A sensor that covers a graph alone is in no such subset of any size, and
     a graph with more than 2r edges or r paths is covered by none, so one
-    tree counts every size up to r.
+    tree counts every size up to r.  Past _WORK_BUDGET edge reads, counted
+    before each pass over the graphs, it raises InvalidParameterError.
     """
     counts = [0] * (r + 1)
     while True:
+        reads += sum(map(len, graphs))
+        if reads > _WORK_BUDGET:
+            raise InvalidParameterError(
+                "the exact count needs more than its work budget of %d "
+                "edge reads" % _WORK_BUDGET)
         graphs, single = _coverable(graphs, pool, r)
         if single:
             pool &= ~single
@@ -263,7 +270,8 @@ def _uncovering_counts(graphs, pool, r):
             x &= -x
             pool &= ~x
             deleted = [[e for e in g if not e & x] for g in graphs]
-            for s, c in enumerate(_uncovering_counts(deleted, pool, r - 1), 1):
+            below, reads = _uncovering_counts(deleted, pool, r - 1, reads)
+            for s, c in enumerate(below, 1):
                 counts[s] += c
             continue
         n = pool.bit_count()
@@ -280,27 +288,19 @@ def _uncovering_counts(graphs, pool, r):
                         if p | z in triples}
                 leaf[3] -= (_count_holding_a_pair(pairs, n) + len(triples)
                             - len(held))
-        return [c + v for c, v in zip(counts, leaf)]
+        return [c + v for c, v in zip(counts, leaf)], reads
 
 
-def _check_limit(n, k):
-    total = comb(n, k)
-    if total > ENUMERATION_LIMIT:
-        raise InvalidParameterError(
-            "C(%d, %d) = %d subsets exceeds the enumeration limit of %d"
-            % (n, k, total, ENUMERATION_LIMIT))
-
-
-def _profile(s, k_max):
-    """FragilityReports for k = 1 .. k_max from one branch tree."""
+def _profile(s, ks):
+    """FragilityReports for each k of the range ``ks`` from one branch tree."""
     n = len(s)
     graphs = _pair_graphs(_positions(s))
     # n - k kept sensors span at most C(n - k, 2) positive lags, so every
     # k-subset is essential past the largest k where they can span them all.
-    top = max(k for k in range(k_max + 1) if comb(n - k, 2) >= len(graphs))
-    uncovering = _uncovering_counts(graphs, (1 << n) - 1, top)
+    top = max((k for k in ks if comb(n - k, 2) >= len(graphs)), default=0)
+    uncovering, _ = _uncovering_counts(graphs, (1 << n) - 1, top)
     reports = []
-    for k in range(1, k_max + 1):
+    for k in ks:
         total = comb(n, k)
         count = total - uncovering[k] if k <= top else total
         reports.append(FragilityReport(k=k, essential_subset_count=count,
@@ -328,20 +328,17 @@ def essential_sensors(s):
 def k_fragility(s, k):
     """Exactly count size-k subsets whose removal changes the coarray."""
     _check_count(k, "k", high=len(s) - 1)
-    _check_limit(len(s), k)
-    return _profile(s, k)[-1]
+    return _profile(s, range(k, k + 1))[0]
 
 
 def fragility_profile(s, k_max):
     """FragilityReports for k = 1 .. k_max.
 
-    Every k is checked against ENUMERATION_LIMIT before any is computed,
-    and one branch tree, for the largest k that needs one, counts them all.
+    One branch tree, for the largest k that needs one, counts them all.  A
+    tree that reads more than _WORK_BUDGET edges raises InvalidParameterError.
     """
     _check_count(k_max, "k_max", high=len(s) - 1)
-    for k in range(1, k_max + 1):
-        _check_limit(len(s), k)
-    return _profile(s, k_max)
+    return _profile(s, range(1, k_max + 1))
 
 
 def robustness_report(s, k_max):

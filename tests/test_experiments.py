@@ -394,6 +394,27 @@ def test_reproduce_k_max_below_one_is_a_usage_error(capsys, tmp_path, tag,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_analyze_k_max_below_one_is_a_usage_error(capsys, monkeypatch,
+                                                  k_max):
+    # The same message and exit code as reproduce, not the library's.
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"positions": [0, 1, 3]}'))
+    code, out, err = run(capsys, "analyze", "-", "--k-max", k_max)
+    assert (code, out) == (1, "")
+    assert err == "usage error: --k-max must be 1 or more, got %s\n" % k_max
+
+
+def test_analyze_over_the_work_budget_exits_2(capsys, monkeypatch):
+    # ULA(8) has 28 pairs, so its tree reads more than 10 edges.
+    monkeypatch.setattr("fractalarrays.robustness._WORK_BUDGET", 10)
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO('{"positions": [0, 1, 2, 3, 4, 5, 6, 7]}'))
+    code, out, err = run(capsys, "analyze", "-")
+    assert (code, out) == (2, "")
+    assert err == "error: the exact count needs more than its work budget " \
+        "of 10 edge reads\n"
+
+
 def test_reproduce_k_max_at_published_fragility(capsys, tmp_path):
     code, out, _ = run(capsys, "reproduce", "auggen1", "--k-max", "2",
                        "--out-dir", str(tmp_path))

@@ -145,18 +145,19 @@ def test_nfa48_counts():
     assert counts == [7, 310, 6955, 103240, 1122282]
 
 
-@pytest.mark.parametrize("arr, r, top", [
-    (gen_ula(40), 10, 427780383),
-    (make_sfa("coprime", {"m": 2, "n": 3}, 3), 7, 775190),
+@pytest.mark.parametrize("arr, r, top, reads", [
+    (gen_ula(40), 10, 427780383, 18243),
+    (make_sfa("coprime", {"m": 2, "n": 3}, 3), 7, 775190, 212248),
 ], ids=["ULA40-r10", "CFA48-r7"])
-def test_deep_trees_keep_the_earlier_counts(arr, r, top):
-    # Seven and four deletions deep, beyond ENUMERATION_LIMIT and any
-    # exhaustive reference: the r-subsets that cover no pair graph, as a
-    # counter without the drop of graphs with more paths than deletions
-    # left counts them.
+def test_deep_trees_keep_the_earlier_counts(arr, r, top, reads):
+    # Seven and four deletions deep, beyond any exhaustive reference: the
+    # r-subsets that cover no pair graph, as a counter without the drop of
+    # graphs with more paths than deletions left counts them, and the edges
+    # the tree reads to count them.
     n = len(arr)
     graphs = robustness._pair_graphs(arr.positions)
-    assert robustness._uncovering_counts(graphs, (1 << n) - 1, r)[-1] == top
+    counts, spent = robustness._uncovering_counts(graphs, (1 << n) - 1, r)
+    assert (counts[-1], spent) == (top, reads)
 
 
 def test_kept_sensors_spanning_every_lag_exactly():
@@ -315,10 +316,10 @@ def test_parameter_validation(cfa):
         fragility_profile(cfa, len(cfa))
 
 
-def test_enumeration_guard():
-    big = SensorArray(tuple(range(40)))
-    with pytest.raises(InvalidParameterError, match="enumeration limit"):
-        k_fragility(big, 8)
+def test_deep_profile_of_a_long_ula():
+    # C(40, 10) is about 8.5e8 subsets, but the tree reads 18 243 edges.
+    r = fragility_profile(gen_ula(40), 10)[-1]
+    assert r.essential_subset_count == 419880145 == comb(40, 10) - 427780383
 
 
 def test_report_json(cfa):
@@ -338,27 +339,57 @@ def test_fragility_csv(tmp_path, cfa):
     assert lines[2] == "CFA,2,0.8182"
 
 
-def test_profile_checks_every_k_before_computing(monkeypatch):
-    def no_count(graphs, pool, r):
-        raise AssertionError("counted before the limit check")
-
-    monkeypatch.setattr(robustness, "_uncovering_counts", no_count)
-    big = SensorArray(tuple(range(40)))
+def _returns_within(seconds, call, *args):
+    """What call(*args) returns or raises, run in a daemon thread so that a
+    call that hangs fails the test instead of stalling the suite."""
     out = []
 
     def attempt():
         try:
-            fragility_profile(big, 8)
+            out.append(call(*args))
         except InvalidParameterError as exc:
             out.append(exc)
 
     worker = threading.Thread(target=attempt, daemon=True)
     start = time.perf_counter()
     worker.start()
-    worker.join(timeout=5.0)
-    assert not worker.is_alive(), "fragility_profile did not return"
-    assert time.perf_counter() - start < 1.0
-    assert len(out) == 1 and "C(40, 7)" in str(out[0])
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), "%s did not return" % call.__name__
+    assert time.perf_counter() - start < seconds
+    return out[0]
+
+
+def test_work_budget_is_an_exact_count_of_edge_reads(monkeypatch):
+    # The 48-sensor NFA's profile to k = 5 reads 85 057 edges.
+    nfa48 = make_sfa("nested", {"n": 6}, 3)
+    monkeypatch.setattr(robustness, "_WORK_BUDGET", 85056)
+    with pytest.raises(InvalidParameterError,
+                       match="work budget of 85056 edge reads"):
+        fragility_profile(nfa48, 5)
+    monkeypatch.setattr(robustness, "_WORK_BUDGET", 85057)
+    assert [r.essential_subset_count for r in fragility_profile(nfa48, 5)] \
+        == [7, 310, 6955, 103240, 1122282]
+
+
+def test_work_budget_refuses_promptly(monkeypatch):
+    # At k = 8 the tree reads about 13.5 million edges; the refusal comes
+    # once it has read the budget, not after the whole tree.
+    monkeypatch.setattr(robustness, "_WORK_BUDGET", 10 ** 5)
+    out = _returns_within(1.0, fragility_profile,
+                          make_sfa("nested", {"n": 6}, 3), 8)
+    assert isinstance(out, InvalidParameterError)
+    assert "work budget of 100000 edge reads" in str(out)
+
+
+def test_k_past_the_kept_pair_rule_runs_no_tree(monkeypatch):
+    # 4 kept sensors span at most C(4, 2) = 6 of the 48-sensor NFA's positive
+    # lags, so every 44-subset is essential: the tree is one r = 0 leaf, not
+    # the tree of the deepest k that the rule leaves open.
+    calls = _count_trees(monkeypatch)
+    r = _returns_within(1.0, k_fragility, make_sfa("nested", {"n": 6}, 3), 44)
+    assert (r.essential_subset_count, r.total_subsets) == (194580, 194580)
+    assert r.fragility == 1
+    assert calls == [0]
 
 
 def test_nfa_r2_matches_reference_at_k5():
@@ -536,9 +567,9 @@ def _count_trees(monkeypatch):
     calls = []
     uncovering_counts = robustness._uncovering_counts
 
-    def counted(graphs, pool, r):
+    def counted(graphs, pool, r, reads=0):
         calls.append(r)
-        return uncovering_counts(graphs, pool, r)
+        return uncovering_counts(graphs, pool, r, reads)
 
     monkeypatch.setattr(robustness, "_uncovering_counts", counted)
     return calls
