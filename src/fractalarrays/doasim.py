@@ -651,11 +651,10 @@ def _picked(grid, spectra, m):
     step = float(grid[1] - grid[0]) if size > 1 else 0.0
     estimates = grid[cols]
     refined = estimates + shift * (0.5 * step)
-    # Only a row's first peak can move below the grid's start.
-    kept = np.minimum(found, m)
-    ends = np.cumsum(kept)
-    starts = (ends - kept)[kept > 0]
-    refined[starts[refined[starts] < grid[0]]] += size * step
+    # At most half a step off its peak, only a refined estimate at column 0
+    # can fall below the grid's start; it wraps up by G steps.
+    refined[refined < grid[0]] += size * step
+    ends = np.cumsum(np.minimum(found, m))
     est, ref = estimates.tolist(), refined.tolist()
     bounds = list(zip([0] + ends.tolist(), ends.tolist()))
     return ([tuple(est[a:b]) for a, b in bounds],

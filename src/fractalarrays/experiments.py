@@ -366,10 +366,12 @@ def _build_parser():
     def add_geometry_flags(p):
         p.add_argument("--sub", help="SFA subarray family",
                        choices=list(geometry._SFA_FAMILIES))
-        p.add_argument("--n", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--n1", type=int)
-        p.add_argument("--n2", type=int)
+        # Every family's parameters, once each in order of first use: n, m,
+        # n1, n2.
+        names = [name for _, family in geometry._SFA_FAMILIES.values()
+                 for name in family]
+        for name in dict.fromkeys(names):
+            p.add_argument("--" + name, type=int)
         p.add_argument("--r", type=int, help="fractal scale")
 
     gen = sub.add_parser("generate", help="emit a geometry as JSON")

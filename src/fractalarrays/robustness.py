@@ -36,13 +36,11 @@ size s <= r:
   size: none for one sensor (those were kept above), and for two, C(n, 2)
   minus the distinct covering pairs;
 * with r = 3, a 3-subset covers some graph when it holds a covering pair
-  or is itself a cover.  A pair covers at most 4 edges, so the covering
-  pairs come from the graphs with at most 4; read as the edges of a graph
-  H, they lie in A = |E(H)|(n - 2) - Sum_v C(deg_H v, 2) + #triangles(H)
-  of the 3-subsets.  The same pass over each graph finds a set T of
-  covering triples, among them every one that holds no edge of H; those
-  that do are the p | z in T of an edge p and a sensor z, so
-  B = |T| - |held| hold none, and C(n, 3) - A - B cover no graph;
+  or is itself a cover.  The pass over each graph that finds the covering
+  pairs p finds a set T of covering triples, among them every one that
+  holds no covering pair, so the covering 3-subsets are the one set
+  T | {p | z : z an undecided sensor not in p}, and C(n, 3) less its size
+  cover no graph;
 * k deletions leave N - k sensors, whose C(N - k, 2) pairs cannot span
   more lags than that, so every k-subset is essential when the full array
   has more positive lags.  Only the largest k of a profile that this does
@@ -220,26 +218,6 @@ def _small_covers(graphs, pool, r):
     return pairs, triples
 
 
-def _count_holding_a_pair(pairs, n):
-    """Number of 3-subsets of n sensors that hold one of the sensor pairs
-    ``pairs`` (a set of two-bit masks over those sensors).
-
-    Read as the edges of a graph H, a pair lies in n - 2 of the 3-subsets, a
-    3-subset holding two pairs is counted twice by that and once by the
-    Sum_v C(deg v, 2) paths of two edges, and one holding three, a triangle
-    of H, three times by each.
-    """
-    adjacent = {}
-    for p in pairs:
-        x = p & -p
-        adjacent[x] = adjacent.get(x, 0) | p ^ x
-        adjacent[p ^ x] = adjacent.get(p ^ x, 0) | x
-    paths = sum(comb(a.bit_count(), 2) for a in adjacent.values())
-    triangles = sum((adjacent[p & -p] & adjacent[p ^ p & -p]).bit_count()
-                    for p in pairs) // 3
-    return len(pairs) * (n - 2) - paths + triangles
-
-
 def _uncovering_counts(graphs, pool, r, reads=0):
     """Number of s-subsets of the bitmask ``pool`` that cover no graph, for
     every s = 0 .. r, as a list indexed by s, and ``reads`` plus the edges
@@ -278,16 +256,16 @@ def _uncovering_counts(graphs, pool, r, reads=0):
         leaf = [comb(n, s) for s in range(r + 1)]
         if graphs and r >= 2:
             # No one sensor covers a graph: a subset covers one when it holds
-            # a covering pair, or is a covering triple that holds none.
+            # a covering pair, or is a covering triple that holds none.  At
+            # r = 3 the 3-subsets of both kinds are counted as one set.
             pairs, triples = _small_covers(graphs, pool, r)
             leaf[2] -= len(pairs)
             if r == 3:
                 sensors = [1 << i for i in range(pool.bit_length())
                            if pool >> i & 1]
-                held = {p | z for p in pairs for z in sensors
-                        if p | z in triples}
-                leaf[3] -= (_count_holding_a_pair(pairs, n) + len(triples)
-                            - len(held))
+                triples.update(p | z for p in pairs for z in sensors
+                               if not p & z)
+                leaf[3] -= len(triples)
         return [c + v for c, v in zip(counts, leaf)], reads
 
 

@@ -145,6 +145,18 @@ def test_nfa48_counts():
     assert counts == [7, 310, 6955, 103240, 1122282]
 
 
+@pytest.mark.parametrize("arr, want", [
+    (make_sfa("coprime", {"m": 2, "n": 3}, 3), [18, 705, 13598]),
+    (make_sfa("super_nested", {"n1": 3, "n2": 3}, 3), [21, 777, 14403]),
+], ids=["CFA48", "SNFA48"])
+def test_48_sensor_sfa_counts_to_k3(arr, want):
+    # The counts of an exhaustive enumeration over every k-subset.  The
+    # coprime SFA leaves 12 covering pairs at the three-deletion leaf, where
+    # the 48-sensor NFA leaves 2 and the super-nested SFA none.
+    assert [r.essential_subset_count for r in fragility_profile(arr, 3)] \
+        == want
+
+
 @pytest.mark.parametrize("arr, r, top, reads", [
     (gen_ula(40), 10, 427780383, 18243),
     (make_sfa("coprime", {"m": 2, "n": 3}, 3), 7, 775190, 212248),
@@ -420,25 +432,6 @@ def test_larger_arrays_match_reference_to_k5(arr):
     assert_matches_reference(arr, 5)
 
 
-def test_count_holding_a_pair_matches_brute_force():
-    rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randint(3, 10)
-        every = [1 << i | 1 << j for i, j in itertools.combinations(range(n), 2)]
-        pairs = set(rng.sample(every, rng.randint(0, len(every))))
-        if rng.random() < 0.5:
-            # A triangle and a star, to be sure both shapes are present.
-            a, b, c = rng.sample(range(n), 3)
-            d = rng.randrange(n)
-            pairs |= {1 << a | 1 << b, 1 << b | 1 << c, 1 << a | 1 << c}
-            pairs |= {1 << d | 1 << e for e in range(n) if e != d}
-        want = 0
-        for t in itertools.combinations(range(n), 3):
-            mask = sum(1 << i for i in t)
-            want += any(p & mask == p for p in pairs)
-        assert robustness._count_holding_a_pair(pairs, n) == want
-
-
 def _random_path_graphs(rng, n):
     """One to six pair graphs over n sensors, each a union of disjoint paths
     with one to eight edges, as a tuple of two-bit edge masks."""
@@ -506,6 +499,28 @@ def test_nfa48_leaf_reads_only_graphs_of_at_most_three_paths():
         live, single = robustness._coverable(live, pool, 3)
     paths = [reduce(or_, g).bit_count() - len(g) for g in live]
     assert len(live) == 51 and max(paths) == 3
+
+
+def test_three_deletion_leaf_matches_brute_force():
+    # The covering 3-subsets are counted as one set: the covering triples
+    # found graph by graph, and each covering pair with a third pool sensor.
+    rng = random.Random(29)
+    with_pairs = 0
+    for _ in range(400):
+        n = rng.randint(3, 10)
+        graphs = _random_path_graphs(rng, n)
+        if n >= 6 and rng.random() < 0.5:
+            graphs.append(_disjoint_edges(rng, n, 3))
+        # Sensors outside the pool are sure to stay, so some edges keep one
+        # or neither endpoint in it.
+        pool = sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
+        sensors = [i for i in range(n) if pool >> i & 1]
+        want = [comb(len(sensors), s) - len(_covering(graphs, sensors, s))
+                for s in range(4)]
+        counts, _ = robustness._uncovering_counts(graphs, pool, 3)
+        assert counts == want
+        with_pairs += bool(_covering(graphs, sensors, 2))
+    assert with_pairs > 100
 
 
 def _check_small_covers(graphs, pool, r, n):
