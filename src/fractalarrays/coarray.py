@@ -1,11 +1,15 @@
 """Difference coarrays, weight functions, and central-ULA summaries.
 
-Every view is read from one kernel, found by direct O(N^2) differencing:
-for each sensor j of the sorted positions, the row of lags
-p_j - p_i over the sensors i below it.  The coarray is 0 and the lags in
-some row, with their negatives; w(0) = N, and w(l) = w(-l) is the number
-of rows' entries equal to l.  The rows are counted one at a time and only
-the counts are kept, so the views take memory in the number of lags, not
+Positions are checked once.  A SensorArray's are taken as they are, since
+the type already holds them as strictly increasing non-negative integers;
+any other input is read by ``_positions``, which sorts it and refuses a
+non-integer or repeated position.  Every view is then read from one
+kernel, the bare O(N^2) differencing loop: for each sensor j of the
+sorted positions, the row of lags p_j - p_i over the sensors i below it.
+The coarray is 0 and the lags in some row, with their negatives;
+w(0) = N, and w(l) = w(-l) is the number of rows' entries equal to l.
+The rows are made one at a time and only the counts (for lag_set, only
+the lags) are kept, so the views take memory in the number of lags, not
 in the number of pairs.
 """
 
@@ -14,28 +18,34 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import lt, neg
 
-from .geometry import InvalidParameterError, _integers
+from .geometry import InvalidParameterError, SensorArray, _integers
 
 # summarize lists every hole, so it refuses a coarray with more than this.
 _HOLE_LIMIT = 10 ** 6
 
 
 def _positions(array):
-    """Sorted positions of an array or a sequence, read by _integers."""
-    return tuple(sorted(_integers(getattr(array, "positions", array),
-                                  "sensor positions")))
+    """Sorted, distinct positions of an array or a sequence.
+
+    A SensorArray's positions are returned as they are.  Anything else is
+    read by _integers and sorted, and a repeated position is refused."""
+    if isinstance(array, SensorArray):
+        return array.positions
+    pos = tuple(sorted(_integers(getattr(array, "positions", array),
+                                 "sensor positions")))
+    if not all(map(lt, pos, pos[1:])):
+        raise InvalidParameterError("sensor positions must be distinct")
+    return pos
 
 
 def _lag_rows(positions):
-    """For each sensor j of sorted positions, the list of lags
-    positions[j] - positions[i] over i < j, in the order of i.  A lag of 0,
-    from a repeated position, is refused."""
+    """For each sensor j of the sorted, distinct positions that _positions
+    returns, the list of lags positions[j] - positions[i] over i < j, in
+    the order of i.  The positions are not checked again here."""
     for j, b in enumerate(positions):
-        row = [b - a for a in positions[:j]]
-        if 0 in row:
-            raise InvalidParameterError("sensor positions must be distinct")
-        yield row
+        yield [b - a for a in positions[:j]]
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,11 @@ def difference_coarray(array):
 
 
 def lag_set(array):
-    """The coarray lag set alone (weights ignored)."""
-    return difference_coarray(array).lag_set()
+    """The coarray lag set alone (weights ignored), equal to
+    difference_coarray(array).lag_set(); the positive lags are read from the
+    kernel's rows into one set, and no weight is counted."""
+    positive = set(chain.from_iterable(_lag_rows(_positions(array))))
+    return frozenset(chain((0,), positive, map(neg, positive)))
 
 
 def summarize(c):

@@ -78,7 +78,7 @@ from functools import lru_cache
 from numbers import Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .geometry import InvalidParameterError, _check_count, _integers
 from .coarray import CoarraySummary, difference_coarray, summarize
@@ -423,10 +423,14 @@ def _toeplitz(col):
     g x dim stack of first columns, the g x dim x dim stack of matrices.
     With u = dim - 1, T[p, q] is values[u + p - q] of the 2u + 1 values at
     lags -u .. u: row p is the window values[p:p + dim] reversed.  So T is
-    a read-only view of those windows; no entry is copied."""
+    a read-only view of those windows, one step along values per row and one
+    step back per column from values[u]; no entry is copied."""
     # values[..., u + k] is col[k] for k >= 0 and conj(col[-k]) for k < 0.
+    dim = col.shape[-1]
     values = np.concatenate((col[..., :0:-1].conj(), col), axis=-1)
-    return sliding_window_view(values, col.shape[-1], axis=-1)[..., ::-1]
+    *outer, step = values.strides
+    return as_strided(values[..., dim - 1:], values.shape[:-1] + (dim, dim),
+                      (*outer, step, -step), writeable=False)
 
 
 def coarray_autocorrelation(r, s):
@@ -712,11 +716,14 @@ def _sorted_rmse(estimates, tru):
     that are already sorted: r values, each as _rmse gives it alone.  Shift
     s of a sorted row rolls it by s places, est[(j - s) mod m]: the window
     of its doubled row that starts at m - s, so the m shifts are windows
-    m .. 1 of the doubled rows, read as a view."""
+    m .. 1 of the doubled rows, read as a view: one step back per shift and
+    one step on per place from the doubled row's column m."""
     est = np.sort(estimates, axis=1)
-    m = est.shape[1]
+    r, m = est.shape
     doubled = np.concatenate((est, est), axis=1)
-    d = sliding_window_view(doubled, m, axis=1)[:, m:0:-1] - tru
+    row, step = doubled.strides
+    d = as_strided(doubled[:, m:], (r, m, m), (row, -step, step),
+                   writeable=False) - tru
     d -= np.rint(d)
     best = np.argmin(np.sum(d ** 2, axis=2), axis=1)
     return np.sqrt(np.mean(d[np.arange(len(d)), best] ** 2, axis=1))
@@ -751,10 +758,14 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
 
     Per-trial seeds are spawned deterministically from the batch seed, a
     non-negative integer, so the result does not depend on evaluation
-    order.  The model covariance is factored once per batch, F F^H = R / 2,
-    and each trial's sample covariance is W W^H / T, made exactly Hermitian
-    as sample_covariance makes it, for the W = F L that _draw gives at the
-    trial's seed: no snapshots are formed.  Trials run in groups (see the
+    order.  Trial i's seed is default_rng(child i).integers(2 ** 63), read
+    as PCG64(child i).random_raw() >> 1 without building a Generator: numpy
+    draws an integer below 2^63 (Lemire's method) from one raw 64-bit draw
+    and keeps its top 63 bits, so the two are equal.  The model covariance
+    is factored once per batch, F F^H = R / 2, and each trial's sample
+    covariance is W W^H / T, made exactly Hermitian as sample_covariance
+    makes it, for the W = F L that _draw gives at the trial's seed: no
+    snapshots are formed.  Trials run in groups (see the
     module docstring): one _draw call takes a group's trial seeds, one
     _gram call its stack of factors, and the MUSIC stages, up to the peaks
     and the RMSE, run once on its stack of covariances.  Only per-trial
@@ -783,7 +794,7 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     per_refined = []
     first = None
     for start in range(0, trials, group):
-        seeds = [np.random.default_rng(child).integers(2 ** 63)
+        seeds = [np.random.PCG64(child).random_raw() >> 1
                  for child in children[start:start + group]]
         r = _gram(_draw(f, t, seeds)[0], t)
         spectra, (estimates, refined, under) = _estimates(s, r, m, grid_size)

@@ -9,9 +9,9 @@ sizes, counts, seeds, k) is read by _as_ints here: 1.0 and True are refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
-from operator import index
+from operator import index, lt
 
 import numpy as np
 
@@ -81,10 +81,10 @@ class SensorArray:
             raise InvalidParameterError(
                 "kind and label must be strings, got %r and %r"
                 % (self.kind, self.label))
-        if any(not 0 <= p < 2 ** 63 for p in pos):
+        if min(pos) < 0 or max(pos) >= 2 ** 63:
             raise InvalidParameterError(
                 "sensor positions must be non-negative and fit in int64")
-        if any(b <= a for a, b in zip(pos, pos[1:])):
+        if not all(map(lt, pos, pos[1:])):
             raise InvalidParameterError(
                 "sensor positions must be strictly increasing")
         object.__setattr__(self, "positions", pos)
@@ -248,6 +248,16 @@ def gen_cantor(r):
     return SensorArray(tuple(pos), kind="Cantor", label="Cantor(%d)" % r)
 
 
+def _sorted_sums(xs, ys, label):
+    """The sorted distinct sums x + y over the positions xs and ys, and
+    label with the count of pairs that landed on a sum already taken."""
+    sums = tuple(sorted({x + y for x in xs for y in ys}))
+    collisions = len(xs) * len(ys) - len(sums)
+    if collisions:
+        label += " [%d collisions]" % collisions
+    return sums, label
+
+
 def cross_sum(a, b):
     """All pairwise sums of two arrays, as a deduplicated sorted set.
 
@@ -255,12 +265,9 @@ def cross_sum(a, b):
     their count is recorded in the label so a shrunken SFA is visible at
     a glance.
     """
-    sums = sorted({x + y for x in a.positions for y in b.positions})
-    collisions = len(a) * len(b) - len(sums)
-    label = "%s (+) %s" % (a.label or a.kind, b.label or b.kind)
-    if collisions:
-        label += " [%d collisions]" % collisions
-    return SensorArray(tuple(sums), kind="custom", label=label)
+    sums, label = _sorted_sums(a.positions, b.positions, "%s (+) %s" % (
+        a.label or a.kind, b.label or b.kind))
+    return SensorArray(sums, kind="custom", label=label)
 
 
 # Sparse subarray families of an SFA: generator and its parameter names.
@@ -281,7 +288,8 @@ def make_sfa(kind, params, fractal_scale=1):
     exactly that family's parameters.  Subarray 2 is
     gen_cantor(fractal_scale) expanded by d2 = 2M + 1 where M is the sensor
     count of subarray 1, so the two lattices interleave without wasting
-    aperture.
+    aperture.  It equals cross_sum(sub1, sub2) relabelled, with only sub1,
+    the Cantor array and the SFA itself built as SensorArrays.
     """
     if kind not in _SFA_FAMILIES:
         raise InvalidParameterError(
@@ -295,13 +303,7 @@ def make_sfa(kind, params, fractal_scale=1):
     _check_count(fractal_scale, "fractal scale")
     sub1 = generator(*(params[p] for p in names))
     d2 = 2 * len(sub1) + 1
-    cantor = gen_cantor(fractal_scale)
-    sub2 = SensorArray(tuple(p * d2 for p in cantor.positions),
-                       kind="Cantor",
-                       label="Cantor(%d) x %d" % (fractal_scale, d2))
-    sfa = cross_sum(sub1, sub2)
-    label = "SFA[%s, r=%d]" % (sub1.label, fractal_scale)
-    collisions = len(sub1) * len(sub2) - len(sfa)
-    if collisions:
-        label += " [%d collisions]" % collisions
-    return replace(sfa, kind="SFA", label=label)
+    sub2 = [p * d2 for p in gen_cantor(fractal_scale).positions]
+    sums, label = _sorted_sums(sub1.positions, sub2, "SFA[%s, r=%d]" % (
+        sub1.label, fractal_scale))
+    return SensorArray(sums, kind="SFA", label=label)

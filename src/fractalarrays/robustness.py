@@ -46,7 +46,9 @@ size s <= r:
   has more positive lags.  Only the largest k of a profile that this does
   not settle needs the tree.
 
-Positions are read by ``coarray``'s parser, so 1.5, 1.0 or True is refused.
+Positions are read by ``coarray._positions``: a SensorArray's as they are,
+anything else parsed and sorted, so 1.5, 1.0, True or a repeated position
+is refused before the kernel runs.
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
 Python ints, so nothing is rounded.  The graphs are grouped from the lag
 rows of ``coarray``'s kernel, the one every coarray view is read from,

@@ -3,14 +3,18 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
+from fractalarrays import coarray, robustness
 from fractalarrays.coarray import (coarrays_equal, difference_coarray,
                                    lag_set, summarize)
 from fractalarrays.geometry import (InvalidParameterError, SensorArray,
                                     gen_cantor, gen_nested, gen_super_nested,
                                     gen_ula, make_sfa)
+from fractalarrays.robustness import (essential_sensors, fragility_profile,
+                                      k_fragility)
 
 
 # Reference: every ordered pair's difference, counted directly, in place of
@@ -175,12 +179,50 @@ def test_coarray_views_take_memory_in_the_lags_not_the_pairs():
     assert peak < 1_000_000
 
 
+def test_lag_set_equals_the_coarray_lag_set():
+    # lag_set reads the kernel's rows into a set without counting weights:
+    # the same frozenset on sorted, unsorted, negative and one-sensor input.
+    rng = random.Random(20261020)
+    inputs = _reference_inputs() + [[0], [-7], (12,), SensorArray((5,))]
+    for _ in range(200):
+        inputs.append(rng.sample(range(-40, 40), rng.randint(1, 14)))
+    for positions in inputs:
+        lags = lag_set(positions)
+        assert type(lags) is frozenset
+        assert lags == difference_coarray(positions).lag_set()
+
+
+@dataclass(frozen=True)
+class _Positions:
+    """An object with positions and a length, which is not a SensorArray."""
+
+    positions: tuple
+
+    def __len__(self):
+        return len(self.positions)
+
+
 @pytest.mark.parametrize("positions", [[0, 0, 1], [3, 1, 3], (-2, 5, -2)])
-def test_duplicate_positions_are_refused(positions):
-    # No array has them: [0, 0, 1] once gave w(0) = 5 and w(1) = 2.
-    for view in (difference_coarray, lag_set):
-        with pytest.raises(InvalidParameterError, match="distinct"):
-            view(positions)
+def test_duplicate_positions_are_refused(positions, monkeypatch):
+    # No array has them: [0, 0, 1] once gave w(0) = 5 and w(1) = 2.  They
+    # are refused where the positions are read, before the lag kernel runs,
+    # in a sequence or in an object that is not a SensorArray alike.
+    runs = []
+    lag_rows = coarray._lag_rows
+
+    def kernel(pos):
+        runs.append(pos)
+        return lag_rows(pos)
+
+    for module in (coarray, robustness):
+        monkeypatch.setattr(module, "_lag_rows", kernel)
+    calls = (difference_coarray, lag_set, essential_sensors,
+             lambda s: k_fragility(s, 1), lambda s: fragility_profile(s, 2))
+    for arg in (positions, _Positions(tuple(positions))):
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="distinct"):
+                call(arg)
+    assert runs == []
 
 
 @pytest.mark.parametrize("positions", [(1.5, 2), (2.0, 3), (True, 3),

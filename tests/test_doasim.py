@@ -798,6 +798,20 @@ def test_trial_batch_covariances_are_each_trial_drawn_alone(nfa, t,
         assert r_hat.tobytes() == alone.tobytes()
 
 
+def test_trial_seed_is_the_spawned_child_raw_draw_shifted():
+    # run_trial_batch reads trial seeds as PCG64(child).random_raw() >> 1,
+    # not default_rng(child).integers(2 ** 63): numpy's bounded draw below
+    # 2^63 keeps the top 63 bits of one raw 64-bit draw, so on every child
+    # the two are the same seed.
+    batch_seeds = (0, 1, 17, 4242, 2 ** 32 + 5, 2 ** 63 - 1)
+    children = [child for seed in batch_seeds
+                for child in np.random.SeedSequence(seed).spawn(400)]
+    assert len(children) >= 2000
+    for child in children:
+        raw = np.random.PCG64(child).random_raw() >> 1
+        assert raw == np.random.default_rng(child).integers(2 ** 63)
+
+
 @pytest.mark.parametrize("r, m, g", [(1, 24, 5), (3, 60, 3)],
                          ids=["dim-25", "dim-181"])
 def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
@@ -1042,6 +1056,35 @@ def test_stacked_real_form_is_each_matrix_real_form(col):
     cols = np.stack((col, -col.conj()))
     for s, c in zip(_real_form(_toeplitz(cols)), cols):
         _assert_same_bits(s, _real_form(_toeplitz(c)))
+
+
+@pytest.mark.parametrize("col", [pytest.param(col, id=name)
+                                 for name, col in _columns()])
+def test_window_views_equal_sliding_windows_and_are_read_only(col):
+    # _toeplitz and _sorted_rmse take their windows with one as_strided
+    # call.  The reference is numpy's reversed sliding_window_view: the same
+    # shape, strides and bytes, on one matrix and on stacks, read-only too.
+    for stack in (col, np.stack((col, -col)),
+                  np.stack((col, col.conj()))[None]):
+        t = _toeplitz(stack)
+        values = np.concatenate((stack[..., :0:-1].conj(), stack), axis=-1)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            values, stack.shape[-1], axis=-1)[..., ::-1]
+        assert (t.shape, t.strides) == (windows.shape, windows.strides)
+        assert t.tobytes() == windows.tobytes()
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[..., 0, 0] = 1.0
+    est = np.stack((col.real, col.imag)) / 8
+    tru = np.sort(col.imag / 8)
+    m = len(col)
+    doubled = np.concatenate((np.sort(est), np.sort(est)), axis=1)
+    d = np.lib.stride_tricks.sliding_window_view(
+        doubled, m, axis=1)[:, m:0:-1] - tru
+    d -= np.rint(d)
+    best = np.argmin(np.sum(d ** 2, axis=2), axis=1)
+    want = np.sqrt(np.mean(d[np.arange(len(d)), best] ** 2, axis=1))
+    _assert_same_bits(_sorted_rmse(est, tru), want)
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (5, 6), (3, 13, 13)])

@@ -28,6 +28,21 @@ def test_sensor_array_rejects_negative():
         SensorArray((-1, 0, 2))
 
 
+@pytest.mark.parametrize("args, message", [
+    (((0, 1.5),), "integers"),
+    (((-1, 5, 3), "ULA", 7), "kind and label"),
+    (((5, -1),), "non-negative"),
+    (((3, 2 ** 63, 1),), "int64"),
+    (((3, 1, 2),), "strictly increasing"),
+    (((1, 1, 2),), "strictly increasing"),
+], ids=repr)
+def test_sensor_array_checks_in_a_fixed_order(args, message):
+    # Integers first, then kind and label, range, and order, so a value that
+    # breaks two rules gets the first one's message.
+    with pytest.raises(InvalidParameterError, match=message):
+        SensorArray(*args)
+
+
 def test_sensor_array_positions_fit_in_int64():
     assert SensorArray((0, 2 ** 63 - 1)).positions == (0, 2 ** 63 - 1)
     with pytest.raises(InvalidParameterError, match="int64"):
@@ -371,6 +386,35 @@ def test_make_sfa_d2_uses_subarray_cardinality():
     # d2 = 2M + 1 with M = |subarray 1|: nested(6) gives d2 = 13
     sfa = make_sfa("nested", {"n": 6}, 1)
     assert 1 + 13 in sfa.positions and 12 + 13 in sfa.positions
+
+
+SFA_CASES = [("ula", {"n": 4}), ("nested", {"n": 6}), ("nested", {"n": 7}),
+             ("coprime", {"m": 2, "n": 3}), ("coprime", {"m": 3, "n": 5}),
+             ("ana1", {"n": 6}), ("ana2", {"n": 7}),
+             ("super_nested", {"n1": 3, "n2": 3}),
+             ("super_nested", {"n1": 4, "n2": 4})]
+SFA_GENERATORS = {"ula": gen_ula, "nested": gen_nested,
+                  "coprime": gen_coprime, "ana1": gen_ana1, "ana2": gen_ana2,
+                  "super_nested": gen_super_nested}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("kind, params", SFA_CASES,
+                         ids=["%s%s" % c for c in SFA_CASES])
+def test_make_sfa_is_the_cross_sum_relabelled(kind, params, r):
+    # make_sfa sums the positions without building the scaled Cantor array
+    # or the cross sum as arrays: the same positions, kind and label.
+    sub1 = SFA_GENERATORS[kind](*params.values())
+    d2 = 2 * len(sub1) + 1
+    sub2 = SensorArray(tuple(p * d2 for p in gen_cantor(r).positions))
+    crossed = cross_sum(sub1, sub2)
+    collisions = len(sub1) * len(sub2) - len(crossed)
+    label = "SFA[%s, r=%d]" % (sub1.label, r)
+    if collisions:
+        label += " [%d collisions]" % collisions
+    sfa = make_sfa(kind, params, r)
+    assert (sfa.positions, sfa.kind, sfa.label) \
+        == (crossed.positions, "SFA", label)
 
 
 def test_make_sfa_errors_propagate():
