@@ -45,10 +45,11 @@ These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
 consecutive trials (52 at dim 25, one at dim 181), each from its own
 seed's draws.  Per group the Bartlett factors and their covariances, the
-lag means, the Toeplitz matrices, their real forms, eigh, the
-projectors and their diagonal sums, the FFT into a g x grid_size stack of
-spectra, the peak picking and the RMSE run once; pick_peaks and the RMSE
-of one trial are the same functions on a stack of one.  Every sum keeps
+lag means, the Toeplitz matrices, their real forms, their noise
+eigenvectors, the projectors and their diagonal sums, the FFT into a
+g x grid_size stack of spectra, the peak picking and the RMSE run once;
+pick_peaks and the RMSE of one trial are the same functions on a stack of
+one.  Every sum keeps
 its terms and their order, so each trial's covariance is bit for bit the
 one its seed draws alone, and its estimates those of estimate_doas on that
 covariance alone.
@@ -67,8 +68,10 @@ transformation method for angle-of-arrival estimation", IEEE TSP 1991).
 So its noise subspace comes from a real eigendecomposition, about a third
 of the cost of a complex one, mapped back by a sparse unitary matrix.  Every
 covariance the pipeline forms is made exactly Hermitian, so every Toeplitz
-matrix it builds is exactly centro-Hermitian, and this is the only
-eigensolver path.
+matrix it builds is exactly centro-Hermitian, and this is the only MUSIC
+path.  At full capacity, m = dim - 1, the noise subspace is one vector,
+and it comes from the eigenvalues and two steps of inverse iteration
+rather than a full eigendecomposition (Pisarenko's case; _noise_vectors).
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ _DIAGONAL_CACHE_SIZE = 4
 # Bound on the entries of one dim x dim matrix stack in a trial group.
 _GROUP_ENTRIES = 2 ** 15
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
 
 
 class CoarrayHoleError(ValueError):
@@ -502,18 +506,71 @@ def _real_form(t):
     return s
 
 
+def _noise_vectors(s, m):
+    """The g x dim x (dim - m) stack of noise eigenvectors of the real
+    symmetric stack s: for each matrix, the eigenvectors of its dim - m
+    smallest eigenvalues.
+
+    With more than one noise dimension they are eigh's.  With one, as at
+    full coarray capacity (Pisarenko's case), each matrix needs only the
+    eigenvector v of its least eigenvalue lambda_0: two steps of inverse
+    iteration (Ipsen, "Computing an eigenvector with inverse iteration",
+    SIAM Review 1997) from x = ones / sqrt(dim),
+    y = delta (S - sigma I)^-1 x and x <- y / |y|, at the shift
+    sigma = lambda_0 - delta just below lambda_0.  lambda_0 comes from
+    eigvalsh, and delta = 64 eps max |lambda| lies well above its rounding
+    error, so S - sigma I is positive definite.  The factor delta keeps y
+    near unit size however small S is.  Each step shrinks x's component
+    along any other eigenvector, against v's, by delta / (lambda_i - sigma),
+    so two steps reach rounding level when the gap lambda_1 - lambda_0
+    exceeds delta / sqrt(eps) and the start is not orthogonal to v.
+
+    Rows whose gap is smaller, such as the zero matrix and multiples of I,
+    or whose delta is not a normal number, keep eigh's vector, and so does
+    every row whose last step fails its residual check.  After that step,
+    (S - lambda_0 I) x = delta (x_prev - y) / |y| up to the solve's
+    rounding, so |x_prev - y| <= |y| bounds the residual by delta, 64
+    rounding units of max |lambda|.  The check fails where the start is
+    orthogonal to v, as for a ULA of 4 sensors with sources at -0.25, 0 and
+    0.25, whose v is the steering vector of -0.5.  Each row comes out bit
+    for bit as it would alone."""
+    g, dim, _ = s.shape
+    if dim - m > 1:
+        return np.linalg.eigh(s)[1][:, :, :dim - m]
+    lam = np.linalg.eigvalsh(s)
+    delta = 64.0 * _EPS * np.abs(lam).max(axis=1)
+    done = (lam[:, 1] - lam[:, 0] > delta / np.sqrt(_EPS)) & (delta >= _TINY)
+    shifted = s[done]
+    diagonal = np.arange(dim)
+    shifted[:, diagonal, diagonal] -= lam[done, :1] - delta[done, None]
+    x = np.full((len(shifted), dim), dim ** -0.5)
+    for _ in range(2):
+        last = x
+        y = np.linalg.solve(shifted, (delta[done, None] * last)[..., None])
+        y = y[..., 0]
+        size = np.sqrt(np.sum(y * y, axis=1))
+        x = y / size[:, None]
+    passed = np.sum((last - y) ** 2, axis=1) <= size ** 2
+    done[done] = passed
+    v = np.empty((g, dim, 1))
+    v[done, :, 0] = x[passed]
+    if not done.all():
+        v[~done] = np.linalg.eigh(s[~done])[1][:, :, :1]
+    return v
+
+
 def _spectra(s, m, grid_size):
     """The g x grid_size stack of MUSIC pseudospectra from the real
     symmetric forms s (g x dim x dim) of augmented matrices, as
-    music_spectrum describes: the noise eigenvectors of s mapped back by Q,
-    the diagonal sums of their projectors, one np.fft.hfft of the stack of
-    Hermitian sequences, and each row clipped at _TINY, inverted and
-    normalised to peak at 1, in place.  Every stage runs once on the whole
-    stack, and each row comes out bit for bit as it would alone."""
+    music_spectrum describes: the noise eigenvectors of s (_noise_vectors)
+    mapped back by Q, the diagonal sums of their projectors, one
+    np.fft.hfft of the stack of Hermitian sequences, and each row clipped
+    at _TINY, inverted and normalised to peak at 1, in place.  Every stage
+    runs once on the whole stack, and each row comes out bit for bit as it
+    would alone."""
     g, dim, _ = s.shape
-    _, vecs = np.linalg.eigh(s)
     # Q v for the noise eigenvectors v, with the Q of _real_form.
-    v = vecs[:, :, :dim - m]
+    v = _noise_vectors(s, m)
     k = dim // 2
     top = (v[:, :k] + 1j * v[:, dim - k:]) * np.sqrt(0.5)
     noise = np.empty(v.shape, dtype=complex)
@@ -547,11 +604,17 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
 
     t must be exactly Hermitian and exactly persymmetric, t[::-1, ::-1]
     equal to conj(t), as every matrix toeplitz_augment builds from a
-    Hermitian covariance is; any other t is refused.  Such a t has the same
-    eigenvalues as the real symmetric S = Q^H t Q of _real_form, and
-    eigenvectors Q V for the eigenvectors V of S (Lee 1980; Huarng & Yeh
-    1991).  So E comes from a real eigh of S, about a third of the work
-    of a complex eigh of t.
+    Hermitian covariance is, and finite; any other t is refused.  Such a t
+    has the same eigenvalues as the real symmetric S = Q^H t Q of
+    _real_form, and eigenvectors Q V for the eigenvectors V of S (Lee 1980;
+    Huarng & Yeh 1991).  So E comes from a real eigh of S, about a third of
+    the work of a complex eigh of t.  With one noise dimension,
+    m = dim - 1, E is one vector, and it comes from S's eigenvalues
+    (eigvalsh) and two solves of inverse iteration instead, about 0.6 of
+    the work of eigh at dim 25; a matrix with a near-double least
+    eigenvalue, or whose vector fails the residual check, keeps eigh
+    (_noise_vectors).  The two vectors agree to rounding, so the spectrum
+    does too.
 
     With P = E E^H and c_k the sum of P's k-th subdiagonal, the denominator
     a(theta)^H P a(theta) is c_0 + 2 Re sum_{k>0} c_k exp(-2 pi j k theta).
@@ -575,6 +638,8 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
             and np.array_equal(t, t[::-1, ::-1].conj())):
         raise InvalidParameterError(
             "need an exactly Hermitian, persymmetric matrix")
+    if not np.isfinite(t).all():
+        raise InvalidParameterError("need a matrix of finite numbers")
     return MusicResult(grid=_grid(grid_size),
                        spectrum=_spectra(_real_form(t)[None], m, grid_size)[0])
 

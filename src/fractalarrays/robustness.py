@@ -322,11 +322,13 @@ def fragility_profile(s, k_max):
 
 
 def robustness_report(s, k_max):
-    """JSON-ready combined essentialness and fragility report."""
+    """JSON-ready combined essentialness and fragility report.  s may be
+    any position sequence the other functions take; its label is None when
+    it has none, as a list has none."""
     ess = essential_sensors(s)
     profile = fragility_profile(s, k_max)
     return {
-        "label": s.label,
+        "label": getattr(s, "label", None),
         "essential": list(ess.essential),
         "inessential": list(ess.inessential),
         "fragility": [

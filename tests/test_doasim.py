@@ -834,6 +834,154 @@ def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
         assert under[i] is alone.under_resolved
 
 
+# At full capacity, m = dim - 1, the noise subspace is one vector, which
+# _noise_vectors takes from eigvalsh and two solves of inverse iteration.
+# Both it and eigh's vector lie within a few eps max|lambda| / gap of the
+# true one (gap = lambda_1 - lambda_0, the vector's condition), so their
+# projectors must agree within 100 eps max|lambda| / gap; the worst seen on
+# these stacks was 1.2.
+
+def _eigh_noise_vectors(s, m):
+    """Every noise vector from eigh, as for more than one noise dimension."""
+    return np.linalg.eigh(s)[1][:, :, :s.shape[-1] - m]
+
+
+def _capacity_real_forms(arr, t, snr_db, seed, trials=5):
+    """Real forms of the augmented matrices of `trials` sample covariances
+    of T snapshots, for as many sources as the coarray supports."""
+    u = summarize(difference_coarray(arr)).max_sources
+    scene = random_scene(u, seed, snr_db=snr_db, min_separation=0.3 / u)
+    f = doasim._snapshot_factor(arr, scene)
+    seeds = range(seed * trials, (seed + 1) * trials)
+    r = doasim._gram(doasim._draw(f, t, seeds)[0], t)
+    plan, means = doasim._lag_means(r, arr)
+    return _real_form(_toeplitz(means[:, plan.zero:plan.zero + u + 1]))
+
+
+@pytest.mark.parametrize("arr", [make_sfa("nested", {"n": 6}, 1),
+                                 make_sfa("coprime", {"m": 2, "n": 3}, 1),
+                                 make_sfa("super_nested", {"n1": 4, "n2": 3},
+                                          1),
+                                 gen_ula(8)],
+                         ids=["nested", "coprime", "super-nested", "ula8"])
+def test_capacity_noise_vector_matches_eigh(arr, monkeypatch):
+    # T = 3 is fewer snapshots than sensors; SNR from -10 to 20 dB.
+    s = np.concatenate([_capacity_real_forms(arr, t, snr_db, seed)
+                        for t in (3, 50, 500) for snr_db in (-10.0, 0.0, 20.0)
+                        for seed in (1, 2)])
+    dim = s.shape[-1]
+    ref = _eigh_noise_vectors(s, dim - 1)
+    lam = np.linalg.eigvalsh(s)
+    scale = np.abs(lam).max(axis=1)
+    gap = lam[:, 1] - lam[:, 0]
+    eps = np.finfo(float).eps
+    eigh = np.linalg.eigh
+    fallback = []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: fallback.append(len(a)) or eigh(a))
+    v = doasim._noise_vectors(s, dim - 1)
+    err = np.abs(v @ v.swapaxes(1, 2) - ref @ ref.swapaxes(1, 2))
+    assert np.all(err.max(axis=(1, 2)) * gap <= 100 * eps * scale)
+    # eigh ran only on the rows whose gap is below 64 sqrt(eps) max|lambda|.
+    near_double = np.count_nonzero(~(gap > 64 * eps * scale / np.sqrt(eps)))
+    assert sum(fallback) == near_double < len(s)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 1e-315])
+def test_capacity_noise_vector_at_extreme_scales(nfa, scale):
+    # The right-hand side delta x keeps each solve near unit size, and at
+    # 1e-315 delta underflows to a subnormal number, so that row keeps
+    # eigh's vector instead of dividing by zero.
+    s = _capacity_real_forms(nfa, 500, 10.0, seed=3, trials=2) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = doasim._noise_vectors(s, 24)
+    ref = _eigh_noise_vectors(s, 24)
+    err = np.abs(v @ v.swapaxes(1, 2) - ref @ ref.swapaxes(1, 2))
+    assert err.max() <= 1e-12
+
+
+def test_capacity_noise_vector_of_a_start_orthogonal_to_it_is_eigh():
+    # The noise vector of three sources at -0.25, 0 and 0.25 on a 4-sensor
+    # ULA is the steering vector of -0.5, whose real form is orthogonal to
+    # the start, ones: two steps of inverse iteration end near another
+    # eigenvector, which the residual check refuses.
+    arr = gen_ula(4)
+    for noise in (0.0, 1.0):
+        scene = SourceScene((-0.25, 0.0, 0.25), (1.0,) * 3, noise)
+        t = toeplitz_augment(coarray_autocorrelation(
+            expected_covariance(arr, scene), arr), (-3, 3))
+        s = _real_form(t)[None]
+        v = doasim._noise_vectors(s, 3)
+        _assert_same_bits(v, _eigh_noise_vectors(s, 3))
+        noise_vector = np.exp(-1j * np.pi * np.arange(4)) / 2.0
+        assert np.abs(v[0, :, 0] @ _unitary_q(4).conj().T @ noise_vector) \
+            == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 25])
+def test_degenerate_capacity_rows_keep_eigh_bit_for_bit(dim, monkeypatch):
+    # The zero matrix and multiples of I have a multiple least eigenvalue;
+    # the shifted solve would be singular there.  Their rows, alone or in a
+    # stack with a simple row, give eigh's spectrum bit for bit, and nothing
+    # raises or warns.
+    simple = _real_form(_random_hermitian_toeplitz(dim, seed=dim))
+    s = np.stack([np.zeros((dim, dim)), 2.0 * np.eye(dim), simple,
+                  np.eye(dim)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectra = doasim._spectra(s, dim - 1, 256)
+        alone = [doasim._spectra(row[None], dim - 1, 256)[0] for row in s]
+        for t in (np.zeros((dim, dim), dtype=complex), 2.0 * np.eye(dim)):
+            music_spectrum(t, dim - 1, 256)
+    monkeypatch.setattr(doasim, "_noise_vectors", _eigh_noise_vectors)
+    ref = doasim._spectra(s, dim - 1, 256)
+    for i in (0, 1, 3):
+        _assert_same_bits(spectra[i], ref[i])
+    assert np.allclose(spectra[2], ref[2], rtol=1e-5, atol=0)
+    for row, row_alone in zip(spectra, alone):
+        _assert_same_bits(row, row_alone)
+
+
+def test_zero_covariance_at_full_capacity_keeps_eigh(nfa, monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = estimate_doas(nfa, np.zeros((12, 12)), 24)
+    monkeypatch.setattr(doasim, "_noise_vectors", _eigh_noise_vectors)
+    ref = estimate_doas(nfa, np.zeros((12, 12)), 24)
+    _assert_same_bits(result.spectrum, ref.spectrum)
+    assert result.estimates == ref.estimates
+
+
+def test_full_capacity_model_covariance_resolves_every_source(nfa):
+    # 24 sources on the 12-sensor NFA leave one noise eigenvector, so the
+    # picked peaks depend on the eigensolver's rounding.  On the model
+    # covariance every scene must still resolve, with every refined estimate
+    # within 1e-4 of its truth on the circle (1.8e-5 at worst).  The
+    # separation, 0.02, is far wider than the tolerance, so each source has
+    # its own estimate.
+    for seed in range(20):
+        scene = random_scene(24, seed, snr_db=10, min_separation=0.02)
+        result = estimate_doas(nfa, expected_covariance(nfa, scene), 24)
+        assert not result.under_resolved
+        d = np.subtract.outer(np.array(result.refined),
+                              np.array(scene.normalized_doas))
+        d -= np.rint(d)
+        assert np.abs(d).min(axis=0).max() <= 1e-4
+        assert np.abs(d).min(axis=1).max() <= 1e-4
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_music_spectrum_refuses_a_non_finite_matrix(value):
+    # An infinite entry can keep t exactly Hermitian and persymmetric; eigh
+    # gave a spectrum of it, and eigvalsh raised LinAlgError.
+    t = np.eye(4, dtype=complex)
+    t[0, 0] = t[3, 3] = value
+    for m in (1, 3):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            music_spectrum(t, m, grid_size=64)
+
+
 @pytest.mark.parametrize("grid_size", [0, True, 2.5])
 def test_trial_batch_checks_the_grid_size_before_drawing(nfa, grid_size,
                                                           monkeypatch):

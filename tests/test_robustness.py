@@ -342,6 +342,18 @@ def test_report_json(cfa):
     assert set(d) == {"label", "essential", "inessential", "fragility"}
 
 
+@pytest.mark.parametrize("s", [[0, 1, 3], (3, 0, 1), Positions((3, 0, 1))],
+                         ids=["list", "unsorted-tuple", "duck-typed"])
+def test_report_takes_a_position_sequence_without_a_label(s):
+    # essential_sensors and fragility_profile take these; the report read
+    # s.label and raised AttributeError.
+    d = robustness_report(s, 1)
+    assert d["label"] is None
+    labelled = robustness_report(SensorArray((0, 1, 3)), 1)
+    assert {**d, "label": labelled["label"]} == labelled
+    assert d["essential"] == list(ref_essential((0, 1, 3))[0])
+
+
 def test_fragility_csv(tmp_path, cfa):
     path = tmp_path / "frag.csv"
     write_fragility_csv(path, [("CFA", fragility_profile(cfa, 2))])
