@@ -1,9 +1,8 @@
 """Sparse fractal sensor arrays, their coarrays, robustness, and DOA sims."""
 
-from .geometry import (InvalidParameterError, SensorArray,
-                       UnsupportedParameterError, cross_sum, gen_ana1,
-                       gen_ana2, gen_cantor, gen_coprime, gen_nested,
-                       gen_super_nested, gen_ula, make_sfa)
+from .geometry import (InvalidParameterError, SensorArray, cross_sum,
+                       gen_ana1, gen_ana2, gen_cantor, gen_coprime,
+                       gen_nested, gen_super_nested, gen_ula, make_sfa)
 from .coarray import (Coarray, CoarraySummary, coarrays_equal,
                       difference_coarray, lag_set, summarize)
 from .robustness import (EssentialnessReport, FragilityReport,

@@ -30,14 +30,15 @@ Only a trial's own generator calls run trial by trial; the triangles, the
 chi roots on the diagonals, the product with F and W W^H / T run once on
 a group's stack of factors.
 
-Everything that depends only on the array (the coarray plan: the
-ordered-pair lag bins and the coarray summary) or only on a size (the
-theta' grid and the diagonal bins of a dim x dim matrix) is computed once
-and kept in small, bounded, read-only caches, so a Monte-Carlo batch pays
-for it on its first trial.  The Toeplitz matrices and the cyclic shifts of
-the RMSE need no index: each is a stack of sliding windows over one 1-D
-sequence, read as a view.  Every complex sum is one np.bincount over the
-float view of its terms.  estimate_doas runs the stages of the public
+Everything that depends only on the array (the coarray plan: the lag
+index of each ordered sensor pair and the coarray summary) or only on a
+size (the theta' grid and the diagonal of each entry of a dim x dim
+matrix) is computed once and kept in small, bounded, read-only caches, so
+a Monte-Carlo batch pays for it on its first trial.  The Toeplitz matrices
+and the cyclic shifts of the RMSE need no index: each is a stack of
+sliding windows over one 1-D sequence, read as a view.  Every complex sum
+over lags is one np.bincount of the real parts and one of the imaginary
+parts on the lag indices.  estimate_doas runs the stages of the public
 coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain, the
 same functions on arrays: lag means, Toeplitz windows, real form (below).
 
@@ -88,7 +89,7 @@ from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
-# A diagonal-bins entry holds 3 dim (dim + 1) / 2 integers: 393 kB at dim 181.
+# A diagonal-bins entry holds dim (dim + 1) integers: 264 kB at dim 181.
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
 _DIAGONAL_CACHE_SIZE = 4
@@ -228,38 +229,30 @@ def _grid(grid_size):
     return grid
 
 
-def _interleaved(index):
-    """Read-only bins 2 i and 2 i + 1 for each i of index, in turn: the bins
-    of the real and imaginary parts of a complex array's float view."""
-    bins = np.empty(2 * len(index), dtype=np.intp)
-    bins[0::2] = 2 * index
-    bins[1::2] = bins[0::2] + 1
-    bins.flags.writeable = False
-    return bins
-
-
-def _complex_bincount(bins, x, size):
-    """g x size sums of each row of the g-row complex stack x into size
-    bins, through one np.bincount over x's float view with one row's
-    bins = _interleaved(index), offset by 2 size i for row i.  Each bin sums
-    the same numbers in the same order as two bincounts over that row's
-    real and imaginary parts would, so the sums are the same bit for bit."""
+def _complex_bincount(index, x, size):
+    """g x size sums of each row of the g-row complex stack x: entry j of a
+    row goes to bin index[j] < size.  With the indices offset by size i for
+    row i, one np.bincount sums the real parts and one the imaginary parts,
+    each adding a bin's terms in row order."""
     rows = len(x)
-    bins = (bins + 2 * size * np.arange(rows)[:, None]).ravel()
-    sums = np.bincount(bins, weights=x.ravel().view(float),
-                       minlength=2 * size * rows)
-    return sums.view(complex).reshape(rows, size)
+    index = (index + size * np.arange(rows)[:, None]).ravel()
+    sums = np.empty(rows * size, dtype=complex)
+    sums.real = np.bincount(index, weights=x.real.ravel(),
+                            minlength=rows * size)
+    sums.imag = np.bincount(index, weights=x.imag.ravel(),
+                            minlength=rows * size)
+    return sums.reshape(rows, size)
 
 
 @lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
 def _diagonal_bins(dim):
     """The row-major flat indices of the entries (p, q), p >= q, of a
-    dim x dim matrix, and the _interleaved bins of their diagonals p - q;
-    both read-only."""
+    dim x dim matrix, and the diagonal p - q of each; both read-only."""
     p, q = np.tril_indices(dim)
     take = p * dim + q
-    take.flags.writeable = False
-    return take, _interleaved(p - q)
+    lag = p - q
+    take.flags.writeable = lag.flags.writeable = False
+    return take, lag
 
 
 def _snapshot_factor(s, scene):
@@ -363,14 +356,13 @@ def expected_covariance(s, scene):
 @dataclass(frozen=True)
 class _CoarrayPlan:
     """Per-array data shared by every trial: the sorted coarray lags, their
-    ordered-pair counts, the bins of each ordered pair (i, j) in row-major
-    order (2 l and 2 l + 1 for the pair's index l into ``lags``, see
-    _interleaved), the coarray summary and the index of lag 0 in
-    ``lags``."""
+    ordered-pair counts, the index into ``lags`` of each ordered pair
+    (i, j)'s lag p_i - p_j in row-major order (read-only), the coarray
+    summary and the index of lag 0 in ``lags``."""
 
     lags: tuple
     counts: np.ndarray
-    pair_bins: np.ndarray
+    pair_lags: np.ndarray
     summary: CoarraySummary
     zero: int
 
@@ -383,8 +375,8 @@ def _coarray_plan(positions):
     p = np.asarray(positions)
     pair_lags = np.searchsorted(coarray.lags,
                                 (p[:, None] - p[None, :]).ravel())
-    return _CoarrayPlan(lags=coarray.lags, counts=counts,
-                        pair_bins=_interleaved(pair_lags),
+    pair_lags.flags.writeable = False
+    return _CoarrayPlan(lags=coarray.lags, counts=counts, pair_lags=pair_lags,
                         summary=summarize(coarray), zero=coarray.lags.index(0))
 
 
@@ -405,16 +397,16 @@ def _lag_means(r, s):
     """The array's coarray plan, and for each covariance of the g x N x N
     stack r its means over the ordered sensor pairs at each lag of
     plan.lags, g x len(plan.lags).  The sums run over the pairs in
-    row-major order, real and imaginary parts alike, in one bincount
-    (_complex_bincount).  A stack of other than N x N matrices for the N
-    sensors of s is refused, and so is a NaN or infinite entry, or a sum
-    over a lag that overflows."""
+    row-major order, one bincount for the real parts and one for the
+    imaginary parts (_complex_bincount).  A stack of other than N x N
+    matrices for the N sensors of s is refused, and so is a NaN or infinite
+    entry, or a sum over a lag that overflows."""
     n = len(s.positions)
     if r.shape[1:] != (n, n):
         raise InvalidParameterError(
             "covariance shape %s does not match %d sensors" % (r.shape[1:], n))
     plan = _coarray_plan(s.positions)
-    sums = _complex_bincount(plan.pair_bins, r.astype(complex, copy=False),
+    sums = _complex_bincount(plan.pair_lags, r.astype(complex, copy=False),
                              len(plan.lags))
     if not np.isfinite(sums).all():
         raise InvalidParameterError(
@@ -581,8 +573,8 @@ def _spectra(s, m, grid_size):
     proj = noise @ noise.conj().transpose(0, 2, 1)
     # y_k = (-1)^k c_k from the subdiagonal sums c_k (k >= 0), summed over
     # the entries p >= q.
-    take, bins = _diagonal_bins(dim)
-    ys = _complex_bincount(bins, proj.reshape(g, -1)[:, take], dim)
+    take, lag = _diagonal_bins(dim)
+    ys = _complex_bincount(lag, proj.reshape(g, -1)[:, take], dim)
     ys[:, 1::2] *= -1.0
     # The least multiple c G of the grid size that holds all 2 dim - 1
     # lags; every c-th point of that DFT is a grid point.

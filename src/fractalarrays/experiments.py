@@ -17,8 +17,7 @@ import sys
 from pathlib import Path
 
 from . import geometry
-from .geometry import (InvalidParameterError, SensorArray,
-                       UnsupportedParameterError)
+from .geometry import InvalidParameterError, SensorArray
 from .coarray import difference_coarray, summarize
 from .doasim import (CapacityError, DEFAULT_GRID_SIZE, estimate_doas,
                      random_scene, run_trial_batch, sample_covariance,
@@ -420,8 +419,8 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 1
-    except (InvalidParameterError, UnsupportedParameterError, CapacityError,
-            OSError, json.JSONDecodeError) as exc:
+    except (InvalidParameterError, CapacityError, OSError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

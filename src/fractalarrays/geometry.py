@@ -20,10 +20,6 @@ class InvalidParameterError(ValueError):
     """A generator was called with parameters outside its domain."""
 
 
-class UnsupportedParameterError(ValueError):
-    """The requested parameters are valid but not covered by a closed form."""
-
-
 def _as_ints(values):
     """The tuple of values as Python ints, or () when one is not an integer:
     operator.index must take it, and a bool or numpy bool (True is an int to
@@ -211,6 +207,16 @@ def gen_super_nested(n1, n2):
     {2g-2-2l : l <= B2}, {lg : 2 <= l <= n2} and {n2 g - 1}, all l >= 0.
     n1 = 2 leaves nothing to rearrange, so it returns the parent nested
     array itself.
+
+    For n1 >= 3 the six runs are disjoint, so there are n1 + n2 sensors,
+    as for n1 = 2.  The first two lie in [1, g - 1], the first odd and the
+    second of n1's parity; for odd n1 the first ends below the second, as
+    2 (A1 + B1) < n1 - 1.  The next two lie in [g + 2, 2g - 2], the third
+    of g's parity and the fourth even; for odd n1 the third ends below the
+    fourth, as 2 (A2 + B2) < n1 - 3.  The sparse run is the multiples of g
+    from 2g, and n2 g - 1 > 2g - 2 is no multiple of g.  A run with bound
+    A holds A + 1 positions (none at A = -1), and
+    A1 + B1 + A2 + B2 + 4 = n1 for every n1 mod 4.
     """
     _check_count(n1, "super-nested n1", low=2)
     _check_count(n2, "super-nested n2", low=2)
@@ -229,12 +235,8 @@ def gen_super_nested(n1, n2):
                | {2 * g - 2 - 2 * l for l in range(b2 + 1)}
                | {l * g for l in range(2, n2 + 1)}
                | {n2 * g - 1})
-    arr = SensorArray(tuple(sorted(pos)), kind="SuperNested",
-                      label="SuperNested(%d,%d)" % (n1, n2))
-    if len(arr) != n1 + n2:
-        raise UnsupportedParameterError(
-            "super-nested closed form collapsed for (%d, %d)" % (n1, n2))
-    return arr
+    return SensorArray(tuple(sorted(pos)), kind="SuperNested",
+                       label="SuperNested(%d,%d)" % (n1, n2))
 
 
 def gen_cantor(r):

@@ -271,14 +271,17 @@ def _uncovering_counts(graphs, pool, r, reads=0):
         return [c + v for c, v in zip(counts, leaf)], reads
 
 
-def _profile(s, ks):
-    """FragilityReports for each k of the range ``ks`` from one branch tree."""
-    n = len(s)
-    graphs = _pair_graphs(_positions(s))
+def _profile(positions, ks):
+    """FragilityReports for each k of the range ``ks`` from one branch tree,
+    for the sorted positions that _positions returns."""
+    n = len(positions)
+    graphs = _pair_graphs(positions)
     # n - k kept sensors span at most C(n - k, 2) positive lags, so every
-    # k-subset is essential past the largest k where they can span them all.
+    # k-subset is essential past the largest k where they can span them all,
+    # and no tree runs when that settles every k.
     top = max((k for k in ks if comb(n - k, 2) >= len(graphs)), default=0)
-    uncovering, _ = _uncovering_counts(graphs, (1 << n) - 1, top)
+    uncovering = (_uncovering_counts(graphs, (1 << n) - 1, top)[0] if top
+                  else ())
     reports = []
     for k in ks:
         total = comb(n, k)
@@ -292,11 +295,12 @@ def _profile(s, ks):
 def essential_sensors(s):
     """Partition sensors by whether their removal alters the lag set, each
     part in ascending position order."""
-    if len(s) < 2:
+    positions = _positions(s)
+    n = len(positions)
+    if n < 2:
         raise InvalidParameterError(
             "essentialness needs at least two sensors")
-    positions = _positions(s)
-    _, single = _coverable(_pair_graphs(positions), (1 << len(s)) - 1, 1)
+    _, single = _coverable(_pair_graphs(positions), (1 << n) - 1, 1)
     essential = []
     inessential = []
     for i, x in enumerate(positions):
@@ -307,8 +311,9 @@ def essential_sensors(s):
 
 def k_fragility(s, k):
     """Exactly count size-k subsets whose removal changes the coarray."""
-    _check_count(k, "k", high=len(s) - 1)
-    return _profile(s, range(k, k + 1))[0]
+    positions = _positions(s)
+    _check_count(k, "k", high=len(positions) - 1)
+    return _profile(positions, range(k, k + 1))[0]
 
 
 def fragility_profile(s, k_max):
@@ -317,8 +322,9 @@ def fragility_profile(s, k_max):
     One branch tree, for the largest k that needs one, counts them all.  A
     tree that reads more than _WORK_BUDGET edges raises InvalidParameterError.
     """
-    _check_count(k_max, "k_max", high=len(s) - 1)
-    return _profile(s, range(1, k_max + 1))
+    positions = _positions(s)
+    _check_count(k_max, "k_max", high=len(positions) - 1)
+    return _profile(positions, range(1, k_max + 1))
 
 
 def robustness_report(s, k_max):

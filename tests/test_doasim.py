@@ -143,9 +143,9 @@ def test_pipeline_matches_reference_bit_for_bit(arr):
                          ids=lambda a: "%d-sensors" % len(a))
 def test_coarray_plan_summary_matches_difference_coarray(arr):
     # The plan reads its lags, counts and summary from difference_coarray
-    # and adds the ordered-pair bins, interleaved from np.searchsorted of
-    # the row-major position differences in the lags; np.unique's inverse
-    # is the reference for them.
+    # and adds the ordered-pair lag indices, from np.searchsorted of the
+    # row-major position differences in the lags; np.unique's inverse is
+    # the reference for them.
     plan = _coarray_plan(arr.positions)
     p = np.asarray(arr.positions)
     lags, inverse, counts = np.unique((p[:, None] - p[None, :]).ravel(),
@@ -153,8 +153,7 @@ def test_coarray_plan_summary_matches_difference_coarray(arr):
                                       return_counts=True)
     assert np.array_equal(plan.lags, lags)
     assert np.array_equal(plan.counts, counts)
-    assert np.array_equal(plan.pair_bins[0::2], 2 * inverse)
-    assert np.array_equal(plan.pair_bins[1::2], 2 * inverse + 1)
+    assert np.array_equal(plan.pair_lags, inverse)
     assert plan.summary == summarize(difference_coarray(arr))
     assert plan.lags[plan.zero] == 0
 
@@ -1237,15 +1236,15 @@ def test_window_views_equal_sliding_windows_and_are_read_only(col):
 
 @pytest.mark.parametrize("shape", [(1, 7), (5, 6), (3, 13, 13)])
 def test_one_bincount_sums_as_two_do(shape):
-    # One bincount over the float view of a stack sums each bin of each row
-    # in the same order as the bincounts over that row's real and imaginary
-    # parts.
+    # The bincounts over a stack's real and imaginary parts sum each bin of
+    # each row in the same order as the bincounts over that row's real and
+    # imaginary parts.
     rng = np.random.default_rng(len(shape))
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x.imag[..., ::3] = -0.0
     rows = x.reshape(shape[0], -1)
     index = rng.integers(0, 4, rows.shape[1])
-    sums = doasim._complex_bincount(doasim._interleaved(index), x, 6)
+    sums = doasim._complex_bincount(index, x, 6)
     assert sums.shape == (shape[0], 6)
     for row, row_sums in zip(rows, sums):
         assert np.array_equal(row_sums.real, np.bincount(

@@ -281,6 +281,14 @@ def test_super_nested_keeps_parent_coarray(n1):
         assert lag_set(sn) == lag_set(parent_nested(n1, n2)), (n1, n2)
 
 
+def test_super_nested_runs_are_disjoint():
+    # The closed form's six runs never share a position (see its
+    # docstring), so no pair of sizes loses a sensor.
+    for n1 in range(2, 41):
+        for n2 in range(2, 41):
+            assert len(gen_super_nested(n1, n2)) == n1 + n2, (n1, n2)
+
+
 @pytest.mark.parametrize("n1", range(4, 21))
 def test_super_nested_small_lag_weights(n1):
     # Liu & Vaidyanathan 2016, Part I: the weight function of a second-order

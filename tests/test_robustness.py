@@ -354,6 +354,25 @@ def test_report_takes_a_position_sequence_without_a_label(s):
     assert d["essential"] == list(ref_essential((0, 1, 3))[0])
 
 
+@dataclass(frozen=True)
+class PositionsOnly:
+    """An object with a positions sequence and no length."""
+
+    positions: tuple
+
+
+def test_positions_without_a_length_are_read():
+    # The length was taken from the object, not from its positions, so each
+    # call raised a bare TypeError here.
+    arr = make_sfa("nested", {"n": 6})
+    s = PositionsOnly(tuple(reversed(arr.positions)))
+    assert essential_sensors(s) == essential_sensors(arr)
+    assert k_fragility(s, 2) == k_fragility(arr, 2)
+    assert fragility_profile(s, 3) == fragility_profile(arr, 3)
+    assert robustness_report(s, 3) == {**robustness_report(arr, 3),
+                                       "label": None}
+
+
 def test_fragility_csv(tmp_path, cfa):
     path = tmp_path / "frag.csv"
     write_fragility_csv(path, [("CFA", fragility_profile(cfa, 2))])
@@ -407,13 +426,21 @@ def test_work_budget_refuses_promptly(monkeypatch):
 
 def test_k_past_the_kept_pair_rule_runs_no_tree(monkeypatch):
     # 4 kept sensors span at most C(4, 2) = 6 of the 48-sensor NFA's positive
-    # lags, so every 44-subset is essential: the tree is one r = 0 leaf, not
-    # the tree of the deepest k that the rule leaves open.
+    # lags, so every 44-subset is essential: no tree runs, neither the tree
+    # of the deepest k that the rule leaves open nor an r = 0 leaf.
     calls = _count_trees(monkeypatch)
     r = _returns_within(1.0, k_fragility, make_sfa("nested", {"n": 6}, 3), 44)
     assert (r.essential_subset_count, r.total_subsets) == (194580, 194580)
     assert r.fragility == 1
-    assert calls == [0]
+    assert calls == []
+
+
+def test_k_past_the_kept_pair_rule_reads_no_edges(monkeypatch):
+    # The r = 0 leaf that once ran here charged all C(50, 2) = 1225 edges
+    # against the budget, and refused an answer that needs no tree.
+    monkeypatch.setattr(robustness, "_WORK_BUDGET", 1000)
+    r = k_fragility(gen_ula(50), 48)
+    assert (r.essential_subset_count, r.total_subsets) == (1225, 1225)
 
 
 def test_nfa_r2_matches_reference_at_k5():
