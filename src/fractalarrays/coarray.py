@@ -5,18 +5,21 @@ the type already holds them as strictly increasing non-negative integers;
 any other input is read by ``_positions``, which sorts it and refuses a
 non-integer or repeated position.  Every view is then read from one
 kernel, the bare O(N^2) differencing loop: for each sensor j of the
-sorted positions, the row of lags p_j - p_i over the sensors i below it.
+sorted positions, the lags p_j - p_i over the sensors i below it.
 The coarray is 0 and the lags in some row, with their negatives;
 w(0) = N, and w(l) = w(-l) is the number of rows' entries equal to l.
-The rows are made one at a time and only the counts (for lag_set, only
-the lags) are kept, so the views take memory in the number of lags, not
-in the number of pairs.
+difference_coarray and lag_set share one pass of the kernel per array:
+``_lag_counts`` counts the positive lags into one Counter, cached for the
+last four arrays, and each view builds its own weights or set from it.  The
+rows are made one at a time and only the counts are kept, so the views
+take memory in the number of lags, not in the number of pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from operator import lt, neg
 
@@ -42,10 +45,23 @@ def _positions(array):
 
 def _lag_rows(positions):
     """For each sensor j of the sorted, distinct positions that _positions
-    returns, the list of lags positions[j] - positions[i] over i < j, in
-    the order of i.  The positions are not checked again here."""
+    returns, the pair (positions[j], positions[:j]): row j's lags are
+    positions[j] - a over the a below it, in their order, and each caller
+    subtracts them in its own loop.  The positions are not checked again
+    here."""
     for j, b in enumerate(positions):
-        yield [b - a for a in positions[:j]]
+        yield b, positions[:j]
+
+
+@lru_cache(maxsize=4)
+def _lag_counts(positions):
+    """Counter of the positive lags of the sorted ``positions``: w(l) for
+    l > 0, from one pass of the kernel.
+
+    Cached by the sorted positions, so difference_coarray and lag_set of
+    one array share the pass; no caller is handed the Counter, so none can
+    change what the next one reads."""
+    return Counter(b - a for b, below in _lag_rows(positions) for a in below)
 
 
 @dataclass(frozen=True)
@@ -95,19 +111,17 @@ def difference_coarray(array):
     integers, at least one, and distinct.  A float or a bool is refused, not
     coerced."""
     pos = _positions(array)
-    # One Counter.update over the rows, which are made one at a time.
-    counts = Counter(chain.from_iterable(_lag_rows(pos)))
     weights = {0: len(pos)}
-    for lag, count in counts.items():
+    for lag, count in _lag_counts(pos).items():
         weights[lag] = weights[-lag] = count
     return Coarray(lags=tuple(sorted(weights)), weights=weights)
 
 
 def lag_set(array):
     """The coarray lag set alone (weights ignored), equal to
-    difference_coarray(array).lag_set(); the positive lags are read from the
-    kernel's rows into one set, and no weight is counted."""
-    positive = set(chain.from_iterable(_lag_rows(_positions(array))))
+    difference_coarray(array).lag_set(); the positive lags are the keys of
+    the count pass that difference_coarray shares."""
+    positive = _lag_counts(_positions(array))
     return frozenset(chain((0,), positive, map(neg, positive)))
 
 
@@ -116,16 +130,19 @@ def summarize(c):
 
     max_sources is u: a hole-free central segment of 2u+1 lags supports up
     to u sources through the coarray MUSIC pipeline.  The holes, the
-    aperture less the len(lags) // 2 positive lags, are counted first.
+    aperture less the len(lags) // 2 positive lags, are counted first, and
+    1..aperture is scanned for them only when there is one.
     """
-    lags = c.lag_set()
-    aperture = max(lags)
-    hole_count = aperture - len(lags) // 2
+    aperture = max(c.lags)
+    hole_count = aperture - len(c.lags) // 2
     if hole_count > _HOLE_LIMIT:
         raise InvalidParameterError(
             "the coarray of these positions has %d holes, more than the %d "
             "that summarize lists" % (hole_count, _HOLE_LIMIT))
-    holes = tuple(k for k in range(1, aperture + 1) if k not in lags)
+    holes = ()
+    if hole_count:
+        lags = c.lag_set()
+        holes = tuple(k for k in range(1, aperture + 1) if k not in lags)
     u = holes[0] - 1 if holes else aperture
     return CoarraySummary(ula_segment=(-u, u),
                           hole_free=not holes,

@@ -116,6 +116,17 @@ def _real(value, what):
     return float(value)
 
 
+def _numeric(x, what):
+    """x as an array, after refusing one whose dtype is not an integer,
+    float or complex type: a bool, str, bytes or object array is refused,
+    not read as 0/1 or parsed."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iufc":
+        raise InvalidParameterError(
+            "%s must be an array of numbers, got dtype %s" % (what, x.dtype))
+    return x
+
+
 @dataclass(frozen=True)
 class SourceScene:
     """Normalized DOAs with per-source powers and a common noise power.
@@ -335,8 +346,9 @@ def _gram(w, t):
 def sample_covariance(y):
     """R' = Y Y^H / T of an N x T snapshot matrix Y, forced exactly
     Hermitian.  Y may be simulated or measured; anything that is not 2-D
-    or has no snapshot column is refused."""
-    y = np.asarray(y)
+    or has no snapshot column is refused, and so is one of bools, strings
+    or objects."""
+    y = _numeric(y, "snapshots")
     if y.ndim != 2 or y.shape[1] == 0:
         raise InvalidParameterError(
             "need an N x T snapshot matrix with T >= 1, got shape %s"
@@ -437,9 +449,10 @@ def coarray_autocorrelation(r, s):
     input.  The sums run over the pairs in row-major order, real and
     imaginary parts alike.  This is a map view of the lag means that
     estimate_doas computes as an array, entry for entry the same values.
-    A covariance with a NaN or infinite entry is refused.
+    A covariance with a NaN or infinite entry is refused, and so is one of
+    bools, strings or objects.
     """
-    plan, means = _lag_means(np.asarray(r)[None], s)
+    plan, means = _lag_means(_numeric(r, "covariance")[None], s)
     return dict(zip(plan.lags, means[0]))
 
 
@@ -596,7 +609,8 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
 
     t must be exactly Hermitian and exactly persymmetric, t[::-1, ::-1]
     equal to conj(t), as every matrix toeplitz_augment builds from a
-    Hermitian covariance is, and finite; any other t is refused.  Such a t
+    Hermitian covariance is, and of finite numbers (not bools, strings or
+    objects); any other t is refused.  Such a t
     has the same eigenvalues as the real symmetric S = Q^H t Q of
     _real_form, and eigenvectors Q V for the eigenvectors V of S (Lee 1980;
     Huarng & Yeh 1991).  So E comes from a real eigh of S, about a third of
@@ -619,7 +633,7 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     does, and every c-th point of it is read.
     estimate_doas runs the same steps on a stack of one.
     """
-    t = np.asarray(t)
+    t = _numeric(t, "matrix")
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise InvalidParameterError(
             "need a square matrix, got shape %s" % (t.shape,))
@@ -732,11 +746,12 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
     pick_peaks bit for bit.  A covariance whose lag-0 mean is not real, of
     which T would not be Hermitian, is refused, as music_spectrum refuses
-    such a T; _lag_means refuses non-finite entries.
+    such a T; _lag_means refuses non-finite entries.  A covariance of bools,
+    strings or objects is refused.
     """
     _music_summary(s, m, grid_size)
     spectra, (estimates, refined, under) = _estimates(
-        s, np.asarray(r)[None], m, grid_size)
+        s, _numeric(r, "covariance")[None], m, grid_size)
     return MusicResult(grid=_grid(grid_size), spectrum=spectra[0],
                        estimates=estimates[0], refined=refined[0],
                        under_resolved=under[0])

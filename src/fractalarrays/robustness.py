@@ -50,9 +50,10 @@ Positions are read by ``coarray._positions``: a SensorArray's as they are,
 anything else parsed and sorted, so 1.5, 1.0, True or a repeated position
 is refused before the kernel runs.
 Sensor subsets are Python-int bitmasks over sensor indices and counts are
-Python ints, so nothing is rounded.  The graphs are grouped from the lag
+Python ints, so nothing is rounded.  The graphs are grouped from the
 rows of ``coarray``'s kernel, the one every coarray view is read from,
-with edge masks from a table kept for the last four sensor counts.  They
+each pair's lag taken in the grouping loop, with edge masks from a table
+kept for the last four sensor counts.  They
 are kept for the last four arrays asked about, as immutable tuples keyed
 by the sorted positions, so the essential sensors and the profile of one
 array share one build; a translated copy is a new key.
@@ -125,8 +126,10 @@ def _pair_graphs(positions):
     """
     graphs = {}
     get = graphs.get
-    for row, masks in zip(_lag_rows(positions), _edge_masks(len(positions))):
-        for lag, e in zip(row, masks):
+    for (b, below), masks in zip(_lag_rows(positions),
+                                 _edge_masks(len(positions))):
+        for a, e in zip(below, masks):
+            lag = b - a
             g = get(lag)
             if g is None:
                 graphs[lag] = [e]

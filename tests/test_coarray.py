@@ -6,13 +6,16 @@ from collections import Counter
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalarrays import coarray, robustness
-from fractalarrays.coarray import (coarrays_equal, difference_coarray,
-                                   lag_set, summarize)
+from fractalarrays.coarray import (CoarraySummary, coarrays_equal,
+                                   difference_coarray, lag_set, summarize)
+from fractalarrays.experiments import PAPER_CASES
 from fractalarrays.geometry import (InvalidParameterError, SensorArray,
-                                    gen_cantor, gen_nested, gen_super_nested,
-                                    gen_ula, make_sfa)
+                                    gen_cantor, gen_coprime, gen_nested,
+                                    gen_super_nested, gen_ula, make_sfa)
 from fractalarrays.robustness import (essential_sensors, fragility_profile,
                                       k_fragility)
 
@@ -179,17 +182,152 @@ def test_coarray_views_take_memory_in_the_lags_not_the_pairs():
     assert peak < 1_000_000
 
 
+# The Table-1 arrays, the other arrays of the fragility gallery, and every
+# SFA family at fractal scales 1 to 3.
+_GALLERY = [case["build"]() for case in PAPER_CASES.values()] + [
+    gen_ula(12), gen_nested(12), gen_super_nested(5, 7), gen_coprime(3, 7),
+    gen_super_nested(2, 4), gen_super_nested(4, 4)]
+_SFAS = [make_sfa(kind, params, r)
+         for kind, params in [("ula", {"n": 4}), ("nested", {"n": 6}),
+                              ("coprime", {"m": 2, "n": 3}),
+                              ("ana1", {"n": 6}), ("ana2", {"n": 6}),
+                              ("super_nested", {"n1": 3, "n2": 3})]
+         for r in (1, 2, 3)]
+
+
+def _assert_views_match_brute_force(positions):
+    # Every b - a, and a Counter of the ordered differences, from the given
+    # positions as they are: no sorting, no kernel and no cache.
+    pos = getattr(positions, "positions", positions)
+    lags = lag_set(positions)
+    assert type(lags) is frozenset
+    assert lags == {b - a for a in pos for b in pos}
+    c = difference_coarray(positions)
+    want = ref_weights(pos)
+    assert c.weights == want
+    assert c.lags == tuple(sorted(want))
+
+
 def test_lag_set_equals_the_coarray_lag_set():
-    # lag_set reads the kernel's rows into a set without counting weights:
-    # the same frozenset on sorted, unsorted, negative and one-sensor input.
+    # lag_set and difference_coarray share one count pass per array, so each
+    # is checked against a brute force of its own, not against the other:
+    # once with the pass's cache emptied and once with it filled.
     rng = random.Random(20261020)
-    inputs = _reference_inputs() + [[0], [-7], (12,), SensorArray((5,))]
+    inputs = (_GALLERY + _SFAS + _reference_inputs()
+              + [[0], [-7], (12,), SensorArray((5,))])
     for _ in range(200):
         inputs.append(rng.sample(range(-40, 40), rng.randint(1, 14)))
     for positions in inputs:
-        lags = lag_set(positions)
-        assert type(lags) is frozenset
-        assert lags == difference_coarray(positions).lag_set()
+        coarray._lag_counts.cache_clear()
+        _assert_views_match_brute_force(positions)
+        _assert_views_match_brute_force(positions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=16, unique=True))
+def test_random_views_match_brute_force_cold_and_warm(positions):
+    coarray._lag_counts.cache_clear()
+    _assert_views_match_brute_force(positions)
+    _assert_views_match_brute_force(positions)
+    assert coarrays_equal(positions, list(reversed(positions)))
+
+
+def _count_kernel_runs(monkeypatch):
+    """The positions of every run of the lag kernel, by the coarray views
+    and by the pair graphs, with both caches emptied first."""
+    runs = []
+    lag_rows = coarray._lag_rows
+
+    def counted(positions):
+        runs.append(positions)
+        return lag_rows(positions)
+
+    for module in (coarray, robustness):
+        monkeypatch.setattr(module, "_lag_rows", counted)
+    coarray._lag_counts.cache_clear()
+    robustness._pair_graphs.cache_clear()
+    return runs
+
+
+# The five Table-1 arrays and the nested SFA at r = 2 and 3.
+@pytest.mark.parametrize("arr", _GALLERY[:5] + _SFAS[4:6],
+                         ids=lambda a: a.label)
+def test_coarray_views_run_the_kernel_once(monkeypatch, arr):
+    # A translated copy is a fresh cache key, as the benchmark makes it.
+    moved = SensorArray(tuple(p + 31 for p in arr.positions))
+    want = ref_weights(moved.positions)
+    runs = _count_kernel_runs(monkeypatch)
+    c = difference_coarray(moved)
+    s = summarize(c)
+    lags = lag_set(moved)
+    assert runs == [moved.positions]
+    assert c.weights == want and lags == frozenset(want)
+    assert (difference_coarray(moved), summarize(difference_coarray(moved)),
+            lag_set(moved)) == (c, s, lags)
+    assert runs == [moved.positions]
+    # The pair graphs group the pairs by sensor, so they run it once more.
+    essential_sensors(moved)
+    fragility_profile(moved, 3)
+    assert runs == [moved.positions] * 2
+
+
+def test_writing_into_returned_weights_changes_no_later_call(nfa):
+    c = difference_coarray(nfa)
+    want = dict(c.weights)
+    c.weights[1] = 99
+    c.weights[1000] = 1
+    del c.weights[-1]
+    again = difference_coarray(nfa)
+    assert again.weights == want == ref_weights(nfa.positions)
+    assert again.lags == tuple(sorted(want))
+    assert lag_set(nfa) == frozenset(want)
+
+
+def _brute_summary(positions):
+    # A scan of 1..aperture, whether or not the coarray has a hole.
+    lags = {b - a for a in positions for b in positions}
+    aperture = max(lags)
+    holes = tuple(k for k in range(1, aperture + 1) if k not in lags)
+    u = holes[0] - 1 if holes else aperture
+    return CoarraySummary(ula_segment=(-u, u), hole_free=not holes,
+                          aperture=aperture, max_sources=u, holes=holes)
+
+
+def test_summarize_equals_a_brute_force_scan():
+    rng = random.Random(20261021)
+    inputs = _GALLERY + _SFAS + [[5], [0, 2], [0, 1], [-3, 4], gen_ula(7)]
+    inputs += [rng.sample(range(-30, 30), rng.randint(1, 10))
+               for _ in range(200)]
+    free = holed = 0
+    for positions in inputs:
+        pos = getattr(positions, "positions", positions)
+        s = summarize(difference_coarray(positions))
+        assert s == _brute_summary(pos)
+        free += s.hole_free
+        holed += not s.hole_free
+    assert free > 20 and holed > 20
+    assert summarize(difference_coarray([5])) == CoarraySummary(
+        (0, 0), True, 0, 0, ())
+    assert summarize(difference_coarray([0, 2])) == CoarraySummary(
+        (0, 0), False, 2, 0, (1,))
+
+
+def test_summarize_scans_only_a_coarray_with_holes(monkeypatch):
+    # The hole count, aperture less positive lags, is checked before any
+    # scan, and a hole-free coarray is not scanned at all.
+    scans = []
+    monkeypatch.setattr(coarray.Coarray, "lag_set",
+                        lambda c: scans.append(c.lags) or frozenset(c.lags))
+    monkeypatch.setattr(coarray, "_HOLE_LIMIT", 2)
+    # Positive lags 1, 5 and 6 leave the holes 2, 3 and 4.
+    with pytest.raises(InvalidParameterError,
+                       match="3 holes, more than the 2"):
+        summarize(difference_coarray([0, 1, 6]))
+    assert scans == []
+    assert summarize(difference_coarray(gen_ula(9))).hole_free
+    assert scans == []
+    assert summarize(difference_coarray([0, 1, 5])).holes == (2, 3)
+    assert len(scans) == 1
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random as pyrandom
+import re
 import threading
 import time
 import warnings
@@ -1336,6 +1337,47 @@ def test_estimate_doas_refuses_an_imaginary_diagonal(nfa):
     r[4, 4] += 1e-15j
     with pytest.raises(InvalidParameterError, match="Hermitian"):
         estimate_doas(nfa, r, 3)
+
+
+# Each entry point and an input it takes: numbers that a cast to complex
+# would read as they are from strings, as 0/1 from bools, or from objects.
+_NUMERIC_INPUTS = {
+    "coarray_autocorrelation": (np.eye(12) + 0.5,
+                                lambda r, s: coarray_autocorrelation(r, s)),
+    "estimate_doas": (np.eye(12) + 0.5, lambda r, s: estimate_doas(s, r, 3)),
+    "sample_covariance": (np.arange(48.0).reshape(12, 4),
+                          lambda y, s: sample_covariance(y)),
+    "music_spectrum": (np.eye(25), lambda t, s: music_spectrum(t, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", ["str", "bool", "object"])
+@pytest.mark.parametrize("stage", sorted(_NUMERIC_INPUTS))
+def test_non_numeric_arrays_are_refused(nfa, stage, kind):
+    # A string covariance was parsed, and a bool one read as 0/1.
+    x, call = _NUMERIC_INPUTS[stage]
+    call(x, nfa)
+    bad = {"str": x.astype(str), "bool": x != 0,
+           "object": x.astype(object)}[kind]
+    with pytest.raises(InvalidParameterError,
+                       match="array of numbers, got dtype %s"
+                       % re.escape(str(bad.dtype))):
+        call(bad, nfa)
+
+
+def test_trial_batch_never_reaches_the_dtype_check(nfa, monkeypatch):
+    # The batch forms complex stacks itself and enters below the checked
+    # entry points.
+    scene = SourceScene((-0.2, 0.1, 0.3), (1.0,) * 3, 0.5)
+    want = run_trial_batch(nfa, scene, 50, 4, seed=3)
+
+    def refuse(x, what):
+        raise AssertionError("the batch checked its %s" % what)
+
+    monkeypatch.setattr(doasim, "_numeric", refuse)
+    got = run_trial_batch(nfa, scene, 50, 4, seed=3)
+    assert got.per_trial_refined == want.per_trial_refined
+    assert got.rmse == want.rmse
 
 
 def test_autocorrelation_identity(nfa):
