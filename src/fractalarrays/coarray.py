@@ -8,10 +8,10 @@ kernel, the bare O(N^2) differencing loop: for each sensor j of the
 sorted positions, the lags p_j - p_i over the sensors i below it.
 The coarray is 0 and the lags in some row, with their negatives;
 w(0) = N, and w(l) = w(-l) is the number of rows' entries equal to l.
-difference_coarray and lag_set share one pass of the kernel per array:
-``_lag_counts`` counts the positive lags into one Counter, cached for the
-last four arrays, and each view builds its own weights or set from it.  The
-rows are made one at a time and only the counts are kept, so the views
+Each view runs the kernel once per call and subtracts in its own loop:
+difference_coarray counts the positive lags into a Counter, lag_set adds
+them to a set.  The rows are slices of the positions, made one at a time,
+and only the counts (for lag_set, only the lags) are kept, so the views
 take memory in the number of lags, not in the number of pairs.
 """
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import lt, neg
 
@@ -51,17 +50,6 @@ def _lag_rows(positions):
     here."""
     for j, b in enumerate(positions):
         yield b, positions[:j]
-
-
-@lru_cache(maxsize=4)
-def _lag_counts(positions):
-    """Counter of the positive lags of the sorted ``positions``: w(l) for
-    l > 0, from one pass of the kernel.
-
-    Cached by the sorted positions, so difference_coarray and lag_set of
-    one array share the pass; no caller is handed the Counter, so none can
-    change what the next one reads."""
-    return Counter(b - a for b, below in _lag_rows(positions) for a in below)
 
 
 @dataclass(frozen=True)
@@ -111,17 +99,19 @@ def difference_coarray(array):
     integers, at least one, and distinct.  A float or a bool is refused, not
     coerced."""
     pos = _positions(array)
+    counts = Counter(b - a for b, below in _lag_rows(pos) for a in below)
     weights = {0: len(pos)}
-    for lag, count in _lag_counts(pos).items():
+    for lag, count in counts.items():
         weights[lag] = weights[-lag] = count
     return Coarray(lags=tuple(sorted(weights)), weights=weights)
 
 
 def lag_set(array):
     """The coarray lag set alone (weights ignored), equal to
-    difference_coarray(array).lag_set(); the positive lags are the keys of
-    the count pass that difference_coarray shares."""
-    positive = _lag_counts(_positions(array))
+    difference_coarray(array).lag_set(); the positive lags are read from the
+    kernel's rows into one set, and no weight is counted."""
+    positive = {b - a for b, below in _lag_rows(_positions(array))
+                for a in below}
     return frozenset(chain((0,), positive, map(neg, positive)))
 
 

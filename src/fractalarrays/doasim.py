@@ -418,6 +418,8 @@ def _lag_means(r, s):
         raise InvalidParameterError(
             "covariance shape %s does not match %d sensors" % (r.shape[1:], n))
     plan = _coarray_plan(s.positions)
+    # np.bincount refuses long double weights; the cast reads them as doubles
+    # and copies nothing for the complex stacks of the pipeline.
     sums = _complex_bincount(plan.pair_lags, r.astype(complex, copy=False),
                              len(plan.lags))
     if not np.isfinite(sums).all():

@@ -209,24 +209,22 @@ def _assert_views_match_brute_force(positions):
 
 
 def test_lag_set_equals_the_coarray_lag_set():
-    # lag_set and difference_coarray share one count pass per array, so each
-    # is checked against a brute force of its own, not against the other:
-    # once with the pass's cache emptied and once with it filled.
+    # lag_set and difference_coarray read the same kernel, so each is
+    # checked against a brute force of its own, not against the other, and
+    # twice, so that a first call changes nothing a second one reads.
     rng = random.Random(20261020)
     inputs = (_GALLERY + _SFAS + _reference_inputs()
               + [[0], [-7], (12,), SensorArray((5,))])
     for _ in range(200):
         inputs.append(rng.sample(range(-40, 40), rng.randint(1, 14)))
     for positions in inputs:
-        coarray._lag_counts.cache_clear()
         _assert_views_match_brute_force(positions)
         _assert_views_match_brute_force(positions)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-60, 60), min_size=1, max_size=16, unique=True))
-def test_random_views_match_brute_force_cold_and_warm(positions):
-    coarray._lag_counts.cache_clear()
+def test_random_views_match_brute_force(positions):
     _assert_views_match_brute_force(positions)
     _assert_views_match_brute_force(positions)
     assert coarrays_equal(positions, list(reversed(positions)))
@@ -234,7 +232,7 @@ def test_random_views_match_brute_force_cold_and_warm(positions):
 
 def _count_kernel_runs(monkeypatch):
     """The positions of every run of the lag kernel, by the coarray views
-    and by the pair graphs, with both caches emptied first."""
+    and by the pair graphs, with the pair-graph cache emptied first."""
     runs = []
     lag_rows = coarray._lag_rows
 
@@ -244,7 +242,6 @@ def _count_kernel_runs(monkeypatch):
 
     for module in (coarray, robustness):
         monkeypatch.setattr(module, "_lag_rows", counted)
-    coarray._lag_counts.cache_clear()
     robustness._pair_graphs.cache_clear()
     return runs
 
@@ -252,23 +249,26 @@ def _count_kernel_runs(monkeypatch):
 # The five Table-1 arrays and the nested SFA at r = 2 and 3.
 @pytest.mark.parametrize("arr", _GALLERY[:5] + _SFAS[4:6],
                          ids=lambda a: a.label)
-def test_coarray_views_run_the_kernel_once(monkeypatch, arr):
-    # A translated copy is a fresh cache key, as the benchmark makes it.
+def test_coarray_views_run_the_kernel_once_per_call(monkeypatch, arr):
+    # A translated copy is a fresh key for the pair-graph cache.
     moved = SensorArray(tuple(p + 31 for p in arr.positions))
     want = ref_weights(moved.positions)
     runs = _count_kernel_runs(monkeypatch)
     c = difference_coarray(moved)
+    assert runs == [moved.positions]
     s = summarize(c)
+    assert runs == [moved.positions]
     lags = lag_set(moved)
-    assert runs == [moved.positions]
+    assert runs == [moved.positions] * 2
     assert c.weights == want and lags == frozenset(want)
-    assert (difference_coarray(moved), summarize(difference_coarray(moved)),
-            lag_set(moved)) == (c, s, lags)
-    assert runs == [moved.positions]
-    # The pair graphs group the pairs by sensor, so they run it once more.
+    again = difference_coarray(moved)
+    assert (again, summarize(again), lag_set(moved)) == (c, s, lags)
+    assert runs == [moved.positions] * 4
+    # The pair graphs group the pairs by sensor, and the essential sensors
+    # and the profile of one array share one build of them.
     essential_sensors(moved)
     fragility_profile(moved, 3)
-    assert runs == [moved.positions] * 2
+    assert runs == [moved.positions] * 5
 
 
 def test_writing_into_returned_weights_changes_no_later_call(nfa):

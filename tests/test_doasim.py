@@ -1380,6 +1380,21 @@ def test_trial_batch_never_reaches_the_dtype_check(nfa, monkeypatch):
     assert got.rmse == want.rmse
 
 
+def test_long_double_covariance_is_read_as_doubles(nfa):
+    # np.bincount takes no long double weights; the lag means of such a
+    # covariance are those of its values rounded to doubles.
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    r = a @ a.conj().T
+    for wide, narrow in [(r.astype(np.clongdouble), r), (r.real.astype(
+            np.longdouble), r.real)]:
+        got = coarray_autocorrelation(wide, nfa)
+        want = coarray_autocorrelation(narrow, nfa)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == \
+            np.array(list(want.values())).tobytes()
+
+
 def test_autocorrelation_identity(nfa):
     ac = coarray_autocorrelation(np.eye(len(nfa)), nfa)
     assert np.isclose(ac[0], 1.0)
