@@ -32,11 +32,11 @@ a group's stack of factors.
 
 Everything that depends only on the array (the coarray plan: the lag
 index of each ordered sensor pair and the coarray summary) or only on a
-size (the theta' grid and the diagonal of each entry of a dim x dim
-matrix) is computed once and kept in small, bounded, read-only caches, so
-a Monte-Carlo batch pays for it on its first trial.  The Toeplitz matrices
-and the cyclic shifts of the RMSE need no index: each is a stack of
-sliding windows over one 1-D sequence, read as a view.  Every complex sum
+size (the theta' grid and the coefficient bin of each entry of a
+dim x dim matrix) is computed once and kept in small, bounded, read-only
+caches, so a Monte-Carlo batch pays for it on its first trial.  The
+Toeplitz matrices and the cyclic shifts of the RMSE need no index: each is
+a stack of sliding windows over one 1-D sequence, read as a view.  Every complex sum
 over lags is one np.bincount of the real parts and one of the imaginary
 parts on the lag indices.  estimate_doas runs the stages of the public
 coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain, the
@@ -47,13 +47,12 @@ one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
 consecutive trials (52 at dim 25, one at dim 181), each from its own
 seed's draws.  Per group the Bartlett factors and their covariances, the
 lag means, the Toeplitz matrices, their real forms, their noise
-eigenvectors, the projectors and their diagonal sums, the FFT into a
-g x grid_size stack of spectra, the peak picking and the RMSE run once;
+eigenvectors V, the real products V V^T and their block sums, the FFT into
+a g x grid_size stack of spectra, the peak picking and the RMSE run once;
 pick_peaks and the RMSE of one trial are the same functions on a stack of
-one.  Every sum keeps
-its terms and their order, so each trial's covariance is bit for bit the
-one its seed draws alone, and its estimates those of estimate_doas on that
-covariance alone.
+one.  Every sum keeps its terms and their order, so each trial's
+covariance is bit for bit the one its seed draws alone, and its estimates
+those of estimate_doas on that covariance alone.
 
 The MUSIC denominator a(theta)^H E E^H a(theta) is a real trigonometric
 polynomial of degree dim - 1 in theta (the algebra of root-MUSIC,
@@ -67,12 +66,17 @@ unitarily similar to a real symmetric one (Lee, "Centrohermitian and
 skew-centrohermitian matrices", LAA 1980; Huarng & Yeh, "A unitary
 transformation method for angle-of-arrival estimation", IEEE TSP 1991).
 So its noise subspace comes from a real eigendecomposition, about a third
-of the cost of a complex one, mapped back by a sparse unitary matrix.  Every
-covariance the pipeline forms is made exactly Hermitian, so every Toeplitz
-matrix it builds is exactly centro-Hermitian, and this is the only MUSIC
-path.  At full capacity, m = dim - 1, the noise subspace is one vector,
-and it comes from the eigenvalues and two steps of inverse iteration
-rather than a full eigendecomposition (Pisarenko's case; _noise_vectors).
+of the cost of a complex one (Pesavento, Gershman & Haardt, "Unitary
+root-MUSIC with a real-valued eigendecomposition", IEEE TSP 2000), and the
+MUSIC coefficients of the noise projector Q V V^T Q^H, with Q the sparse
+unitary matrix of the transform, come from the real V V^T alone: from
+diagonal and anti-diagonal sums of its blocks, with no complex vector or
+matrix formed (music_spectrum).  Every covariance the pipeline forms is
+made exactly Hermitian, so every Toeplitz matrix it builds is exactly
+centro-Hermitian, and this is the only MUSIC path.  At full capacity,
+m = dim - 1, the noise subspace is one vector, and it comes from the
+eigenvalues and two steps of inverse iteration rather than a full
+eigendecomposition (Pisarenko's case; _noise_vectors).
 """
 
 from __future__ import annotations
@@ -89,10 +93,10 @@ from .coarray import CoarraySummary, difference_coarray, summarize
 
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
-# A diagonal-bins entry holds dim (dim + 1) integers: 264 kB at dim 181.
+# A block-bins entry holds dim^2 integers: 262 kB at dim 181.
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
-_DIAGONAL_CACHE_SIZE = 4
+_BLOCK_CACHE_SIZE = 4
 # Bound on the entries of one dim x dim matrix stack in a trial group.
 _GROUP_ENTRIES = 2 ** 15
 _TINY = np.finfo(float).tiny
@@ -255,15 +259,40 @@ def _complex_bincount(index, x, size):
     return sums.reshape(rows, size)
 
 
-@lru_cache(maxsize=_DIAGONAL_CACHE_SIZE)
-def _diagonal_bins(dim):
-    """The row-major flat indices of the entries (p, q), p >= q, of a
-    dim x dim matrix, and the diagonal p - q of each; both read-only."""
-    p, q = np.tril_indices(dim)
-    take = p * dim + q
-    lag = p - q
-    take.flags.writeable = lag.flags.writeable = False
-    return take, lag
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _block_bins(dim):
+    """The bin of each row-major entry of a real symmetric dim x dim matrix
+    R in _coefficients' sums of the MUSIC coefficients c_0 .. c_{dim-1}, of
+    4 dim + 1 bins, read-only.  Bins 2 d and 2 d + 1 take the terms added to
+    Re c_d and Im c_d, bins 2 dim + 2 d and 2 dim + 2 d + 1 the terms taken
+    from them, and bin 4 dim the entries that add nothing.
+
+    With k = dim // 2, h = dim - k, A = R[:k, :k], D = R[h:, h:] and
+    C = R[h:, :k] (so R[:k, h:] is C^T), the entries of A and D below the
+    diagonal add to Re c_{p-q}, those above it, each standing for itself
+    and its mirror, to Re c_{dim-1-p-q}, A's with a plus and D's with a
+    minus sign.  C's entries below its diagonal add to Im c_{p-q}, those
+    above it are taken from Im c_{q-p}, and C^T's are taken from
+    Im c_{dim-1-p-q}.  R's diagonal adds to Re c_0.  C's diagonal and, for
+    odd dim, the rest of the middle row and column go to the last bin."""
+    k, h = dim // 2, dim - dim // 2
+    p, q = np.indices((k, k))
+    below, above = p > q, p < q
+    diagonal = 2 * (p - q)
+    anti = 2 * (dim - 1 - p - q)
+    minus = 2 * dim
+    bins = np.full((dim, dim), 4 * dim)
+    a, d, c, ct = bins[:k, :k], bins[h:, h:], bins[h:, :k], bins[:k, h:]
+    a[below] = d[below] = diagonal[below]
+    a[above] = anti[above]
+    d[above] = minus + anti[above]
+    c[below] = diagonal[below] + 1
+    c[above] = minus - diagonal[above] + 1
+    ct[...] = minus + anti + 1
+    np.fill_diagonal(bins, 0)
+    bins = bins.ravel()
+    bins.flags.writeable = False
+    return bins
 
 
 def _snapshot_factor(s, scene):
@@ -566,30 +595,44 @@ def _noise_vectors(s, m):
     return v
 
 
+def _coefficients(v):
+    """The g x dim stack of Hermitian coefficients c_0 .. c_{dim-1} of the
+    projectors Q V V^T Q^H, c_d the sum of the d-th subdiagonal, for the
+    g x dim x r stack v of real noise eigenvectors V and the Q of
+    _real_form, in real arithmetic: R = V V^T, then the block sums of
+    music_spectrum by one np.bincount on the bins of _block_bins, row i's
+    bins offset by (4 dim + 1) i, and one subtraction.  The few terms no
+    single entry of R carries are added after: the diagonals of A and D in
+    1/2 a(A - D), and for odd dim the middle row of R."""
+    g, dim, _ = v.shape
+    r = v @ v.transpose(0, 2, 1)
+    size = 4 * dim + 1
+    index = (_block_bins(dim) + size * np.arange(g)[:, None]).ravel()
+    sums = np.bincount(index, weights=r.ravel(), minlength=g * size)
+    sums = sums.reshape(g, size)
+    c = (sums[:, :2 * dim] - sums[:, 2 * dim:-1]).view(complex)
+    k, h = dim // 2, dim - dim // 2
+    diagonal = r.reshape(g, -1)[:, ::dim + 1]
+    c.real[:, dim - 1::-2][:, :k] += 0.5 * (diagonal[:, :k] - diagonal[:, h:])
+    if dim % 2:
+        mid = np.sqrt(2.0) * r[:, k]
+        c.real[:, 1:k + 1] += mid[:, k - 1::-1]
+        c.imag[:, 1:k + 1] -= mid[:, :k:-1]
+    return c
+
+
 def _spectra(s, m, grid_size):
     """The g x grid_size stack of MUSIC pseudospectra from the real
     symmetric forms s (g x dim x dim) of augmented matrices, as
-    music_spectrum describes: the noise eigenvectors of s (_noise_vectors)
-    mapped back by Q, the diagonal sums of their projectors, one
-    np.fft.hfft of the stack of Hermitian sequences, and each row clipped
+    music_spectrum describes: the noise eigenvectors of s (_noise_vectors),
+    the Hermitian coefficients of their projectors (_coefficients), one
+    np.fft.hfft of the stack of coefficient sequences, and each row clipped
     at _TINY, inverted and normalised to peak at 1, in place.  Every stage
     runs once on the whole stack, and each row comes out bit for bit as it
     would alone."""
-    g, dim, _ = s.shape
-    # Q v for the noise eigenvectors v, with the Q of _real_form.
-    v = _noise_vectors(s, m)
-    k = dim // 2
-    top = (v[:, :k] + 1j * v[:, dim - k:]) * np.sqrt(0.5)
-    noise = np.empty(v.shape, dtype=complex)
-    noise[:, :k] = top
-    if dim % 2:
-        noise[:, k] = v[:, k]
-    noise[:, dim - k:] = top[:, ::-1].conj()
-    proj = noise @ noise.conj().transpose(0, 2, 1)
-    # y_k = (-1)^k c_k from the subdiagonal sums c_k (k >= 0), summed over
-    # the entries p >= q.
-    take, lag = _diagonal_bins(dim)
-    ys = _complex_bincount(lag, proj.reshape(g, -1)[:, take], dim)
+    dim = s.shape[-1]
+    ys = _coefficients(_noise_vectors(s, m))
+    # y_d = (-1)^d c_d.
     ys[:, 1::2] *= -1.0
     # The least multiple c G of the grid size that holds all 2 dim - 1
     # lags; every c-th point of that DFT is a grid point.
@@ -624,15 +667,27 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     (_noise_vectors).  The two vectors agree to rounding, so the spectrum
     does too.
 
-    With P = E E^H and c_k the sum of P's k-th subdiagonal, the denominator
-    a(theta)^H P a(theta) is c_0 + 2 Re sum_{k>0} c_k exp(-2 pi j k theta).
+    With P = E E^H and c_d the sum of P's d-th subdiagonal, the denominator
+    a(theta)^H P a(theta) is c_0 + 2 Re sum_{d>0} c_d exp(-2 pi j d theta).
     On grid point g, theta = -0.5 + g / grid_size, so it is the
     length-grid_size DFT of the Hermitian sequence y_0 = c_0,
-    y_k = (-1)^k c_k and y_{-k} = conj(y_k), a real DFT.  np.fft.hfft
+    y_d = (-1)^d c_d and y_{-d} = conj(y_d), a real DFT.  np.fft.hfft
     computes it from y_0 .. y_{dim-1}, zero-padded, about half the work of
     a complex FFT.  A grid of fewer than 2 dim - 1 points cannot hold the
     sequence, so the DFT is taken on the least multiple c grid_size that
     does, and every c-th point of it is read.
+
+    P = Q R Q^H for the real R = V V^T, so the c_d come from R in real
+    arithmetic, and neither E nor P is formed.  With k = dim // 2,
+    h = dim - k, the k x k blocks A = R[:k, :k], D = R[h:, h:] and
+    C = R[h:, :k], s_j a block's sum over its entries with p - q = j,
+    a_t its sum over those with p + q = t, and n = dim - 1 - d:
+        Re c_d = s_d(A + D) + a_n(A - D) / 2,
+        Im c_d = s_d(C) - s_{-d}(C) - a_n(C),
+    and for odd dim, with R's middle row r = R[k], c_0 gains r[k] and c_d
+    gains sqrt 2 (r[k - d] - j r[h + k - d]) for d = 1 .. k.  R is
+    symmetric, so almost every term is one entry of R, and one np.bincount
+    sums them all (_coefficients).
     estimate_doas runs the same steps on a stack of one.
     """
     t = _numeric(t, "matrix")

@@ -816,8 +816,8 @@ def test_trial_seed_is_the_spawned_child_raw_draw_shifted():
                          ids=["dim-25", "dim-181"])
 def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
     # Every row of a stack, not only the first, comes out of the stacked
-    # lag means, gather, eigh and projector product as estimate_doas gives
-    # it on that covariance alone.
+    # lag means, eigensolver, V V^T and block sums as estimate_doas gives it
+    # on that covariance alone.
     arr = make_sfa("nested", {"n": 6}, r)
     scene = random_scene(m, seed=r, min_separation=0.5 / m)
     stack = np.stack([sample_covariance(simulate(arr, scene, 300, seed))
@@ -832,6 +832,104 @@ def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
         assert estimates[i] == alone.estimates
         _assert_same_bits(np.array(refined[i]), np.array(alone.refined))
         assert under[i] is alone.under_resolved
+
+
+# The complex route to the MUSIC coefficients, which doasim took before it
+# read them from R = V V^T in real arithmetic, kept as the oracle of
+# doasim._coefficients: the noise eigenvectors mapped back by the Q of the
+# real form, E = Q V, the projector P = E E^H, and the sums c_d of its
+# subdiagonals p - q = d over the entries p >= q, one np.bincount of the
+# real parts and one of the imaginary parts.
+
+def _complex_noise(v):
+    """E = Q V for the stack v of real noise eigenvectors, by Q's sparsity."""
+    dim = v.shape[1]
+    k = dim // 2
+    top = (v[:, :k] + 1j * v[:, dim - k:]) * np.sqrt(0.5)
+    noise = np.empty(v.shape, dtype=complex)
+    noise[:, :k] = top
+    if dim % 2:
+        noise[:, k] = v[:, k]
+    noise[:, dim - k:] = top[:, ::-1].conj()
+    return noise
+
+
+def _complex_route_coefficients(v):
+    noise = _complex_noise(v)
+    proj = noise @ noise.conj().transpose(0, 2, 1)
+    dim = v.shape[1]
+    p, q = np.tril_indices(dim)
+    return doasim._complex_bincount(p - q, proj[:, p, q], dim)
+
+
+@pytest.mark.parametrize("dim", range(2, 42))
+def test_block_sums_match_the_complex_route(dim):
+    # k = dim // 2 = 1 at dims 2 and 3, and odd dims have a middle row; from
+    # one noise column up to dim - 1.  Each row of a stack of three is bit
+    # for bit the row computed alone.
+    rng = np.random.default_rng(dim)
+    for r in range(1, dim):
+        v = np.linalg.qr(rng.standard_normal((3, dim, dim)))[0][:, :, :r]
+        assert np.allclose(_complex_noise(v), _unitary_q(dim) @ v,
+                           rtol=0, atol=1e-15)
+        ref = _complex_route_coefficients(v)
+        c = doasim._coefficients(v)
+        assert c.shape == (3, dim) and c.dtype == complex
+        assert np.abs(c - ref).max() <= 1e-12 * np.abs(ref).max()
+        for i in range(3):
+            assert doasim._coefficients(v[i:i + 1]).tobytes() \
+                == c[i].tobytes()
+
+
+def _jittered_grid_scene(m, jitter, seed):
+    """m equal-power sources on a uniform grid over [-0.48, 0.48], each moved
+    by a uniform jitter, at SNR 0 dB: the criterion-9 scene for 24 sources,
+    jitter 0.008 and seed 20240824."""
+    rng = np.random.default_rng(seed)
+    base = np.linspace(-0.48, 0.48, m)
+    doas = np.sort(base + rng.uniform(-jitter, jitter, m))
+    return SourceScene(tuple(doas), (1.0,) * m, 1.0)
+
+
+@pytest.mark.parametrize(
+    "r, scene, t, trials, groups, refined_tol, spectrum_tol",
+    [(1, _jittered_grid_scene(24, 0.008, 20240824), 500, 50, 3, 1e-15, 1e-6),
+     (3, _jittered_grid_scene(60, 0.003, 4848), 1000, 5, 1, 1e-15, 1e-9),
+     (1, random_scene(24, seed=10, min_separation=0.5 / 24), 500, 50, 1,
+      1e-11, 1e-4)],
+    ids=["criterion-9", "48-sensor", "close-sources"])
+def test_block_sums_replay_the_complex_route(r, scene, t, trials, groups,
+                                             refined_tol, spectrum_tol,
+                                             monkeypatch):
+    # The spectra, estimates and refined estimates of groups of trial
+    # covariances as run_trial_batch draws them, against the same stages
+    # with the complex route's coefficients.  The two routes' coefficients
+    # differ by rounding only (4e-16 of their size).  The spectra differ by
+    # that, rescaled by each spectrum's deepest null, which at full capacity
+    # (24 sources on the 12-sensor NFA, one noise vector) lies near zero:
+    # the worst seen here was 4.1e-8 on the criterion-9 scene, 2.1e-6 on
+    # the close-sources one and 2.8e-12 at dim 181.  A refined estimate
+    # moves with the rounding of the denominator at its peak, relative to
+    # the peak's depth: 1.7e-16 at most on the criterion-9 scene, but up to
+    # 1.1e-12 on the close-sources one (0.021 apart), where both routes lie
+    # within 1e-12 of the refined estimates from the coefficients in long
+    # double.
+    arr = make_sfa("nested", {"n": 6}, r)
+    m = scene.source_count
+    f = doasim._snapshot_factor(arr, scene)
+    for group in range(groups):
+        seeds = range(group * trials, (group + 1) * trials)
+        cov = doasim._gram(doasim._draw(f, t, seeds)[0], t)
+        spectra, (estimates, refined, under) = doasim._estimates(
+            arr, cov, m, DEFAULT_GRID_SIZE)
+        with monkeypatch.context() as patch:
+            patch.setattr(doasim, "_coefficients", _complex_route_coefficients)
+            ref_spectra, (ref_estimates, ref_refined, ref_under) = \
+                doasim._estimates(arr, cov, m, DEFAULT_GRID_SIZE)
+        assert estimates == ref_estimates and under == ref_under
+        assert not any(under)
+        assert np.abs(np.subtract(refined, ref_refined)).max() <= refined_tol
+        assert np.abs(spectra - ref_spectra).max() <= spectrum_tol
 
 
 # At full capacity, m = dim - 1, the noise subspace is one vector, which
