@@ -36,11 +36,12 @@ size (the theta' grid and the coefficient bin of each entry of a
 dim x dim matrix) is computed once and kept in small, bounded, read-only
 caches, so a Monte-Carlo batch pays for it on its first trial.  The
 Toeplitz matrices and the cyclic shifts of the RMSE need no index: each is
-a stack of sliding windows over one 1-D sequence, read as a view.  Every complex sum
-over lags is one np.bincount of the real parts and one of the imaginary
-parts on the lag indices.  estimate_doas runs the stages of the public
-coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain, the
-same functions on arrays: lag means, Toeplitz windows, real form (below).
+a stack of sliding windows over one 1-D sequence, read as a view.  Every
+complex sum over lags is one np.bincount of the real parts and one of the
+imaginary parts on the lag indices.  estimate_doas runs the stages of the
+public coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain,
+the same functions on arrays: lag means, Toeplitz windows, real form
+(below).
 
 These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
