@@ -2,17 +2,17 @@
 
 Positions are checked once.  A SensorArray's are taken as they are, since
 the type already holds them as strictly increasing non-negative integers;
-any other input is read by ``_positions``, which sorts it and refuses a
-non-integer or repeated position.  Every view is then read from one
-kernel, the bare O(N^2) differencing loop: for each sensor j of the
-sorted positions, the lags p_j - p_i over the sensors i below it.
-The coarray is 0 and the lags in some row, with their negatives;
-w(0) = N, and w(l) = w(-l) is the number of rows' entries equal to l.
-Each view runs the kernel once per call and subtracts in its own loop:
-difference_coarray counts the positive lags into a Counter, lag_set adds
-them to a set.  The rows are slices of the positions, made one at a time,
-and only the counts (for lag_set, only the lags) are kept, so the views
-take memory in the number of lags, not in the number of pairs.
+any other input is read by ``_sensor_positions``, which refuses a
+non-integer or repeated position, and sorted by ``_positions``.  Every
+view is then read from one kernel, the bare O(N^2) differencing loop: for
+each sensor j of the sorted positions, the lags p_j - p_i over the sensors
+i below it.  The coarray is 0 and the lags in some row, with their
+negatives; w(0) = N, and w(l) = w(-l) is the number of rows' entries equal
+to l.  Each view runs the kernel once per call and subtracts in its own
+loop: difference_coarray counts the positive lags into a Counter, lag_set
+adds them to a set.  The rows are slices of the positions, made one at a
+time, and only the counts (for lag_set, only the lags) are kept, so the
+views take memory in the number of lags, not in the number of pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import lt, neg
+from operator import neg
 
 from .geometry import InvalidParameterError, SensorArray, _integers
 
@@ -28,18 +28,22 @@ from .geometry import InvalidParameterError, SensorArray, _integers
 _HOLE_LIMIT = 10 ** 6
 
 
-def _positions(array):
-    """Sorted, distinct positions of an array or a sequence.
-
-    A SensorArray's positions are returned as they are.  Anything else is
-    read by _integers and sorted, and a repeated position is refused."""
+def _sensor_positions(array):
+    """Distinct positions of an array or a sequence, in their given order:
+    a SensorArray's as they are, anything else read by _integers, with a
+    repeated position refused."""
     if isinstance(array, SensorArray):
         return array.positions
-    pos = tuple(sorted(_integers(getattr(array, "positions", array),
-                                 "sensor positions")))
-    if not all(map(lt, pos, pos[1:])):
+    pos = _integers(getattr(array, "positions", array), "sensor positions")
+    if len(set(pos)) < len(pos):
         raise InvalidParameterError("sensor positions must be distinct")
     return pos
+
+
+def _positions(array):
+    """_sensor_positions, sorted (a SensorArray's already are)."""
+    pos = _sensor_positions(array)
+    return pos if isinstance(array, SensorArray) else tuple(sorted(pos))
 
 
 def _lag_rows(positions):

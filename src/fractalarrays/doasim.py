@@ -11,7 +11,9 @@ peak refined off the grid from its two neighbours -> RMSE of the refined
 estimates over Monte-Carlo trials.  Snapshots are a plain complex N x T
 array, so measured data enters at sample_covariance as it is.  The
 noiseless, infinite-snapshot check is the same pass on the model
-covariance: estimate_doas(s, expected_covariance(s, scene), m).
+covariance: estimate_doas(s, expected_covariance(s, scene), m).  An array
+s is read by coarray._sensor_positions, in its given order and never
+sorted, since a covariance's rows follow it.
 
 The snapshots Y = A S + N, with Gaussian waveforms S and noise N, have
 i.i.d. CN(0, R) columns, R = A P A^H + sigma^2 I the model covariance.  They
@@ -37,11 +39,12 @@ dim x dim matrix) is computed once and kept in small, bounded, read-only
 caches, so a Monte-Carlo batch pays for it on its first trial.  The
 Toeplitz matrices and the cyclic shifts of the RMSE need no index: each is
 a stack of sliding windows over one 1-D sequence, read as a view.  Every
-complex sum over lags is one np.bincount of the real parts and one of the
-imaginary parts on the lag indices.  estimate_doas runs the stages of the
-public coarray_autocorrelation -> toeplitz_augment -> music_spectrum chain,
-the same functions on arrays: lag means, Toeplitz windows, real form
-(below).
+binned sum, a complex sum over lags or a block sum of the MUSIC
+coefficients, is one np.bincount per real part over a whole stack, row i's
+bins offset by i times their number (_row_sums).  estimate_doas runs the
+stages of the public coarray_autocorrelation -> toeplitz_augment ->
+music_spectrum chain, the same functions on arrays: lag means, Toeplitz
+windows, real form (below).
 
 These stages run on a stack of covariances: estimate_doas on a stack of
 one, run_trial_batch on groups of max(1, _GROUP_ENTRIES // dim**2)
@@ -50,8 +53,8 @@ seed's draws.  Per group the Bartlett factors and their covariances, the
 lag means, the Toeplitz matrices, their real forms, their noise
 eigenvectors V, the real products V V^T and their block sums, the FFT into
 a g x grid_size stack of spectra, the peak picking and the RMSE run once;
-pick_peaks and the RMSE of one trial are the same functions on a stack of
-one.  Every sum keeps its terms and their order, so each trial's
+pick_peaks is the same function on a stack of one, and so is the RMSE of
+one trial.  Every sum keeps its terms and their order, so each trial's
 covariance is bit for bit the one its seed draws alone, and its estimates
 those of estimate_doas on that covariance alone.
 
@@ -90,7 +93,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .geometry import InvalidParameterError, _check_count, _integers
-from .coarray import CoarraySummary, difference_coarray, summarize
+from .coarray import (CoarraySummary, _sensor_positions, difference_coarray,
+                      summarize)
 
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
@@ -234,7 +238,8 @@ def steering_vector(s, theta_norm):
     For a sequence of DOAs it is the sensors x DOAs steering matrix, one
     column per DOA.
     """
-    return np.exp(2j * np.pi * np.multiply.outer(s.positions, theta_norm))
+    return np.exp(2j * np.pi * np.multiply.outer(_sensor_positions(s),
+                                                 theta_norm))
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -245,19 +250,16 @@ def _grid(grid_size):
     return grid
 
 
-def _complex_bincount(index, x, size):
-    """g x size sums of each row of the g-row complex stack x: entry j of a
-    row goes to bin index[j] < size.  With the indices offset by size i for
-    row i, one np.bincount sums the real parts and one the imaginary parts,
-    each adding a bin's terms in row order."""
-    rows = len(x)
+def _row_sums(index, size, *parts):
+    """For each g-row real stack in parts, the g x size sums of each row:
+    entry j of a row, in row-major order, goes to bin index[j] < size.
+    With the bins offset by size i for row i, one np.bincount per part sums
+    the whole stack, adding a bin's terms in row order."""
+    rows = len(parts[0])
     index = (index + size * np.arange(rows)[:, None]).ravel()
-    sums = np.empty(rows * size, dtype=complex)
-    sums.real = np.bincount(index, weights=x.real.ravel(),
-                            minlength=rows * size)
-    sums.imag = np.bincount(index, weights=x.imag.ravel(),
-                            minlength=rows * size)
-    return sums.reshape(rows, size)
+    return [np.bincount(index, weights=part.ravel(),
+                        minlength=rows * size).reshape(rows, size)
+            for part in parts]
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
@@ -391,7 +393,7 @@ def expected_covariance(s, scene):
     forced exactly Hermitian."""
     a = steering_vector(s, scene.normalized_doas)
     r = ((a * np.asarray(scene.powers)) @ a.conj().T
-         + scene.noise_power * np.eye(len(s.positions)))
+         + scene.noise_power * np.eye(len(a)))
     return (r + r.conj().T) / 2.0
 
 
@@ -423,35 +425,39 @@ def _coarray_plan(positions):
 
 
 def _music_summary(s, m, grid_size):
-    """The coarray summary of s, after checking the source count, that the
-    coarray supports m sources, and the grid size."""
+    """The positions of the array s and its coarray summary, after checking
+    the source count, that the coarray supports m sources, and the grid
+    size."""
+    positions = _sensor_positions(s)
     _check_count(m, "source count")
-    summary = _coarray_plan(s.positions).summary
+    summary = _coarray_plan(positions).summary
     if m > summary.max_sources:
         raise CapacityError(
             "%d sources exceed the coarray capacity of %d"
             % (m, summary.max_sources))
     _check_count(grid_size, "grid size")
-    return summary
+    return positions, summary
 
 
-def _lag_means(r, s):
-    """The array's coarray plan, and for each covariance of the g x N x N
-    stack r its means over the ordered sensor pairs at each lag of
-    plan.lags, g x len(plan.lags).  The sums run over the pairs in
+def _lag_means(r, positions):
+    """The coarray plan of the sensor positions, and for each covariance of
+    the g x N x N stack r its means over the ordered sensor pairs at each
+    lag of plan.lags, g x len(plan.lags).  The sums run over the pairs in
     row-major order, one bincount for the real parts and one for the
-    imaginary parts (_complex_bincount).  A stack of other than N x N
-    matrices for the N sensors of s is refused, and so is a NaN or infinite
-    entry, or a sum over a lag that overflows."""
-    n = len(s.positions)
+    imaginary parts (_row_sums).  A stack of other than N x N matrices for
+    the N sensors is refused, and so is a NaN or infinite entry, or a sum
+    over a lag that overflows."""
+    n = len(positions)
     if r.shape[1:] != (n, n):
         raise InvalidParameterError(
             "covariance shape %s does not match %d sensors" % (r.shape[1:], n))
-    plan = _coarray_plan(s.positions)
+    plan = _coarray_plan(positions)
     # np.bincount refuses long double weights; the cast reads them as doubles
     # and copies nothing for the complex stacks of the pipeline.
-    sums = _complex_bincount(plan.pair_lags, r.astype(complex, copy=False),
-                             len(plan.lags))
+    r = r.astype(complex, copy=False)
+    sums = np.empty((len(r), len(plan.lags)), dtype=complex)
+    sums.real, sums.imag = _row_sums(plan.pair_lags, len(plan.lags),
+                                     r.real, r.imag)
     if not np.isfinite(sums).all():
         raise InvalidParameterError(
             "covariance entries, and their sums over each lag, must be finite")
@@ -484,7 +490,8 @@ def coarray_autocorrelation(r, s):
     A covariance with a NaN or infinite entry is refused, and so is one of
     bools, strings or objects.
     """
-    plan, means = _lag_means(_numeric(r, "covariance")[None], s)
+    plan, means = _lag_means(_numeric(r, "covariance")[None],
+                             _sensor_positions(s))
     return dict(zip(plan.lags, means[0]))
 
 
@@ -496,7 +503,8 @@ def toeplitz_augment(ac, ula_segment):
     0 .. u are read: the entries above the diagonal are their conjugates, so
     T is exactly Hermitian.  estimate_doas reads T from the same lag means
     as the same windows (_toeplitz), on a stack of covariances at once; here
-    they are copied into a new, writable array that the caller owns.
+    they are copied into a new, writable array that the caller owns.  Lag
+    values that are not finite numbers, as _numeric reads them, are refused.
     """
     bounds = _integers(ula_segment, "the central segment")
     if len(bounds) != 2 or bounds[0] != -bounds[1] or bounds[1] < 0:
@@ -509,8 +517,10 @@ def toeplitz_augment(ac, ula_segment):
         raise CoarrayHoleError(
             "lags %s missing from the central segment [-%d, %d]"
             % (missing, u, u))
-    col = np.array([ac[k] for k in range(0, u + 1)], dtype=complex)
-    return _toeplitz(col).copy()
+    col = _numeric([ac[k] for k in range(0, u + 1)], "lag values")
+    if not np.isfinite(col).all():
+        raise InvalidParameterError("lag values must be finite numbers")
+    return _toeplitz(col.astype(complex, copy=False)).copy()
 
 
 def _real_form(t):
@@ -601,16 +611,13 @@ def _coefficients(v):
     projectors Q V V^T Q^H, c_d the sum of the d-th subdiagonal, for the
     g x dim x r stack v of real noise eigenvectors V and the Q of
     _real_form, in real arithmetic: R = V V^T, then the block sums of
-    music_spectrum by one np.bincount on the bins of _block_bins, row i's
-    bins offset by (4 dim + 1) i, and one subtraction.  The few terms no
-    single entry of R carries are added after: the diagonals of A and D in
-    1/2 a(A - D), and for odd dim the middle row of R."""
+    music_spectrum by one np.bincount on the bins of _block_bins
+    (_row_sums), and one subtraction.  The few terms no single entry of R
+    carries are added after: the diagonals of A and D in 1/2 a(A - D), and
+    for odd dim the middle row of R."""
     g, dim, _ = v.shape
     r = v @ v.transpose(0, 2, 1)
-    size = 4 * dim + 1
-    index = (_block_bins(dim) + size * np.arange(g)[:, None]).ravel()
-    sums = np.bincount(index, weights=r.ravel(), minlength=g * size)
-    sums = sums.reshape(g, size)
+    sums, = _row_sums(_block_bins(dim), 4 * dim + 1, r)
     c = (sums[:, :2 * dim] - sums[:, 2 * dim:-1]).view(complex)
     k, h = dim // 2, dim - dim // 2
     diagonal = r.reshape(g, -1)[:, ::dim + 1]
@@ -656,17 +663,13 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     t must be exactly Hermitian and exactly persymmetric, t[::-1, ::-1]
     equal to conj(t), as every matrix toeplitz_augment builds from a
     Hermitian covariance is, and of finite numbers (not bools, strings or
-    objects); any other t is refused.  Such a t
-    has the same eigenvalues as the real symmetric S = Q^H t Q of
-    _real_form, and eigenvectors Q V for the eigenvectors V of S (Lee 1980;
-    Huarng & Yeh 1991).  So E comes from a real eigh of S, about a third of
-    the work of a complex eigh of t.  With one noise dimension,
-    m = dim - 1, E is one vector, and it comes from S's eigenvalues
-    (eigvalsh) and two solves of inverse iteration instead, about 0.6 of
-    the work of eigh at dim 25; a matrix with a near-double least
-    eigenvalue, or whose vector fails the residual check, keeps eigh
-    (_noise_vectors).  The two vectors agree to rounding, so the spectrum
-    does too.
+    objects), and at least 2 x 2, room for one signal and one noise
+    dimension; any other t is refused.  Such a t has the same eigenvalues
+    as the real symmetric S = Q^H t Q of _real_form, and eigenvectors Q V
+    for the eigenvectors V of S (Lee 1980; Huarng & Yeh 1991).  So E comes
+    from a real eigh of S, about a third of the work of a complex eigh of
+    t, or with one noise dimension from S's eigenvalues and two solves of
+    inverse iteration (_noise_vectors), which agree with eigh to rounding.
 
     With P = E E^H and c_d the sum of P's d-th subdiagonal, the denominator
     a(theta)^H P a(theta) is c_0 + 2 Re sum_{d>0} c_d exp(-2 pi j d theta).
@@ -688,13 +691,14 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
     and for odd dim, with R's middle row r = R[k], c_0 gains r[k] and c_d
     gains sqrt 2 (r[k - d] - j r[h + k - d]) for d = 1 .. k.  R is
     symmetric, so almost every term is one entry of R, and one np.bincount
-    sums them all (_coefficients).
-    estimate_doas runs the same steps on a stack of one.
+    sums them all (_coefficients).  estimate_doas runs the same steps on a
+    stack of one.
     """
     t = _numeric(t, "matrix")
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or len(t) < 2:
         raise InvalidParameterError(
-            "need a square matrix, got shape %s" % (t.shape,))
+            "need a square matrix of at least 2 x 2, as a smaller one is too "
+            "small for a noise subspace, got shape %s" % (t.shape,))
     dim = t.shape[0]
     _check_count(m, "source count", high=dim - 1)
     _check_count(grid_size, "grid size")
@@ -726,21 +730,24 @@ def pick_peaks(result, m):
     grid[0] wraps up by G steps, into [-0.5, 0.5) on the theta' grid: so
     ``refined`` assumes a uniform grid over one period of the spectrum, as
     music_spectrum's is; ``estimates`` assumes nothing.  The ratios stay
-    finite where 1 / spectrum overflows at a clipped null.  A grid of
-    another length than the spectrum, or a NaN or negative spectrum value,
-    is refused.
+    finite where 1 / spectrum overflows at a clipped null.  An empty
+    spectrum, a grid of another length than the spectrum, a NaN or negative
+    spectrum value, and a spectrum or grid that is not of real numbers
+    (complex, bools, strings or objects) are refused.
 
     This is the peak pass that run_trial_batch makes once over a group's
     whole stack of spectra, on a stack of one.
     """
     _check_count(m, "source count")
-    spec = np.asarray(result.spectrum)
-    grid = np.asarray(result.grid)
-    if spec.ndim != 1 or grid.shape != spec.shape:
+    spec = _numeric(result.spectrum, "spectrum")
+    grid = _numeric(result.grid, "grid")
+    if (spec.ndim != 1 or grid.shape != spec.shape or not len(spec)
+            or "c" in spec.dtype.kind + grid.dtype.kind):
         raise InvalidParameterError(
-            "need one grid point per spectrum value, got grid shape %s and "
-            "spectrum shape %s" % (grid.shape, spec.shape))
-    if len(spec) and not spec.min() >= 0.0:
+            "need one grid point per spectrum value, at least one, all real, "
+            "got a grid of shape %s and dtype %s and a spectrum of shape %s "
+            "and dtype %s" % (grid.shape, grid.dtype, spec.shape, spec.dtype))
+    if not spec.min() >= 0.0:
         raise InvalidParameterError(
             "need a spectrum of non-negative numbers, without NaN")
     estimates, refined, under = _picked(grid, spec[None], m)
@@ -749,9 +756,9 @@ def pick_peaks(result, m):
 
 
 def _picked(grid, spectra, m):
-    """pick_peaks on each row of the g x G stack spectra, after its checks:
-    the lists of each row's estimates and refined estimates, as tuples of
-    floats, and of its under-resolution flag, as a bool."""
+    """pick_peaks on each row of the g x G stack spectra, G >= 1, after its
+    checks: the lists of each row's estimates and refined estimates, as
+    tuples of floats, and of its under-resolution flag, as a bool."""
     g, size = spectra.shape
     # Strict circular local maxima: the interior against both neighbours,
     # then columns G - 1 and 0, whose outer neighbours wrap around (the
@@ -759,10 +766,9 @@ def _picked(grid, spectra, m):
     peak = np.empty((g, size), dtype=bool)
     mid = spectra[:, 1:-1]
     peak[:, 1:-1] = (mid > spectra[:, :-2]) & (mid > spectra[:, 2:])
-    if size:
-        last, first = spectra[:, -1], spectra[:, 0]
-        peak[:, -1] = (last > spectra[:, -2 % size]) & (last > first)
-        peak[:, 0] = (first > last) & (first > spectra[:, 1 % size])
+    last, first = spectra[:, -1], spectra[:, 0]
+    peak[:, -1] = (last > spectra[:, -2 % size]) & (last > first)
+    peak[:, 0] = (first > last) & (first > spectra[:, 1 % size])
     # Rank each row's maxima by value, then by index, both descending (a
     # stable ascending argsort reversed): the maxima in descending flat
     # order, sorted stably by row and by value, descending.  Keep the first
@@ -807,19 +813,19 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     such a T; _lag_means refuses non-finite entries.  A covariance of bools,
     strings or objects is refused.
     """
-    _music_summary(s, m, grid_size)
+    positions, _ = _music_summary(s, m, grid_size)
     spectra, (estimates, refined, under) = _estimates(
-        s, _numeric(r, "covariance")[None], m, grid_size)
+        positions, _numeric(r, "covariance")[None], m, grid_size)
     return MusicResult(grid=_grid(grid_size), spectrum=spectra[0],
                        estimates=estimates[0], refined=refined[0],
                        under_resolved=under[0])
 
 
-def _estimates(s, r, m, grid_size):
-    """estimate_doas on each covariance of the g x N x N stack r, after the
-    checks of _music_summary: the g x grid_size stack of spectra and their
-    peaks as _picked gives them."""
-    plan, means = _lag_means(r, s)
+def _estimates(positions, r, m, grid_size):
+    """estimate_doas on each covariance of the g x N x N stack r for the
+    sensor positions, after the checks of _music_summary: the
+    g x grid_size stack of spectra and their peaks as _picked gives them."""
+    plan, means = _lag_means(r, positions)
     u = plan.summary.max_sources
     cols = means[:, plan.zero:plan.zero + u + 1]
     bad = np.flatnonzero(cols[:, 0].imag)
@@ -831,23 +837,19 @@ def _estimates(s, r, m, grid_size):
     return spectra, _picked(_grid(grid_size), spectra, m)
 
 
-def _rmse(estimates, truths):
-    """RMSE on the circle [-0.5, 0.5): the sorted estimates are matched to
-    the sorted truths under the cyclic shift with the least squared error,
-    and each difference is wrapped to the nearest turn.  Wrapping leaves a
-    difference below 0.5 in size unchanged, so when the unshifted match is
-    best the result is the linear sorted-order RMSE bit for bit."""
-    return float(_sorted_rmse(np.asarray(estimates)[None],
-                              np.sort(np.asarray(truths)))[0])
-
-
 def _sorted_rmse(estimates, tru):
-    """_rmse of each row of the r x m stack estimates against truths tru
-    that are already sorted: r values, each as _rmse gives it alone.  Shift
-    s of a sorted row rolls it by s places, est[(j - s) mod m]: the window
-    of its doubled row that starts at m - s, so the m shifts are windows
-    m .. 1 of the doubled rows, read as a view: one step back per shift and
-    one step on per place from the doubled row's column m."""
+    """The RMSE on the circle [-0.5, 0.5) of each row of the r x m stack
+    estimates against the m truths tru, which are already sorted: r values,
+    each as its row gives it alone.  The sorted estimates are matched to
+    the truths under the cyclic shift with the least squared error, and
+    each difference is wrapped to the nearest turn.  Wrapping leaves a
+    difference below 0.5 in size unchanged, so when the unshifted match is
+    best the result is the linear sorted-order RMSE bit for bit.
+
+    Shift s of a sorted row rolls it by s places, est[(j - s) mod m]: the
+    window of its doubled row that starts at m - s, so the m shifts are
+    windows m .. 1 of the doubled rows, read as a view: one step back per
+    shift and one step on per place from the doubled row's column m."""
     est = np.sort(estimates, axis=1)
     r, m = est.shape
     doubled = np.concatenate((est, est), axis=1)
@@ -895,39 +897,35 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     is factored once per batch, F F^H = R / 2, and each trial's sample
     covariance is W W^H / T, made exactly Hermitian as sample_covariance
     makes it, for the W = F L that _draw gives at the trial's seed: no
-    snapshots are formed.  Trials run in groups (see the
-    module docstring): one _draw call takes a group's trial seeds, one
-    _gram call its stack of factors, and the MUSIC stages, up to the peaks
-    and the RMSE, run once on its stack of covariances.  Only per-trial
-    tuples of the results are kept, with a copy of the first trial's
-    spectrum.  simulate at a trial's seed returns
-    Y = W Q^H, so simulate -> sample_covariance -> estimate_doas gives the
-    trial's spectrum and refined estimates to rounding; its grid estimates
-    are the ones a spectrum that close picks, the same unless two spectrum
-    values tie to within rounding.  Each trial is scored on its refined
-    estimates, and the aggregate RMSE pools squared errors of all resolved
-    trials, with estimates matched to the truth in sorted order around the
-    circle (the cyclic shift with the least error) and errors wrapped to
-    the nearest turn.
+    snapshots are formed.  Trials run in groups (see the module docstring):
+    one _draw call takes a group's trial seeds, one _gram call its stack of
+    factors, and the MUSIC stages, up to the peaks and the RMSE, run once
+    on its stack of covariances.  Only per-trial tuples of the results are
+    kept, with a copy of the first trial's spectrum.  simulate at a trial's
+    seed returns Y = W Q^H, so simulate -> sample_covariance ->
+    estimate_doas gives the trial's spectrum and refined estimates to
+    rounding; its grid estimates are the ones a spectrum that close picks,
+    the same unless two spectrum values tie to within rounding.  Each trial
+    is scored on its refined estimates by _sorted_rmse, and the aggregate
+    RMSE pools squared errors of all resolved trials.
     """
     _check_count(t, "snapshot count")
     _check_count(trials, "trial count")
     _check_count(seed, "seed", low=0)
     m = scene.source_count
-    dim = _music_summary(s, m, grid_size).max_sources + 1
+    positions, summary = _music_summary(s, m, grid_size)
+    dim = summary.max_sources + 1
     group = max(1, _GROUP_ENTRIES // dim ** 2)
-    f = _snapshot_factor(s, scene)
+    f = _snapshot_factor(positions, scene)
     tru = np.sort(np.asarray(scene.normalized_doas))
     children = np.random.SeedSequence(seed).spawn(trials)
-    per_rmse = []
-    per_est = []
-    per_refined = []
-    first = None
+    per_rmse, per_est, per_refined, first = [], [], [], None
     for start in range(0, trials, group):
         seeds = [np.random.PCG64(child).random_raw() >> 1
                  for child in children[start:start + group]]
         r = _gram(_draw(f, t, seeds)[0], t)
-        spectra, (estimates, refined, under) = _estimates(s, r, m, grid_size)
+        spectra, (estimates, refined, under) = _estimates(positions, r, m,
+                                                          grid_size)
         if first is None:
             # A copy, so that the result does not keep the group's stack.
             first = MusicResult(grid=_grid(grid_size),
@@ -942,11 +940,8 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
         per_rmse += [float("inf") if low else next(scores) for low in under]
     pooled_sq = [e ** 2 for e in per_rmse if e < float("inf")]
     rmse = float(np.sqrt(np.mean(pooled_sq))) if pooled_sq else float("inf")
-    return TrialBatchResult(rmse=rmse,
-                            per_trial_rmse=tuple(per_rmse),
-                            per_trial_estimates=tuple(per_est),
-                            per_trial_refined=tuple(per_refined),
-                            resolved_trials=len(pooled_sq),
-                            trials=trials,
-                            seed=seed,
-                            first_trial=first)
+    return TrialBatchResult(
+        rmse=rmse, per_trial_rmse=tuple(per_rmse),
+        per_trial_estimates=tuple(per_est),
+        per_trial_refined=tuple(per_refined), resolved_trials=len(pooled_sq),
+        trials=trials, seed=seed, first_trial=first)

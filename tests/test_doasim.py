@@ -2,6 +2,7 @@ import random as pyrandom
 import re
 import threading
 import time
+import types
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from fractalarrays.coarray import difference_coarray, summarize
 from fractalarrays import doasim
 from fractalarrays.doasim import (DEFAULT_GRID_SIZE, CapacityError,
                                   CoarrayHoleError, MusicResult, SourceScene,
-                                  _coarray_plan, _real_form, _rmse,
+                                  _coarray_plan, _real_form,
                                   _sorted_rmse, _toeplitz,
                                   coarray_autocorrelation,
                                   estimate_doas, expected_covariance,
@@ -174,6 +175,19 @@ def test_toeplitz_augment_refuses_a_segment_not_two_symmetric_integers(
         segment):
     with pytest.raises(InvalidParameterError):
         toeplitz_augment({-1: 0.5, 0: 2.0, 1: 0.5}, segment)
+
+
+@pytest.mark.parametrize("ac", [
+    {0: "1", 1: 0.5, -1: 0.5}, {0: True, 1: False, -1: False},
+    {0: "a", 1: 0.5, -1: 0.5}, {0: np.nan, 1: 0.5, -1: 0.5},
+    {0: 2.0, 1: np.inf, -1: np.inf}, {0: 2.0, 1: complex(0.5, -np.inf),
+                                       -1: 0.5},
+    {0: 2.0, 1: None, -1: 0.5}], ids=repr)
+def test_toeplitz_augment_refuses_lag_values_that_are_not_finite_numbers(ac):
+    # "1" was parsed and True read as 1; "a" raised a bare ValueError, and a
+    # NaN or an infinity went into the matrix.
+    with pytest.raises(InvalidParameterError, match="lag values"):
+        toeplitz_augment(ac, (-1, 1))
 
 
 def test_toeplitz_augment_returns_an_array_the_caller_owns(nfa):
@@ -695,7 +709,7 @@ def _assert_batch_equals_the_chain(arr, scene, t, trials, seed):
         r_hat = sample_covariance(simulate(arr, scene, t, trial_seed))
         chain.append(estimate_doas(arr, r_hat, m))
     tru = np.sort(scene.normalized_doas)
-    rmse = [float("inf") if c.under_resolved else _rmse(c.refined, tru)
+    rmse = [float("inf") if c.under_resolved else ref_rmse(c.refined, tru)
             for c in chain]
     pooled = [e ** 2 for e in rmse if e < float("inf")]
     assert result.per_trial_estimates == tuple(c.estimates for c in chain)
@@ -823,7 +837,7 @@ def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
     stack = np.stack([sample_covariance(simulate(arr, scene, 300, seed))
                       for seed in range(g)])
     spectra, (estimates, refined, under) = doasim._estimates(
-        arr, stack, m, DEFAULT_GRID_SIZE)
+        arr.positions, stack, m, DEFAULT_GRID_SIZE)
     assert spectra.shape == (g, DEFAULT_GRID_SIZE)
     assert len(estimates) == len(refined) == len(under) == g
     for i, r_hat in enumerate(stack):
@@ -859,7 +873,10 @@ def _complex_route_coefficients(v):
     proj = noise @ noise.conj().transpose(0, 2, 1)
     dim = v.shape[1]
     p, q = np.tril_indices(dim)
-    return doasim._complex_bincount(p - q, proj[:, p, q], dim)
+    x = proj[:, p, q]
+    c = np.empty((len(x), dim), dtype=complex)
+    c.real, c.imag = doasim._row_sums(p - q, dim, x.real, x.imag)
+    return c
 
 
 @pytest.mark.parametrize("dim", range(2, 42))
@@ -921,11 +938,11 @@ def test_block_sums_replay_the_complex_route(r, scene, t, trials, groups,
         seeds = range(group * trials, (group + 1) * trials)
         cov = doasim._gram(doasim._draw(f, t, seeds)[0], t)
         spectra, (estimates, refined, under) = doasim._estimates(
-            arr, cov, m, DEFAULT_GRID_SIZE)
+            arr.positions, cov, m, DEFAULT_GRID_SIZE)
         with monkeypatch.context() as patch:
             patch.setattr(doasim, "_coefficients", _complex_route_coefficients)
             ref_spectra, (ref_estimates, ref_refined, ref_under) = \
-                doasim._estimates(arr, cov, m, DEFAULT_GRID_SIZE)
+                doasim._estimates(arr.positions, cov, m, DEFAULT_GRID_SIZE)
         assert estimates == ref_estimates and under == ref_under
         assert not any(under)
         assert np.abs(np.subtract(refined, ref_refined)).max() <= refined_tol
@@ -952,7 +969,7 @@ def _capacity_real_forms(arr, t, snr_db, seed, trials=5):
     f = doasim._snapshot_factor(arr, scene)
     seeds = range(seed * trials, (seed + 1) * trials)
     r = doasim._gram(doasim._draw(f, t, seeds)[0], t)
-    plan, means = doasim._lag_means(r, arr)
+    plan, means = doasim._lag_means(r, arr.positions)
     return _real_form(_toeplitz(means[:, plan.zero:plan.zero + u + 1]))
 
 
@@ -1343,12 +1360,12 @@ def test_one_bincount_sums_as_two_do(shape):
     x.imag[..., ::3] = -0.0
     rows = x.reshape(shape[0], -1)
     index = rng.integers(0, 4, rows.shape[1])
-    sums = doasim._complex_bincount(index, x, 6)
-    assert sums.shape == (shape[0], 6)
-    for row, row_sums in zip(rows, sums):
-        assert np.array_equal(row_sums.real, np.bincount(
+    real, imag = doasim._row_sums(index, 6, x.real, x.imag)
+    assert real.shape == imag.shape == (shape[0], 6)
+    for row, row_real, row_imag in zip(rows, real, imag):
+        assert np.array_equal(row_real, np.bincount(
             index, weights=row.real, minlength=6))
-        assert np.array_equal(row_sums.imag, np.bincount(
+        assert np.array_equal(row_imag, np.bincount(
             index, weights=row.imag, minlength=6))
 
 
@@ -1461,6 +1478,77 @@ def test_non_numeric_arrays_are_refused(nfa, stage, kind):
                        match="array of numbers, got dtype %s"
                        % re.escape(str(bad.dtype))):
         call(bad, nfa)
+
+
+_NFA = (1, 2, 3, 4, 8, 12, 14, 15, 16, 17, 21, 25)
+_ARRAY_SCENE = SourceScene((-0.2, 0.1), (1.0, 1.0), 0.5)
+_ARRAY_COVARIANCE = expected_covariance(SensorArray(_NFA), _ARRAY_SCENE)
+# Each entry point that takes an array, as bytes and values to compare.
+_ARRAY_CALLS = {
+    "steering_vector": lambda s: steering_vector(s, (0.1, -0.2)).tobytes(),
+    "expected_covariance":
+        lambda s: expected_covariance(s, _ARRAY_SCENE).tobytes(),
+    "simulate": lambda s: simulate(s, _ARRAY_SCENE, 20, seed=3).tobytes(),
+    "coarray_autocorrelation": lambda s: np.array(list(
+        coarray_autocorrelation(_ARRAY_COVARIANCE, s).items())).tobytes(),
+    "estimate_doas": lambda s: (lambda r: (
+        r.spectrum.tobytes(), r.estimates, r.refined))(
+            estimate_doas(s, _ARRAY_COVARIANCE, 2)),
+    "run_trial_batch": lambda s: (lambda b: (
+        b, b.first_trial.spectrum.tobytes()))(
+            run_trial_batch(s, _ARRAY_SCENE, 50, 3, seed=1)),
+}
+
+
+@pytest.mark.parametrize("form", [
+    list, lambda p: tuple(map(np.int64, p)),
+    lambda p: types.SimpleNamespace(positions=list(p))],
+    ids=["list", "numpy ints", "object with list positions"])
+@pytest.mark.parametrize("stage", sorted(_ARRAY_CALLS))
+def test_array_argument_may_be_its_positions(stage, form):
+    # A bare list raised AttributeError, and an object whose positions are a
+    # list an unhashable-type TypeError in run_trial_batch.  Any form gives
+    # the SensorArray call's output bit for bit.
+    call = _ARRAY_CALLS[stage]
+    assert call(form(_NFA)) == call(SensorArray(_NFA))
+
+
+@pytest.mark.parametrize("positions", [
+    _NFA[:-1] + (1.5,), _NFA[:-1] + (21,), (True,) + _NFA[1:],
+    _NFA[:-1] + ("25",), (), None, 12],
+    ids=["float", "repeat", "bool", "str", "empty", "None", "int"])
+@pytest.mark.parametrize("wrap", [lambda p: p,
+                                  lambda p: types.SimpleNamespace(positions=p)],
+                         ids=["bare", "object"])
+@pytest.mark.parametrize("stage", sorted(_ARRAY_CALLS))
+def test_array_argument_refuses_what_is_not_distinct_integers(stage, wrap,
+                                                              positions):
+    # simulate and expected_covariance took a position of 1.5 unchecked.
+    match = "distinct" if positions == _NFA[:-1] + (21,) else "integers"
+    with pytest.raises(InvalidParameterError, match=match):
+        _ARRAY_CALLS[stage](wrap(positions))
+
+
+def test_array_positions_keep_their_given_order(nfa):
+    # A covariance's rows follow the positions as given: shuffled positions
+    # with the covariance shuffled alike give the same lag means and peaks,
+    # to the rounding of the sums in another order.
+    order = np.random.default_rng(0).permutation(12)
+    shuffled = [nfa.positions[i] for i in order]
+    scene = SourceScene((-0.3, -0.1, 0.05, 0.2), (1.0,) * 4, 0.1)
+    r = sample_covariance(simulate(nfa, scene, 200, seed=4))
+    moved = r[np.ix_(order, order)]
+    assert np.allclose(expected_covariance(shuffled, scene),
+                       expected_covariance(nfa, scene)[np.ix_(order, order)],
+                       rtol=0.0, atol=1e-14)
+    got = coarray_autocorrelation(moved, shuffled)
+    want = coarray_autocorrelation(r, nfa)
+    assert got.keys() == want.keys()
+    assert np.allclose(list(got.values()), list(want.values()),
+                       rtol=0.0, atol=1e-14)
+    got, want = estimate_doas(shuffled, moved, 4), estimate_doas(nfa, r, 4)
+    assert got.estimates == want.estimates
+    assert np.allclose(got.refined, want.refined, rtol=0.0, atol=1e-12)
 
 
 def test_trial_batch_never_reaches_the_dtype_check(nfa, monkeypatch):
@@ -1663,6 +1751,31 @@ def test_pick_peaks_refuses_a_nan_or_negative_spectrum(value):
         pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
 
 
+_SPEC8 = np.array([0.1, 0.9, 0.1, 0.2, 0.1, 0.3, 0.1, 0.05])
+_GRID8 = np.linspace(-0.5, 0.5, 8, endpoint=False)
+
+
+@pytest.mark.parametrize("grid, spec", [
+    (np.empty(0), np.empty(0)), (_GRID8, _SPEC8 + 0j),
+    (_GRID8 + 0j, _SPEC8), (_GRID8, _SPEC8 > 0.15),
+    (np.array(list("abcdefgh")), _SPEC8), (_GRID8, _SPEC8.astype(object))],
+    ids=["empty", "complex spectrum", "complex grid", "bool spectrum",
+         "str grid", "object spectrum"])
+def test_pick_peaks_refuses_what_it_cannot_score(grid, spec):
+    # An empty spectrum raised a bare IndexError, a complex one gave complex
+    # refined estimates, a bool one numpy's TypeError, a str grid a bare
+    # TypeError.
+    with pytest.raises(InvalidParameterError):
+        pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_music_spectrum_refuses_a_matrix_too_small_for_a_noise_subspace(dim):
+    # This read "source count must be a positive integer <= 0, got 1".
+    with pytest.raises(InvalidParameterError, match="too small"):
+        music_spectrum(np.eye(dim, dtype=complex), 1)
+
+
 def _adversarial_spectra(size, stride, seed):
     """A seeded g x size stack of non-negative spectra, as a view that
     takes every stride-th column of a wider array: smooth rows with many
@@ -1720,8 +1833,7 @@ def test_stacked_rmse_equals_the_per_row_reference():
         stacked = _sorted_rmse(est, tru)
         for row, got in zip(est, stacked):
             want = ref_rmse(row, tru)
-            assert got == want == _rmse(row, tru)
-            assert type(_rmse(row, tru)) is float
+            assert got == want == _sorted_rmse(row[None], tru)[0]
 
 
 @pytest.mark.parametrize("r, m", [(1, 5), (1, 24), (3, 40)],
@@ -1736,8 +1848,8 @@ def test_noiseless_off_grid_sources_are_recovered(r, m):
     scene = SourceScene(doas, (1.0,) * m, 0.0)
     result = estimate_doas(arr, expected_covariance(arr, scene), m)
     assert not result.under_resolved
-    assert _rmse(result.estimates, doas) > 0.3 / DEFAULT_GRID_SIZE
-    assert _rmse(result.refined, doas) <= 1e-6
+    assert ref_rmse(result.estimates, doas) > 0.3 / DEFAULT_GRID_SIZE
+    assert ref_rmse(result.refined, doas) <= 1e-6
 
 
 def test_refinement_at_clipped_nulls_warns_of_nothing():
@@ -1752,9 +1864,9 @@ def test_refinement_at_clipped_nulls_warns_of_nothing():
             np.errstate(divide="warn", over="warn", invalid="warn"):
         warnings.simplefilter("error")
         result = estimate_doas(arr, expected_covariance(arr, scene), 40)
-    assert _rmse(result.estimates, doas) == 0.0
+    assert ref_rmse(result.estimates, doas) == 0.0
     assert np.all(np.isfinite(result.refined))
-    assert _rmse(result.refined, doas) <= 1e-6
+    assert ref_rmse(result.refined, doas) <= 1e-6
 
 
 def _resolves_two(nfa, separation, centre, grid_size):
@@ -1795,7 +1907,7 @@ def test_noiseless_source_on_the_first_grid_point_is_exact(nfa):
         result = estimate_doas(nfa, expected_covariance(nfa, scene), 5,
                                grid_size)
         assert not result.under_resolved
-        assert _rmse(result.estimates, scene.normalized_doas) == 0.0
+        assert ref_rmse(result.estimates, scene.normalized_doas) == 0.0
         assert result.estimates[0] == -0.5
 
 
@@ -1870,7 +1982,7 @@ def test_trial_batch_noiseless_on_grid_rmse_zero(nfa):
         result = estimate_doas(nfa, expected_covariance(nfa, scene), 5,
                                grid_size)
         assert not result.under_resolved
-        assert _rmse(result.estimates, doas) == 0.0
+        assert ref_rmse(result.estimates, doas) == 0.0
 
 
 def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
@@ -1883,7 +1995,7 @@ def test_trial_batch_noiseless_on_grid_rmse_zero_48_sensors():
         result = estimate_doas(arr, expected_covariance(arr, scene), 40,
                                grid_size)
         assert not result.under_resolved
-        assert _rmse(result.estimates, scene.normalized_doas) == 0.0
+        assert ref_rmse(result.estimates, scene.normalized_doas) == 0.0
 
 
 def test_trial_batch_rmse_wraps_around_the_circle(nfa):
@@ -1897,9 +2009,9 @@ def test_trial_batch_rmse_wraps_around_the_circle(nfa):
                                grid_size)
         assert not result.under_resolved
         assert result.estimates[0] == -0.5
-        assert _rmse(result.estimates, scene.normalized_doas) < 1 / grid_size
+        assert ref_rmse(result.estimates, scene.normalized_doas) < 1 / grid_size
         assert 0.49 < result.refined[0] < 0.5
-        assert _rmse(result.refined, scene.normalized_doas) < 1e-6
+        assert ref_rmse(result.refined, scene.normalized_doas) < 1e-6
 
 
 def test_trial_batch_rmse_against_linear_sorted_matching(nfa):

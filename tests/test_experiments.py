@@ -231,7 +231,8 @@ def test_music_spectrum_csv_is_trial_zero_of_the_batch(capsys, tmp_path):
                      "--seed", "5", "--out-dir", str(tmp_path),
                      "--grid-size", "2048")
     assert code == 0
-    rows = list(csv.reader((tmp_path / "spectrum.csv").open()))[1:]
+    rows = list(csv.reader(
+        (tmp_path / "spectrum.csv").read_text().splitlines()))[1:]
     grid = np.array([float(theta) for theta, _ in rows])
     power = np.array([float(p) for _, p in rows])
     peaks = pick_peaks(MusicResult(grid=grid, spectrum=power), 6).estimates
@@ -290,7 +291,8 @@ def test_music_override_spectrum_is_estimate_doas_at_capacity(capsys,
     scene = random_scene(22, 4, snr_db=0.0, grid_size=2048)
     r = sample_covariance(simulate(arr, scene, 300, 4))
     expected = estimate_doas(arr, r, 20, 2048)
-    rows = list(csv.reader((tmp_path / "spectrum.csv").open()))[1:]
+    rows = list(csv.reader(
+        (tmp_path / "spectrum.csv").read_text().splitlines()))[1:]
     assert rows == [["%.8f" % theta, "%.10g" % power] for theta, power
                     in zip(expected.grid, expected.spectrum)]
 
@@ -428,6 +430,22 @@ def test_reproduce_example1(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["match"] is True
     assert (tmp_path / "example1.json").exists()
+
+
+@pytest.mark.parametrize("tag, key, value", [
+    ("nfa", "discrepancies", ["positions"]), ("example1", "match", False)])
+def test_reproduce_exits_3_on_an_unexplained_mismatch(capsys, monkeypatch,
+                                                      tmp_path, tag, key,
+                                                      value):
+    # A published value that the computation misses, and that no refutation
+    # explains, fails the run; the JSON bundle is still written.
+    wrong = PAPER_CASES["nfa"]["positions"][:-1] + [26]
+    monkeypatch.setitem(PAPER_CASES["nfa"], "positions", wrong)
+    code, _, err = run(capsys, "reproduce", tag, "--out-dir", str(tmp_path))
+    assert code == 3
+    assert err == "unexplained mismatches: %s positions\n" % tag
+    bundle = json.loads((tmp_path / ("%s.json" % tag)).read_text())
+    assert bundle[key] == value
 
 
 def test_reproduce_cfa_flags_hole_discrepancy(capsys, tmp_path):
