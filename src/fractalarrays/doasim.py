@@ -126,14 +126,24 @@ def _real(value, what):
 
 
 def _numeric(x, what):
-    """x as an array, after refusing one whose dtype is not an integer,
-    float or complex type: a bool, str, bytes or object array is refused,
-    not read as 0/1 or parsed."""
-    x = np.asarray(x)
-    if x.dtype.kind not in "iufc":
+    """x as an array of finite numbers, the one reader of every array input.
+    Refused, not read as 0/1 or parsed: an array whose dtype is not an
+    integer, float or complex type (bools, strings, bytes or objects); an
+    input that is not an ndarray and holds a bool or np.bool_ among numbers,
+    to which np.asarray gives a numeric dtype; and a NaN or infinite
+    entry."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iufc":
         raise InvalidParameterError(
-            "%s must be an array of numbers, got dtype %s" % (what, x.dtype))
-    return x
+            "%s must be an array of numbers, got dtype %s" % (what, a.dtype))
+    if not isinstance(x, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+            map(type, np.asarray(x, dtype=object).flat)):
+        raise InvalidParameterError(
+            "%s must be an array of numbers, got a bool among them" % what)
+    if not np.isfinite(a).all():
+        raise InvalidParameterError(
+            "%s must be finite numbers, got a NaN or infinity" % what)
+    return a
 
 
 @dataclass(frozen=True)
@@ -378,8 +388,8 @@ def _gram(w, t):
 def sample_covariance(y):
     """R' = Y Y^H / T of an N x T snapshot matrix Y, forced exactly
     Hermitian.  Y may be simulated or measured; anything that is not 2-D
-    or has no snapshot column is refused, and so is one of bools, strings
-    or objects."""
+    or has no snapshot column is refused, and so is what _numeric refuses:
+    bools, strings or objects, and a NaN or infinite entry."""
     y = _numeric(y, "snapshots")
     if y.ndim != 2 or y.shape[1] == 0:
         raise InvalidParameterError(
@@ -445,8 +455,10 @@ def _lag_means(r, positions):
     lag of plan.lags, g x len(plan.lags).  The sums run over the pairs in
     row-major order, one bincount for the real parts and one for the
     imaginary parts (_row_sums).  A stack of other than N x N matrices for
-    the N sensors is refused, and so is a NaN or infinite entry, or a sum
-    over a lag that overflows."""
+    the N sensors is refused, and so is a sum over a lag that is not finite:
+    the public entry points' _numeric has refused a NaN or infinite entry,
+    but the sum of finite entries can overflow, and the Monte-Carlo batch
+    reaches this check alone."""
     n = len(positions)
     if r.shape[1:] != (n, n):
         raise InvalidParameterError(
@@ -488,7 +500,7 @@ def coarray_autocorrelation(r, s):
     imaginary parts alike.  This is a map view of the lag means that
     estimate_doas computes as an array, entry for entry the same values.
     A covariance with a NaN or infinite entry is refused, and so is one of
-    bools, strings or objects.
+    bools, strings or objects (_numeric).
     """
     plan, means = _lag_means(_numeric(r, "covariance")[None],
                              _sensor_positions(s))
@@ -504,7 +516,8 @@ def toeplitz_augment(ac, ula_segment):
     T is exactly Hermitian.  estimate_doas reads T from the same lag means
     as the same windows (_toeplitz), on a stack of covariances at once; here
     they are copied into a new, writable array that the caller owns.  Lag
-    values that are not finite numbers, as _numeric reads them, are refused.
+    values that are not finite numbers, as _numeric reads them, are refused:
+    a NaN, an infinity, a bool, a string or an object.
     """
     bounds = _integers(ula_segment, "the central segment")
     if len(bounds) != 2 or bounds[0] != -bounds[1] or bounds[1] < 0:
@@ -518,8 +531,6 @@ def toeplitz_augment(ac, ula_segment):
             "lags %s missing from the central segment [-%d, %d]"
             % (missing, u, u))
     col = _numeric([ac[k] for k in range(0, u + 1)], "lag values")
-    if not np.isfinite(col).all():
-        raise InvalidParameterError("lag values must be finite numbers")
     return _toeplitz(col.astype(complex, copy=False)).copy()
 
 
@@ -706,8 +717,6 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
             and np.array_equal(t, t[::-1, ::-1].conj())):
         raise InvalidParameterError(
             "need an exactly Hermitian, persymmetric matrix")
-    if not np.isfinite(t).all():
-        raise InvalidParameterError("need a matrix of finite numbers")
     return MusicResult(grid=_grid(grid_size),
                        spectrum=_spectra(_real_form(t)[None], m, grid_size)[0])
 
@@ -731,9 +740,10 @@ def pick_peaks(result, m):
     ``refined`` assumes a uniform grid over one period of the spectrum, as
     music_spectrum's is; ``estimates`` assumes nothing.  The ratios stay
     finite where 1 / spectrum overflows at a clipped null.  An empty
-    spectrum, a grid of another length than the spectrum, a NaN or negative
-    spectrum value, and a spectrum or grid that is not of real numbers
-    (complex, bools, strings or objects) are refused.
+    spectrum, a grid of another length than the spectrum, a negative
+    spectrum value, and a spectrum or grid that is not of finite real
+    numbers (NaN, infinity, complex, bools, strings or objects) are
+    refused.
 
     This is the peak pass that run_trial_batch makes once over a group's
     whole stack of spectra, on a stack of one.
@@ -748,8 +758,7 @@ def pick_peaks(result, m):
             "got a grid of shape %s and dtype %s and a spectrum of shape %s "
             "and dtype %s" % (grid.shape, grid.dtype, spec.shape, spec.dtype))
     if not spec.min() >= 0.0:
-        raise InvalidParameterError(
-            "need a spectrum of non-negative numbers, without NaN")
+        raise InvalidParameterError("need a spectrum of non-negative numbers")
     estimates, refined, under = _picked(grid, spec[None], m)
     return MusicResult(grid=grid, spectrum=spec, estimates=estimates[0],
                        refined=refined[0], under_resolved=under[0])
@@ -810,8 +819,9 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     coarray_autocorrelation -> toeplitz_augment -> music_spectrum ->
     pick_peaks bit for bit.  A covariance whose lag-0 mean is not real, of
     which T would not be Hermitian, is refused, as music_spectrum refuses
-    such a T; _lag_means refuses non-finite entries.  A covariance of bools,
-    strings or objects is refused.
+    such a T.  A covariance of bools, strings or objects, or with a NaN or
+    infinite entry, is refused (_numeric), and so is one whose sums over a
+    lag overflow (_lag_means).
     """
     positions, _ = _music_summary(s, m, grid_size)
     spectra, (estimates, refined, under) = _estimates(

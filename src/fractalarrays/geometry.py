@@ -5,6 +5,8 @@ inter-element spacing d1 = lambda/2.  The cross-sum of a sparse subarray
 with a scaled Cantor subarray produces the sparse fractal arrays analysed
 by the rest of the library.  Every integer input of the library (positions,
 sizes, counts, seeds, k) is read by _as_ints here: 1.0 and True are refused.
+Every sequence of them, positions above all, is read by _integers, which
+also bounds each to int64.
 """
 
 from __future__ import annotations
@@ -18,6 +20,11 @@ import numpy as np
 
 class InvalidParameterError(ValueError):
     """A generator was called with parameters outside its domain."""
+
+
+# The most sensors a fractal generator builds: 2**r for gen_cantor(r), and
+# M x 2**r for make_sfa on a subarray of M sensors.
+_MAX_SENSORS = 2 ** 20
 
 
 def _as_ints(values):
@@ -42,8 +49,9 @@ def _check_count(value, what, low=1, high=None):
 
 
 def _integers(values, what):
-    """values as a non-empty tuple of Python ints; anything else, a value
-    that is not a sequence among them, is refused."""
+    """values as a non-empty tuple of Python ints, each in int64's range
+    [-2**63, 2**63), so that numpy holds them as int64; anything else, a
+    value that is not a sequence among them, is refused."""
     try:
         values = tuple(values)
     except TypeError:
@@ -53,6 +61,9 @@ def _integers(values, what):
     if not ints:
         raise InvalidParameterError(
             "%s must be one or more integers, got %r" % (what, values))
+    if min(ints) < -2 ** 63 or max(ints) >= 2 ** 63:
+        raise InvalidParameterError(
+            "%s must be integers in int64's range [-2**63, 2**63)" % what)
     return ints
 
 
@@ -61,8 +72,8 @@ class SensorArray:
     """An immutable, named set of integer sensor positions.
 
     Positions are strictly increasing non-negative integers in units of d1,
-    at most 2**63 - 1 so that numpy holds them as int64; a position that is
-    not an integer, such as 1.7, 1.0 or a bool, is rejected, not coerced.
+    read by _integers, so at most 2**63 - 1; a position that is not an
+    integer, such as 1.7, 1.0 or a bool, is rejected, not coerced.
     ``kind`` is a free-form family tag (ULA, Nested, Coprime, ANA1, ANA2,
     SuperNested, Cantor, SFA, or custom); it and ``label`` must be strings.
     """
@@ -77,9 +88,8 @@ class SensorArray:
             raise InvalidParameterError(
                 "kind and label must be strings, got %r and %r"
                 % (self.kind, self.label))
-        if min(pos) < 0 or max(pos) >= 2 ** 63:
-            raise InvalidParameterError(
-                "sensor positions must be non-negative and fit in int64")
+        if min(pos) < 0:
+            raise InvalidParameterError("sensor positions must be non-negative")
         if not all(map(lt, pos, pos[1:])):
             raise InvalidParameterError(
                 "sensor positions must be strictly increasing")
@@ -108,6 +118,9 @@ class SensorArray:
         if missing:
             raise InvalidParameterError(
                 "cannot remove absent sensors: %s" % sorted(missing))
+        if len(drop) == len(self.positions):
+            raise InvalidParameterError(
+                "cannot remove every sensor: an array needs at least one")
         kept = tuple(p for p in self.positions if p not in drop)
         return SensorArray(kept, kind=self.kind,
                            label=self.label + " minus %s" % sorted(drop))
@@ -239,9 +252,22 @@ def gen_super_nested(n1, n2):
                        label="SuperNested(%d,%d)" % (n1, n2))
 
 
+def _check_size(m, r, what):
+    """Refuse a fractal array of m x 2**r sensors, more than _MAX_SENSORS,
+    before it is built; 2**r is never formed, so a huge r is refused at
+    once."""
+    if m > _MAX_SENSORS >> r:
+        raise InvalidParameterError(
+            "%s %d would build %d x 2**%d sensors, more than the %d a "
+            "fractal array may hold" % (what, r, m, r, _MAX_SENSORS))
+
+
 def gen_cantor(r):
-    """Cantor fractal array at scale r: C1 = {0,1}, C_{r+1} = C_r U (C_r + 3^r)."""
+    """Cantor fractal array at scale r: C1 = {0,1}, C_{r+1} = C_r U (C_r + 3^r).
+
+    It holds 2**r sensors, so r is at most 20 (_MAX_SENSORS)."""
     _check_count(r, "Cantor scale r")
+    _check_size(1, r, "Cantor scale r")
     pos = [0, 1]
     step = 3
     for _ in range(r - 1):
@@ -291,7 +317,9 @@ def make_sfa(kind, params, fractal_scale=1):
     gen_cantor(fractal_scale) expanded by d2 = 2M + 1 where M is the sensor
     count of subarray 1, so the two lattices interleave without wasting
     aperture.  It equals cross_sum(sub1, sub2) relabelled, with only sub1,
-    the Cantor array and the SFA itself built as SensorArrays.
+    the Cantor array and the SFA itself built as SensorArrays.  An SFA of
+    more than _MAX_SENSORS = 2**20 sensors, M x 2**fractal_scale, is refused
+    before the Cantor array is built.
     """
     if kind not in _SFA_FAMILIES:
         raise InvalidParameterError(
@@ -304,6 +332,7 @@ def make_sfa(kind, params, fractal_scale=1):
             % (kind, list(names), list(params)))
     _check_count(fractal_scale, "fractal scale")
     sub1 = generator(*(params[p] for p in names))
+    _check_size(len(sub1), fractal_scale, "fractal scale")
     d2 = 2 * len(sub1) + 1
     sub2 = [p * d2 for p in gen_cantor(fractal_scale).positions]
     sums, label = _sorted_sums(sub1.positions, sub2, "SFA[%s, r=%d]" % (

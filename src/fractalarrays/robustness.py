@@ -295,14 +295,20 @@ def _profile(positions, ks):
     return reports
 
 
+def _two_or_more(s, what):
+    """The sorted positions of s, after refusing fewer than two sensors,
+    which leave no sensor to delete and no lag to lose."""
+    positions = _positions(s)
+    if len(positions) < 2:
+        raise InvalidParameterError("%s needs at least two sensors" % what)
+    return positions
+
+
 def essential_sensors(s):
     """Partition sensors by whether their removal alters the lag set, each
     part in ascending position order."""
-    positions = _positions(s)
+    positions = _two_or_more(s, "essentialness")
     n = len(positions)
-    if n < 2:
-        raise InvalidParameterError(
-            "essentialness needs at least two sensors")
     _, single = _coverable(_pair_graphs(positions), (1 << n) - 1, 1)
     essential = []
     inessential = []
@@ -314,7 +320,7 @@ def essential_sensors(s):
 
 def k_fragility(s, k):
     """Exactly count size-k subsets whose removal changes the coarray."""
-    positions = _positions(s)
+    positions = _two_or_more(s, "fragility")
     _check_count(k, "k", high=len(positions) - 1)
     return _profile(positions, range(k, k + 1))[0]
 
@@ -325,7 +331,7 @@ def fragility_profile(s, k_max):
     One branch tree, for the largest k that needs one, counts them all.  A
     tree that reads more than _WORK_BUDGET edges raises InvalidParameterError.
     """
-    positions = _positions(s)
+    positions = _two_or_more(s, "fragility")
     _check_count(k_max, "k_max", high=len(positions) - 1)
     return _profile(positions, range(1, k_max + 1))
 

@@ -374,6 +374,16 @@ def test_non_integer_or_empty_positions_are_refused(positions):
             view(positions)
 
 
+def test_bare_positions_must_fit_in_int64():
+    # The bounds are inclusive below and exclusive above, as for int64; a
+    # SensorArray, whose positions are non-negative, had the upper one alone.
+    assert lag_set([-2 ** 63, 2 ** 63 - 1]) == {0, 2 ** 64 - 1, 1 - 2 ** 64}
+    for positions in ([0, 2 ** 63], [-2 ** 63 - 1, 0]):
+        for view in (lag_set, difference_coarray):
+            with pytest.raises(InvalidParameterError, match="int64"):
+                view(positions)
+
+
 def test_summarize_refuses_a_huge_hole_count_promptly():
     # Aperture 2**62 with three positive lags: listing the holes would not
     # fit in memory, so the hole count is checked before the walk.

@@ -182,10 +182,11 @@ def test_toeplitz_augment_refuses_a_segment_not_two_symmetric_integers(
     {0: "a", 1: 0.5, -1: 0.5}, {0: np.nan, 1: 0.5, -1: 0.5},
     {0: 2.0, 1: np.inf, -1: np.inf}, {0: 2.0, 1: complex(0.5, -np.inf),
                                        -1: 0.5},
-    {0: 2.0, 1: None, -1: 0.5}], ids=repr)
+    {0: 2.0, 1: None, -1: 0.5}, {0: True, 1: 0.5, -1: 0.5},
+    {0: 2.0, 1: np.True_, -1: 0.5}], ids=repr)
 def test_toeplitz_augment_refuses_lag_values_that_are_not_finite_numbers(ac):
-    # "1" was parsed and True read as 1; "a" raised a bare ValueError, and a
-    # NaN or an infinity went into the matrix.
+    # "1" was parsed and True read as 1, also among numbers; "a" raised a
+    # bare ValueError, and a NaN or an infinity went into the matrix.
     with pytest.raises(InvalidParameterError, match="lag values"):
         toeplitz_augment(ac, (-1, 1))
 
@@ -1466,18 +1467,42 @@ _NUMERIC_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["str", "bool", "object"])
+def _with_bools(x):
+    """x as nested lists with a bool and a numpy bool among its numbers,
+    which np.asarray reads into a numeric dtype."""
+    rows = x.tolist()
+    rows[0][0], rows[-1][-1] = True, np.True_
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["str", "bool", "object", "bools in lists"])
 @pytest.mark.parametrize("stage", sorted(_NUMERIC_INPUTS))
 def test_non_numeric_arrays_are_refused(nfa, stage, kind):
-    # A string covariance was parsed, and a bool one read as 0/1.
+    # A string covariance was parsed, and a bool one, or a bool among the
+    # numbers of a list, read as 0/1.
     x, call = _NUMERIC_INPUTS[stage]
     call(x, nfa)
-    bad = {"str": x.astype(str), "bool": x != 0,
-           "object": x.astype(object)}[kind]
+    if kind == "bools in lists":
+        bad, got = _with_bools(x), "a bool among them"
+    else:
+        bad = {"str": x.astype(str), "bool": x != 0,
+               "object": x.astype(object)}[kind]
+        got = "dtype %s" % re.escape(str(bad.dtype))
     with pytest.raises(InvalidParameterError,
-                       match="array of numbers, got dtype %s"
-                       % re.escape(str(bad.dtype))):
+                       match="array of numbers, got " + got):
         call(bad, nfa)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf,
+                                   complex(1.0, np.inf)], ids=repr)
+@pytest.mark.parametrize("form", [np.array, lambda y: y.tolist()],
+                         ids=["array", "list"])
+def test_sample_covariance_refuses_non_finite_snapshots(value, form):
+    # A NaN snapshot gave a NaN covariance without a word.
+    y = np.ones((3, 4), dtype=complex)
+    y[1, 2] = value
+    with pytest.raises(InvalidParameterError, match="snapshots must be finite"):
+        sample_covariance(form(y))
 
 
 _NFA = (1, 2, 3, 4, 8, 12, 14, 15, 16, 17, 21, 25)
@@ -1515,15 +1540,18 @@ def test_array_argument_may_be_its_positions(stage, form):
 
 @pytest.mark.parametrize("positions", [
     _NFA[:-1] + (1.5,), _NFA[:-1] + (21,), (True,) + _NFA[1:],
-    _NFA[:-1] + ("25",), (), None, 12],
-    ids=["float", "repeat", "bool", "str", "empty", "None", "int"])
+    _NFA[:-1] + ("25",), (), None, 12, _NFA[:-1] + (2 ** 63,),
+    (-2 ** 63 - 1,) + _NFA[1:]],
+    ids=["float", "repeat", "bool", "str", "empty", "None", "int",
+         "above int64", "below int64"])
 @pytest.mark.parametrize("wrap", [lambda p: p,
                                   lambda p: types.SimpleNamespace(positions=p)],
                          ids=["bare", "object"])
 @pytest.mark.parametrize("stage", sorted(_ARRAY_CALLS))
 def test_array_argument_refuses_what_is_not_distinct_integers(stage, wrap,
                                                               positions):
-    # simulate and expected_covariance took a position of 1.5 unchecked.
+    # simulate and expected_covariance took a position of 1.5 unchecked, and
+    # steering_vector raised a bare TypeError on one outside int64.
     match = "distinct" if positions == _NFA[:-1] + (21,) else "integers"
     with pytest.raises(InvalidParameterError, match=match):
         _ARRAY_CALLS[stage](wrap(positions))
@@ -1747,7 +1775,8 @@ def test_pick_peaks_refuses_a_nan_or_negative_spectrum(value):
     grid = np.linspace(-0.5, 0.5, 8, endpoint=False)
     spec = np.array([0.1, 0.9, 0.1, 0.2, 0.1, 0.3, 0.1, 0.05])
     spec[2] = value
-    with pytest.raises(InvalidParameterError, match="non-negative"):
+    with pytest.raises(InvalidParameterError,
+                       match="finite" if np.isnan(value) else "non-negative"):
         pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
 
 
@@ -1758,13 +1787,21 @@ _GRID8 = np.linspace(-0.5, 0.5, 8, endpoint=False)
 @pytest.mark.parametrize("grid, spec", [
     (np.empty(0), np.empty(0)), (_GRID8, _SPEC8 + 0j),
     (_GRID8 + 0j, _SPEC8), (_GRID8, _SPEC8 > 0.15),
-    (np.array(list("abcdefgh")), _SPEC8), (_GRID8, _SPEC8.astype(object))],
+    (np.array(list("abcdefgh")), _SPEC8), (_GRID8, _SPEC8.astype(object)),
+    (np.full(8, np.nan), _SPEC8), (np.where(_GRID8 > 0, np.inf, _GRID8),
+                                   _SPEC8),
+    (_GRID8, np.where(_SPEC8 > 0.5, np.inf, _SPEC8)),
+    (_GRID8, [True] + _SPEC8[1:].tolist()),
+    (_GRID8.tolist()[:-1] + [np.True_], _SPEC8)],
     ids=["empty", "complex spectrum", "complex grid", "bool spectrum",
-         "str grid", "object spectrum"])
+         "str grid", "object spectrum", "NaN grid", "infinite grid",
+         "infinite spectrum", "bool in a spectrum list",
+         "bool in a grid list"])
 def test_pick_peaks_refuses_what_it_cannot_score(grid, spec):
     # An empty spectrum raised a bare IndexError, a complex one gave complex
     # refined estimates, a bool one numpy's TypeError, a str grid a bare
-    # TypeError.
+    # TypeError.  A NaN grid gave estimates of NaN, and a bool among the
+    # numbers of a list was read as 1.
     with pytest.raises(InvalidParameterError):
         pick_peaks(MusicResult(grid=grid, spectrum=spec), 2)
 

@@ -110,6 +110,17 @@ def test_generate_sfa_rejects_zero_fractal_scale(capsys):
     assert out == "" and "fractal scale" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "cantor", "--r", "40"],
+    ["--kind", "sfa", "--sub", "nested", "--n", "6", "--r", "40"]],
+    ids=["cantor", "sfa"])
+def test_generate_refuses_a_fractal_scale_too_large_to_build(capsys, argv):
+    # --kind cantor --r 40 ran out of memory building 2**40 positions.
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 2
+    assert out == "" and "more than the 1048576" in err
+
+
 def test_generate_missing_param_is_usage_error(capsys):
     code, _, err = run(capsys, "generate", "--kind", "ula")
     assert code == 1

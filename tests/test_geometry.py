@@ -1,12 +1,14 @@
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalarrays.geometry import (InvalidParameterError, SensorArray,
-                                    cross_sum, gen_ana1, gen_ana2, gen_cantor,
+from fractalarrays.geometry import (_MAX_SENSORS, InvalidParameterError,
+                                    SensorArray, _check_size, cross_sum,
+                                    gen_ana1, gen_ana2, gen_cantor,
                                     gen_coprime, gen_nested,
                                     gen_super_nested, gen_ula, make_sfa)
 from fractalarrays.coarray import coarrays_equal, difference_coarray, \
@@ -37,8 +39,8 @@ def test_sensor_array_rejects_negative():
     (((1, 1, 2),), "strictly increasing"),
 ], ids=repr)
 def test_sensor_array_checks_in_a_fixed_order(args, message):
-    # Integers first, then kind and label, range, and order, so a value that
-    # breaks two rules gets the first one's message.
+    # Integers in int64 first, then kind and label, sign, and order, so a
+    # value that breaks two rules gets the first one's message.
     with pytest.raises(InvalidParameterError, match=message):
         SensorArray(*args)
 
@@ -425,6 +427,36 @@ def test_make_sfa_is_the_cross_sum_relabelled(kind, params, r):
         == (crossed.positions, "SFA", label)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: gen_cantor(21), lambda: gen_cantor(2 ** 100),
+    lambda: make_sfa("nested", {"n": 6}, 40),
+    lambda: make_sfa("nested", {"n": 6}, 18)],
+    ids=["cantor 21", "cantor 2**100", "sfa 40", "sfa 18"])
+def test_fractal_scale_past_the_sensor_limit_is_refused_at_once(build):
+    # gen_cantor(40) doubled a list to 2**40 entries until it was killed.
+    # A 6-sensor subarray at scale 18 asks for 6 x 2**18 > 2**20 sensors.
+    # The size is checked before any list is built.
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError, match="more than the 1048576"):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_fractal_arrays_up_to_the_sensor_limit_build():
+    # SFA scales up to 6 build, with 6 x 2**r sensors (the Cantor arrays up
+    # to 8 are built above).  The limit's edge, 2**20 sensors, is checked
+    # without building there, which would take seconds: m x 2**r sensors
+    # pass up to it and are refused past it.
+    for r in range(1, 7):
+        assert len(make_sfa("nested", {"n": 6}, r)) == 6 * 2 ** r
+    assert _MAX_SENSORS == 2 ** 20
+    for m, r in ((1, 20), (4, 18), (8, 17), (2 ** 20, 0)):
+        _check_size(m, r, "scale")
+    for m, r in ((1, 21), (5, 18), (9, 17), (2 ** 20 + 1, 0)):
+        with pytest.raises(InvalidParameterError, match="scale %d" % r):
+            _check_size(m, r, "scale")
+
+
 def test_make_sfa_errors_propagate():
     with pytest.raises(InvalidParameterError):
         make_sfa("nested", {"n": 1}, 1)
@@ -508,6 +540,13 @@ def test_remove_sensor():
     assert arr.remove([8]).positions == (1, 2, 3, 4, 12)
     with pytest.raises(InvalidParameterError):
         arr.remove([99])
+
+
+@pytest.mark.parametrize("sensors", [[0, 1, 2], [2, 0, 1, 0]])
+def test_remove_refuses_to_remove_every_sensor(sensors):
+    # This read "sensor positions must be one or more integers, got ()".
+    with pytest.raises(InvalidParameterError, match="every sensor"):
+        gen_ula(3).remove(sensors)
 
 
 def test_remove_reads_integer_positions():

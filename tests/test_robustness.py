@@ -253,6 +253,16 @@ def test_essential_needs_two_sensors():
         essential_sensors(SensorArray((5,)))
 
 
+@pytest.mark.parametrize("call", [lambda s: k_fragility(s, 1),
+                                  lambda s: fragility_profile(s, 1)],
+                         ids=["k_fragility", "fragility_profile"])
+@pytest.mark.parametrize("s", [[0], SensorArray((5,))], ids=repr)
+def test_fragility_needs_two_sensors(call, s):
+    # This read "k_max must be a positive integer <= 0, got 1".
+    with pytest.raises(InvalidParameterError, match="at least two sensors"):
+        call(s)
+
+
 def test_cfa_fragility_k1(cfa):
     r = k_fragility(cfa, 1)
     assert (r.essential_subset_count, r.total_subsets) == (6, 12)
