@@ -17,6 +17,7 @@ views take memory in the number of lags, not in the number of pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -119,6 +120,15 @@ def lag_set(array):
     return frozenset(chain((0,), positive, map(neg, positive)))
 
 
+def _segment_bound(lags):
+    """u of the central segment [-u, u] of a coarray's sorted lags: the
+    least missing positive lag less 1, or the aperture when none is missing.
+    Lag k sits at lags[len(lags) // 2 + k] exactly when 1 .. k are all
+    there, so u is found by bisection, and no hole is listed."""
+    pos = lags[len(lags) // 2:]
+    return bisect_left(range(1, len(pos)), True, key=lambda k: pos[k] > k)
+
+
 def summarize(c):
     """Central contiguous segment [-u, u], holes, and source capacity.
 
@@ -137,7 +147,7 @@ def summarize(c):
     if hole_count:
         lags = c.lag_set()
         holes = tuple(k for k in range(1, aperture + 1) if k not in lags)
-    u = holes[0] - 1 if holes else aperture
+    u = _segment_bound(c.lags)
     return CoarraySummary(ula_segment=(-u, u),
                           hole_free=not holes,
                           aperture=aperture,

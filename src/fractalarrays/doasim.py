@@ -32,8 +32,8 @@ Only a trial's own generator calls run trial by trial; the triangles, the
 chi roots on the diagonals, the product with F and W W^H / T run once on
 a group's stack of factors.
 
-Everything that depends only on the array (the coarray plan: the lag
-index of each ordered sensor pair and the coarray summary) or only on a
+Everything that depends only on the array (the coarray plan: positions,
+lags, pair counts, each ordered pair's lag index and u) or only on a
 size (the theta' grid and the coefficient bin of each entry of a
 dim x dim matrix) is computed once and kept in small, bounded, read-only
 caches, so a Monte-Carlo batch pays for it on its first trial.  The
@@ -93,8 +93,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .geometry import InvalidParameterError, _check_count, _integers
-from .coarray import (CoarraySummary, _sensor_positions, difference_coarray,
-                      summarize)
+from .coarray import _segment_bound, _sensor_positions, difference_coarray
 
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
@@ -245,11 +244,16 @@ class MusicResult:
 def steering_vector(s, theta_norm):
     """Unit-modulus steering vector exp(2 pi j n theta') over the sensors.
 
-    For a sequence of DOAs it is the sensors x DOAs steering matrix, one
-    column per DOA.
+    Real DOAs (_numeric); a sequence of them gives one column per DOA.
     """
-    return np.exp(2j * np.pi * np.multiply.outer(_sensor_positions(s),
-                                                 theta_norm))
+    theta = _numeric(theta_norm, "DOAs")
+    if theta.dtype.kind == "c":
+        raise InvalidParameterError("DOAs must be real, got %r" % theta_norm)
+    return _steering(_sensor_positions(s), theta)
+
+
+def _steering(positions, theta):
+    return np.exp(2j * np.pi * np.multiply.outer(positions, theta))
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -308,12 +312,12 @@ def _block_bins(dim):
     return bins
 
 
-def _snapshot_factor(s, scene):
+def _snapshot_factor(positions, scene):
     """F with F F^H = R / 2 for the model covariance R, as V sqrt(lambda / 2)
     from R's eigendecomposition.  Rounding can leave the zero eigenvalues of
     a rank-deficient R (no noise, fewer sources than sensors) slightly
     negative, so the eigenvalues are clipped at 0."""
-    lam, v = np.linalg.eigh(expected_covariance(s, scene))
+    lam, v = np.linalg.eigh(_model_covariance(positions, scene))
     return v * np.sqrt(np.clip(lam, 0.0, None) / 2.0)
 
 
@@ -371,7 +375,8 @@ def simulate(s, scene, t, seed):
     """
     _check_count(t, "snapshot count")
     _check_count(seed, "seed", low=0)
-    (w,), rng = _draw(_snapshot_factor(s, scene), t, [seed])
+    (w,), rng = _draw(_snapshot_factor(_sensor_positions(s), scene), t,
+                      [seed])
     q, r = np.linalg.qr(
         rng.standard_normal((t, 2 * w.shape[1])).view(complex))
     phases = r.diagonal() / np.abs(r.diagonal())
@@ -401,7 +406,11 @@ def sample_covariance(y):
 def expected_covariance(s, scene):
     """Infinite-snapshot covariance: sum of sigma_i^2 a a^H plus sigma^2 I,
     forced exactly Hermitian."""
-    a = steering_vector(s, scene.normalized_doas)
+    return _model_covariance(_sensor_positions(s), scene)
+
+
+def _model_covariance(positions, scene):
+    a = _steering(positions, scene.normalized_doas)
     r = ((a * np.asarray(scene.powers)) @ a.conj().T
          + scene.noise_power * np.eye(len(a)))
     return (r + r.conj().T) / 2.0
@@ -409,61 +418,57 @@ def expected_covariance(s, scene):
 
 @dataclass(frozen=True)
 class _CoarrayPlan:
-    """Per-array data shared by every trial: the sorted coarray lags, their
-    ordered-pair counts, the index into ``lags`` of each ordered pair
-    (i, j)'s lag p_i - p_j in row-major order (read-only), the coarray
-    summary and the index of lag 0 in ``lags``."""
+    """Per-array data shared by every trial, read-only: the positions in
+    their given order, the sorted coarray lags, their ordered-pair counts,
+    the index into ``lags`` of each ordered pair (i, j)'s lag p_i - p_j in
+    row-major order, and u of the central segment [-u, u]."""
 
+    positions: np.ndarray
     lags: tuple
     counts: np.ndarray
     pair_lags: np.ndarray
-    summary: CoarraySummary
-    zero: int
+    u: int
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _coarray_plan(positions):
-    coarray = difference_coarray(positions)
-    counts = np.array([coarray.weights[k] for k in coarray.lags])
-    counts.flags.writeable = False
-    p = np.asarray(positions)
-    pair_lags = np.searchsorted(coarray.lags,
-                                (p[:, None] - p[None, :]).ravel())
-    pair_lags.flags.writeable = False
-    return _CoarrayPlan(lags=coarray.lags, counts=counts, pair_lags=pair_lags,
-                        summary=summarize(coarray), zero=coarray.lags.index(0))
+    lags = difference_coarray(positions).lags
+    index = {lag: i for i, lag in enumerate(lags)}
+    pair_lags = np.array([index[a - b] for a in positions for b in positions])
+    p = np.array(positions, dtype=np.int64)
+    counts = np.bincount(pair_lags)
+    for array in (p, pair_lags, counts):
+        array.flags.writeable = False
+    return _CoarrayPlan(positions=p, lags=lags, counts=counts,
+                        pair_lags=pair_lags, u=_segment_bound(lags))
 
 
-def _music_summary(s, m, grid_size):
-    """The positions of the array s and its coarray summary, after checking
-    the source count, that the coarray supports m sources, and the grid
-    size."""
+def _music_plan(s, m, grid_size):
+    """The coarray plan of the array s, after checking the source count,
+    that the coarray supports m sources, and the grid size."""
     positions = _sensor_positions(s)
     _check_count(m, "source count")
-    summary = _coarray_plan(positions).summary
-    if m > summary.max_sources:
+    plan = _coarray_plan(positions)
+    if m > plan.u:
         raise CapacityError(
-            "%d sources exceed the coarray capacity of %d"
-            % (m, summary.max_sources))
+            "%d sources exceed the coarray capacity of %d" % (m, plan.u))
     _check_count(grid_size, "grid size")
-    return positions, summary
+    return plan
 
 
-def _lag_means(r, positions):
-    """The coarray plan of the sensor positions, and for each covariance of
-    the g x N x N stack r its means over the ordered sensor pairs at each
-    lag of plan.lags, g x len(plan.lags).  The sums run over the pairs in
-    row-major order, one bincount for the real parts and one for the
-    imaginary parts (_row_sums).  A stack of other than N x N matrices for
-    the N sensors is refused, and so is a sum over a lag that is not finite:
-    the public entry points' _numeric has refused a NaN or infinite entry,
-    but the sum of finite entries can overflow, and the Monte-Carlo batch
-    reaches this check alone."""
-    n = len(positions)
+def _lag_means(r, plan):
+    """For each covariance of the g x N x N stack r, its means over the
+    ordered sensor pairs at each lag of the plan's lags, g x len(lags).
+    The sums run over the pairs in row-major order, one bincount for the
+    real parts and one for the imaginary parts (_row_sums).  A stack of
+    other than N x N matrices for the N sensors is refused, and so is a sum
+    over a lag that is not finite: the public entry points' _numeric has
+    refused a NaN or infinite entry, but the sum of finite entries can
+    overflow, and the Monte-Carlo batch reaches this check alone."""
+    n = len(plan.positions)
     if r.shape[1:] != (n, n):
         raise InvalidParameterError(
             "covariance shape %s does not match %d sensors" % (r.shape[1:], n))
-    plan = _coarray_plan(positions)
     # np.bincount refuses long double weights; the cast reads them as doubles
     # and copies nothing for the complex stacks of the pipeline.
     r = r.astype(complex, copy=False)
@@ -473,7 +478,7 @@ def _lag_means(r, positions):
     if not np.isfinite(sums).all():
         raise InvalidParameterError(
             "covariance entries, and their sums over each lag, must be finite")
-    return plan, sums / plan.counts
+    return sums / plan.counts
 
 
 def _toeplitz(col):
@@ -502,9 +507,9 @@ def coarray_autocorrelation(r, s):
     A covariance with a NaN or infinite entry is refused, and so is one of
     bools, strings or objects (_numeric).
     """
-    plan, means = _lag_means(_numeric(r, "covariance")[None],
-                             _sensor_positions(s))
-    return dict(zip(plan.lags, means[0]))
+    r = _numeric(r, "covariance")[None]
+    plan = _coarray_plan(_sensor_positions(s))
+    return dict(zip(plan.lags, _lag_means(r, plan)[0]))
 
 
 def toeplitz_augment(ac, ula_segment):
@@ -823,21 +828,20 @@ def estimate_doas(s, r, m, grid_size=DEFAULT_GRID_SIZE):
     infinite entry, is refused (_numeric), and so is one whose sums over a
     lag overflow (_lag_means).
     """
-    positions, _ = _music_summary(s, m, grid_size)
     spectra, (estimates, refined, under) = _estimates(
-        positions, _numeric(r, "covariance")[None], m, grid_size)
+        _music_plan(s, m, grid_size), _numeric(r, "covariance")[None], m,
+        grid_size)
     return MusicResult(grid=_grid(grid_size), spectrum=spectra[0],
                        estimates=estimates[0], refined=refined[0],
                        under_resolved=under[0])
 
 
-def _estimates(positions, r, m, grid_size):
+def _estimates(plan, r, m, grid_size):
     """estimate_doas on each covariance of the g x N x N stack r for the
-    sensor positions, after the checks of _music_summary: the
-    g x grid_size stack of spectra and their peaks as _picked gives them."""
-    plan, means = _lag_means(r, positions)
-    u = plan.summary.max_sources
-    cols = means[:, plan.zero:plan.zero + u + 1]
+    plan that _music_plan checked: the g x grid_size stack of spectra and
+    their peaks as _picked gives them."""
+    # The means at lags 0 .. u, lag 0 being the middle of the symmetric lags.
+    cols = _lag_means(r, plan)[:, len(plan.lags) // 2:][:, :plan.u + 1]
     bad = np.flatnonzero(cols[:, 0].imag)
     if len(bad):
         raise InvalidParameterError(
@@ -923,10 +927,9 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
     _check_count(trials, "trial count")
     _check_count(seed, "seed", low=0)
     m = scene.source_count
-    positions, summary = _music_summary(s, m, grid_size)
-    dim = summary.max_sources + 1
-    group = max(1, _GROUP_ENTRIES // dim ** 2)
-    f = _snapshot_factor(positions, scene)
+    plan = _music_plan(s, m, grid_size)
+    group = max(1, _GROUP_ENTRIES // (plan.u + 1) ** 2)
+    f = _snapshot_factor(plan.positions, scene)
     tru = np.sort(np.asarray(scene.normalized_doas))
     children = np.random.SeedSequence(seed).spawn(trials)
     per_rmse, per_est, per_refined, first = [], [], [], None
@@ -934,7 +937,7 @@ def run_trial_batch(s, scene, t, trials, seed, grid_size=DEFAULT_GRID_SIZE):
         seeds = [np.random.PCG64(child).random_raw() >> 1
                  for child in children[start:start + group]]
         r = _gram(_draw(f, t, seeds)[0], t)
-        spectra, (estimates, refined, under) = _estimates(positions, r, m,
+        spectra, (estimates, refined, under) = _estimates(plan, r, m,
                                                           grid_size)
         if first is None:
             # A copy, so that the result does not keep the group's stack.

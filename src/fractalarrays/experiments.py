@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import geometry
 from .geometry import InvalidParameterError, SensorArray
-from .coarray import difference_coarray, summarize
+from .coarray import _segment_bound, difference_coarray
 from .doasim import (CapacityError, DEFAULT_GRID_SIZE, estimate_doas,
                      random_scene, run_trial_batch, sample_covariance,
                      simulate)
@@ -192,7 +192,7 @@ def cmd_music(args):
     else:
         arr = _build_from_flags(args)
     m = args.sources
-    capacity = summarize(difference_coarray(arr)).max_sources
+    capacity = _segment_bound(difference_coarray(arr).lags)
     override = m > capacity
     if override:
         if not args.override_capacity:

@@ -312,6 +312,33 @@ def test_summarize_equals_a_brute_force_scan():
         (0, 0), False, 2, 0, (1,))
 
 
+# Random arrays, mostly with holes, and ULAs with a random extra sensor,
+# hole-free while it lies next to one end.
+_HOLED = st.lists(st.integers(-60, 60), min_size=1, max_size=16, unique=True)
+_EXTENDED_ULAS = st.tuples(st.integers(1, 30), st.integers(-40, 70)).map(
+    lambda nx: sorted(set(range(nx[0])) | {nx[1]}))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_HOLED, _EXTENDED_ULAS))
+def test_segment_bound_is_the_summary_capacity(positions):
+    # The one rule for u, on the sorted lags, which summarize and the MUSIC
+    # plan both call: the brute-force scan's least hole less 1.
+    c = difference_coarray(positions)
+    want = _brute_summary(positions).max_sources
+    assert coarray._segment_bound(c.lags) == want
+    assert summarize(c).max_sources == want
+
+
+def test_segment_bound_with_and_without_holes():
+    # Hole-free, holed, and 2**62 - 3 holes, which are never listed.
+    assert coarray._segment_bound(difference_coarray(gen_ula(9)).lags) == 8
+    assert coarray._segment_bound(difference_coarray([0, 1, 5]).lags) == 1
+    assert coarray._segment_bound(difference_coarray([-3, 0, 1, 2]).lags) == 5
+    huge = difference_coarray(SensorArray((0, 1, 2 ** 62))).lags
+    assert coarray._segment_bound(huge) == 1
+
+
 def test_summarize_scans_only_a_coarray_with_holes(monkeypatch):
     # The hole count, aperture less positive lags, is checked before any
     # scan, and a hole-free coarray is not scanned at all.

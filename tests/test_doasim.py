@@ -144,10 +144,10 @@ def test_pipeline_matches_reference_bit_for_bit(arr):
 @pytest.mark.parametrize("arr", _exactness_arrays() + [gen_ula(1)],
                          ids=lambda a: "%d-sensors" % len(a))
 def test_coarray_plan_summary_matches_difference_coarray(arr):
-    # The plan reads its lags, counts and summary from difference_coarray
-    # and adds the ordered-pair lag indices, from np.searchsorted of the
-    # row-major position differences in the lags; np.unique's inverse is
-    # the reference for them.
+    # The plan reads its lags from difference_coarray, looks up each ordered
+    # pair's lag among them in row-major order, and counts the pairs at each
+    # lag; np.unique's inverse and counts are the reference for them.  It
+    # holds u, not the summary, and the positions in their given order.
     plan = _coarray_plan(arr.positions)
     p = np.asarray(arr.positions)
     lags, inverse, counts = np.unique((p[:, None] - p[None, :]).ravel(),
@@ -156,8 +156,51 @@ def test_coarray_plan_summary_matches_difference_coarray(arr):
     assert np.array_equal(plan.lags, lags)
     assert np.array_equal(plan.counts, counts)
     assert np.array_equal(plan.pair_lags, inverse)
-    assert plan.summary == summarize(difference_coarray(arr))
-    assert plan.lags[plan.zero] == 0
+    assert plan.u == summarize(difference_coarray(arr)).max_sources
+    assert plan.positions.dtype == np.int64
+    assert plan.positions.tolist() == list(arr.positions)
+    for a in (plan.positions, plan.counts, plan.pair_lags):
+        assert not a.flags.writeable
+
+
+def test_music_needs_no_hole_list():
+    # [0, 1, 2_000_000] leaves 1999997 holes, more than summarize lists,
+    # but u = 1, and the MUSIC stages read nothing else of the coarray.
+    far = SensorArray((0, 1, 2_000_000))
+    scene = SourceScene((0.1,), (1.0,), 0.5)
+    r = expected_covariance(far, scene)
+    ac = coarray_autocorrelation(r, far)
+    assert sorted(ac) == [-2_000_000, -1_999_999, -1, 0, 1, 1_999_999,
+                          2_000_000]
+    assert ac[1] == r[1, 0] and ac[-2_000_000] == r[0, 2]
+    result = estimate_doas(far, r, 1)
+    assert result.estimates == (0.10009765625,) and not result.under_resolved
+    assert abs(result.refined[0] - 0.1) < 1e-9
+    batch = run_trial_batch(far, scene, 200, 5, seed=2)
+    assert batch.resolved_trials == 5 and batch.rmse < 0.02
+    with pytest.raises(CapacityError, match="capacity of 1"):
+        estimate_doas(far, r, 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda nfa: run_trial_batch(nfa, random_scene(4, seed=6), 20, 120,
+                                seed=1),
+    lambda nfa: estimate_doas(nfa, np.eye(12), 4)],
+    ids=["run_trial_batch", "estimate_doas"])
+def test_coarray_plan_is_looked_up_once_per_call(nfa, call, monkeypatch):
+    # 120 trials at dim 25 run as groups of 52, 52 and 16; the batch took
+    # the plan once to check the capacity and once per group, and
+    # estimate_doas once to check and once for the lag means.
+    lookups = []
+    plan = doasim._coarray_plan
+
+    def counted(positions):
+        lookups.append(positions)
+        return plan(positions)
+
+    monkeypatch.setattr(doasim, "_coarray_plan", counted)
+    call(nfa)
+    assert lookups == [nfa.positions]
 
 
 def test_toeplitz_real_autocorrelation_is_complex():
@@ -242,6 +285,8 @@ def test_steering_zero_is_all_ones(nfa):
 def test_steering_quarter_cycle():
     a = steering_vector(SensorArray((0, 1)), 0.25)
     assert np.allclose(a, [1.0, 1j])
+    # theta' is read as a real number, not checked against [-0.5, 0.5).
+    assert np.allclose(steering_vector(SensorArray((0, 1)), 1.25), a)
 
 
 def test_steering_nfa_entry(nfa):
@@ -249,6 +294,19 @@ def test_steering_nfa_entry(nfa):
     idx = nfa.positions.index(25)
     assert np.allclose(a[idx], np.exp(2j * np.pi * 2.5))
     assert np.allclose(np.abs(a), 1.0)
+
+
+@pytest.mark.parametrize("theta, match", [
+    (np.nan, "finite"), (np.inf, "finite"), ([0.1, -np.inf], "finite"),
+    (True, "array of numbers"), ("a", "array of numbers"), (1 + 2j, "real"),
+    ([0.1, 0.2j], "real")], ids=repr)
+def test_steering_vector_refuses_a_doa_that_is_not_a_finite_real(
+        nfa, theta, match):
+    # A NaN gave a NaN vector, True read as 1, 1+2j a damped vector, and
+    # "a" raised numpy's bare TypeError.  Arrays of strings, bools or
+    # objects, and bools in a list, are in _NUMERIC_INPUTS.
+    with pytest.raises(InvalidParameterError, match=match):
+        steering_vector(nfa, theta)
 
 
 def test_scene_validation():
@@ -560,7 +618,8 @@ def test_large_t_limit_matches_expected():
 def _batch_covariance(s, scene, t, seed):
     """The covariance run_trial_batch draws at a trial seed: W W^H / T for
     the Bartlett draw W = F L, with no snapshots."""
-    (w,), _ = doasim._draw(doasim._snapshot_factor(s, scene), t, [seed])
+    (w,), _ = doasim._draw(doasim._snapshot_factor(s.positions, scene), t,
+                           [seed])
     return doasim._gram(w, t)
 
 
@@ -753,7 +812,8 @@ def test_simulate_is_the_batch_factor_times_a_haar_isometry(nfa, t):
     # generator; so its sample covariance is the batch's to rounding.
     # Q^H Q = I to 1e-13, and W is N x min(N, T).
     scene = random_scene(6, seed=3)
-    (w,), rng = doasim._draw(doasim._snapshot_factor(nfa, scene), t, [2024])
+    (w,), rng = doasim._draw(doasim._snapshot_factor(nfa.positions, scene),
+                             t, [2024])
     k = min(len(nfa), t)
     assert w.shape == (len(nfa), k)
     q = _haar_isometry(rng, t, k)
@@ -772,7 +832,7 @@ def test_stacked_draw_is_each_seed_drawn_alone(nfa, t, g):
     # of its seed alone, byte for byte, and that draw takes the seed's
     # normals and then its chi-square draws in the order written out here.
     # The generator returned is the last seed's, after its draws.
-    f = doasim._snapshot_factor(nfa, random_scene(6, seed=3))
+    f = doasim._snapshot_factor(nfa.positions, random_scene(6, seed=3))
     n, k = len(nfa), min(len(nfa), t)
     seeds = np.random.default_rng(g).integers(2 ** 63, size=g)
     w, rng = doasim._draw(f, t, seeds)
@@ -797,15 +857,15 @@ def test_trial_batch_covariances_are_each_trial_drawn_alone(nfa, t,
     seen = []
     estimates = doasim._estimates
 
-    def recording(s, r, m, grid_size):
+    def recording(plan, r, m, grid_size):
         seen.append(r.copy())
-        return estimates(s, r, m, grid_size)
+        return estimates(plan, r, m, grid_size)
 
     monkeypatch.setattr(doasim, "_estimates", recording)
     scene = random_scene(8, seed=5)
     run_trial_batch(nfa, scene, t, 55, seed=17)
     assert [len(r) for r in seen] == [52, 3]
-    f = doasim._snapshot_factor(nfa, scene)
+    f = doasim._snapshot_factor(nfa.positions, scene)
     children = np.random.SeedSequence(17).spawn(55)
     for r_hat, child in zip(np.concatenate(seen), children):
         seed = np.random.default_rng(child).integers(2 ** 63)
@@ -838,7 +898,7 @@ def test_stacked_stages_equal_estimate_doas_on_each_covariance(r, m, g):
     stack = np.stack([sample_covariance(simulate(arr, scene, 300, seed))
                       for seed in range(g)])
     spectra, (estimates, refined, under) = doasim._estimates(
-        arr.positions, stack, m, DEFAULT_GRID_SIZE)
+        _coarray_plan(arr.positions), stack, m, DEFAULT_GRID_SIZE)
     assert spectra.shape == (g, DEFAULT_GRID_SIZE)
     assert len(estimates) == len(refined) == len(under) == g
     for i, r_hat in enumerate(stack):
@@ -934,16 +994,17 @@ def test_block_sums_replay_the_complex_route(r, scene, t, trials, groups,
     # double.
     arr = make_sfa("nested", {"n": 6}, r)
     m = scene.source_count
-    f = doasim._snapshot_factor(arr, scene)
+    plan = _coarray_plan(arr.positions)
+    f = doasim._snapshot_factor(plan.positions, scene)
     for group in range(groups):
         seeds = range(group * trials, (group + 1) * trials)
         cov = doasim._gram(doasim._draw(f, t, seeds)[0], t)
         spectra, (estimates, refined, under) = doasim._estimates(
-            arr.positions, cov, m, DEFAULT_GRID_SIZE)
+            plan, cov, m, DEFAULT_GRID_SIZE)
         with monkeypatch.context() as patch:
             patch.setattr(doasim, "_coefficients", _complex_route_coefficients)
             ref_spectra, (ref_estimates, ref_refined, ref_under) = \
-                doasim._estimates(arr.positions, cov, m, DEFAULT_GRID_SIZE)
+                doasim._estimates(plan, cov, m, DEFAULT_GRID_SIZE)
         assert estimates == ref_estimates and under == ref_under
         assert not any(under)
         assert np.abs(np.subtract(refined, ref_refined)).max() <= refined_tol
@@ -967,11 +1028,13 @@ def _capacity_real_forms(arr, t, snr_db, seed, trials=5):
     of T snapshots, for as many sources as the coarray supports."""
     u = summarize(difference_coarray(arr)).max_sources
     scene = random_scene(u, seed, snr_db=snr_db, min_separation=0.3 / u)
-    f = doasim._snapshot_factor(arr, scene)
+    plan = _coarray_plan(arr.positions)
+    f = doasim._snapshot_factor(plan.positions, scene)
     seeds = range(seed * trials, (seed + 1) * trials)
     r = doasim._gram(doasim._draw(f, t, seeds)[0], t)
-    plan, means = doasim._lag_means(r, arr.positions)
-    return _real_form(_toeplitz(means[:, plan.zero:plan.zero + u + 1]))
+    zero = plan.lags.index(0)
+    means = doasim._lag_means(r, plan)
+    return _real_form(_toeplitz(means[:, zero:zero + u + 1]))
 
 
 @pytest.mark.parametrize("arr", [make_sfa("nested", {"n": 6}, 1),
@@ -1464,6 +1527,8 @@ _NUMERIC_INPUTS = {
     "sample_covariance": (np.arange(48.0).reshape(12, 4),
                           lambda y, s: sample_covariance(y)),
     "music_spectrum": (np.eye(25), lambda t, s: music_spectrum(t, 3)),
+    "steering_vector": (np.array([[0.1, -0.2], [0.3, 0.05]]),
+                        lambda theta, s: steering_vector(s, theta)),
 }
 
 

@@ -161,7 +161,6 @@ def test_analyze_malformed_json(capsys, tmp_path):
 @pytest.mark.parametrize("payload", ['[1, 2, 3]', '"x"', '{"positions": 5}',
                                      '{"positions": null}',
                                      '{"positions": [0, 1, %d]}' % 2 ** 63,
-                                     '{"positions": [0, 1, %d]}' % 2 ** 62,
                                      '{"positions": [true, 2]}',
                                      '{"positions": [0, 1.0, 3]}'])
 @pytest.mark.parametrize("command", [["analyze", "-"],
@@ -175,6 +174,25 @@ def test_malformed_geometry_is_refused(capsys, monkeypatch, payload,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "positions" in err
+
+
+@pytest.mark.parametrize("far", [2_000_000, 2 ** 62])
+def test_music_runs_where_analyze_cannot_list_the_holes(capsys, monkeypatch,
+                                                        tmp_path, far):
+    # [0, 1, far] has lags 0, +-1, +-(far - 1) and +-far: far - 3 holes, over
+    # the 10^6 that analyze lists, but capacity u = 1, all that music needs.
+    payload = '{"positions": [0, 1, %d]}' % far
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "music", "--geometry", "-", "--sources",
+                         "1", "--trials", "3", "--seed", "1", "--out-dir",
+                         str(tmp_path))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["capacity"] == 1 and report["trials"] == 3
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, err = run(capsys, "analyze", "-")
+    assert code == 2 and out == ""
+    assert "%d holes" % (far - 3) in err
 
 
 def test_analyze_refuses_a_label_that_is_not_a_string(capsys, monkeypatch):
