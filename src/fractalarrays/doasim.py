@@ -34,11 +34,10 @@ a group's stack of factors.
 
 Everything that depends only on the array (the coarray plan: positions,
 lags, pair counts, each ordered pair's lag index and u) or only on a
-size (the theta' grid and the coefficient bin of each entry of a
-dim x dim matrix) is computed once and kept in small, bounded, read-only
-caches, so a Monte-Carlo batch pays for it on its first trial.  The
-Toeplitz matrices and the cyclic shifts of the RMSE need no index: each is
-a stack of sliding windows over one 1-D sequence, read as a view.  Every
+size (the theta' grid) is computed once and kept in small, bounded,
+read-only caches, so a Monte-Carlo batch pays for it on its first trial.
+The Toeplitz matrices and the cyclic shifts of the RMSE need no index: each
+is a stack of sliding windows over one 1-D sequence, read as a view.  Every
 binned sum, a complex sum over lags or a block sum of the MUSIC
 coefficients, is one np.bincount per real part over a whole stack, row i's
 bins offset by i times their number (_row_sums).  estimate_doas runs the
@@ -97,10 +96,8 @@ from .coarray import _segment_bound, _sensor_positions, difference_coarray
 
 DEFAULT_GRID_SIZE = 2048
 # Cache bounds.  A grid entry holds grid_size floats: 16 kB at 2048 points.
-# A block-bins entry holds dim^2 integers: 262 kB at dim 181.
 _PLAN_CACHE_SIZE = 32
 _GRID_CACHE_SIZE = 4
-_BLOCK_CACHE_SIZE = 4
 # Bound on the entries of one dim x dim matrix stack in a trial group.
 _GROUP_ENTRIES = 2 ** 15
 _TINY = np.finfo(float).tiny
@@ -274,42 +271,6 @@ def _row_sums(index, size, *parts):
     return [np.bincount(index, weights=part.ravel(),
                         minlength=rows * size).reshape(rows, size)
             for part in parts]
-
-
-@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _block_bins(dim):
-    """The bin of each row-major entry of a real symmetric dim x dim matrix
-    R in _coefficients' sums of the MUSIC coefficients c_0 .. c_{dim-1}, of
-    4 dim + 1 bins, read-only.  Bins 2 d and 2 d + 1 take the terms added to
-    Re c_d and Im c_d, bins 2 dim + 2 d and 2 dim + 2 d + 1 the terms taken
-    from them, and bin 4 dim the entries that add nothing.
-
-    With k = dim // 2, h = dim - k, A = R[:k, :k], D = R[h:, h:] and
-    C = R[h:, :k] (so R[:k, h:] is C^T), the entries of A and D below the
-    diagonal add to Re c_{p-q}, those above it, each standing for itself
-    and its mirror, to Re c_{dim-1-p-q}, A's with a plus and D's with a
-    minus sign.  C's entries below its diagonal add to Im c_{p-q}, those
-    above it are taken from Im c_{q-p}, and C^T's are taken from
-    Im c_{dim-1-p-q}.  R's diagonal adds to Re c_0.  C's diagonal and, for
-    odd dim, the rest of the middle row and column go to the last bin."""
-    k, h = dim // 2, dim - dim // 2
-    p, q = np.indices((k, k))
-    below, above = p > q, p < q
-    diagonal = 2 * (p - q)
-    anti = 2 * (dim - 1 - p - q)
-    minus = 2 * dim
-    bins = np.full((dim, dim), 4 * dim)
-    a, d, c, ct = bins[:k, :k], bins[h:, h:], bins[h:, :k], bins[:k, h:]
-    a[below] = d[below] = diagonal[below]
-    a[above] = anti[above]
-    d[above] = minus + anti[above]
-    c[below] = diagonal[below] + 1
-    c[above] = minus - diagonal[above] + 1
-    ct[...] = minus + anti + 1
-    np.fill_diagonal(bins, 0)
-    bins = bins.ravel()
-    bins.flags.writeable = False
-    return bins
 
 
 def _snapshot_factor(positions, scene):
@@ -487,7 +448,13 @@ def _toeplitz(col):
     With u = dim - 1, T[p, q] is values[u + p - q] of the 2u + 1 values at
     lags -u .. u: row p is the window values[p:p + dim] reversed.  So T is
     a read-only view of those windows, one step along values per row and one
-    step back per column from values[u]; no entry is copied."""
+    step back per column from values[u]; no entry is copied.  A col[0] that
+    is not real is refused: T would not be Hermitian."""
+    bad = np.flatnonzero(col[..., 0].imag)
+    if len(bad):
+        raise InvalidParameterError(
+            "need a Hermitian Toeplitz matrix: its lag-0 value %r is not real"
+            % complex(col[..., 0].ravel()[bad[0]]))
     # values[..., u + k] is col[k] for k >= 0 and conj(col[-k]) for k < 0.
     dim = col.shape[-1]
     values = np.concatenate((col[..., :0:-1].conj(), col), axis=-1)
@@ -518,11 +485,12 @@ def toeplitz_augment(ac, ula_segment):
     ``ula_segment`` is the symmetric interval (-u, u), two integers; every
     lag in it must be present in the autocorrelation map.  Only the lags
     0 .. u are read: the entries above the diagonal are their conjugates, so
-    T is exactly Hermitian.  estimate_doas reads T from the same lag means
-    as the same windows (_toeplitz), on a stack of covariances at once; here
-    they are copied into a new, writable array that the caller owns.  Lag
-    values that are not finite numbers, as _numeric reads them, are refused:
-    a NaN, an infinity, a bool, a string or an object.
+    T is exactly Hermitian, and a lag-0 value that is not real is refused.
+    estimate_doas reads T from the same lag means as the same windows
+    (_toeplitz), on a stack of covariances at once; here they are copied
+    into a new, writable array that the caller owns.  Lag values that are
+    not finite numbers, as _numeric reads them, are refused: a NaN, an
+    infinity, a bool, a string or an object.
     """
     bounds = _integers(ula_segment, "the central segment")
     if len(bounds) != 2 or bounds[0] != -bounds[1] or bounds[1] < 0:
@@ -626,23 +594,29 @@ def _coefficients(v):
     """The g x dim stack of Hermitian coefficients c_0 .. c_{dim-1} of the
     projectors Q V V^T Q^H, c_d the sum of the d-th subdiagonal, for the
     g x dim x r stack v of real noise eigenvectors V and the Q of
-    _real_form, in real arithmetic: R = V V^T, then the block sums of
-    music_spectrum by one np.bincount on the bins of _block_bins
-    (_row_sums), and one subtraction.  The few terms no single entry of R
-    carries are added after: the diagonals of A and D in 1/2 a(A - D), and
-    for odd dim the middle row of R."""
+    _real_form: music_spectrum's sums over the blocks of R = V V^T, of the
+    diagonals of A + D and C in one _row_sums call and of the anti-diagonals
+    of A - D and C in another, and for odd dim R's middle row."""
     g, dim, _ = v.shape
-    r = v @ v.transpose(0, 2, 1)
-    sums, = _row_sums(_block_bins(dim), 4 * dim + 1, r)
-    c = (sums[:, :2 * dim] - sums[:, 2 * dim:-1]).view(complex)
     k, h = dim // 2, dim - dim // 2
-    diagonal = r.reshape(g, -1)[:, ::dim + 1]
-    c.real[:, dim - 1::-2][:, :k] += 0.5 * (diagonal[:, :k] - diagonal[:, h:])
+    r = v @ v.transpose(0, 2, 1)
+    a, d, c = r[:, :k, :k], r[:, h:, h:], r[:, h:, :k]
+    p, q = np.indices((k, k))
+    # Bin j sums the diagonal p - q = j - (k - 1), the anti-diagonal p + q = j.
+    s_ad, s_c = _row_sums((p - q + k - 1).ravel(), 2 * k - 1, a + d, c)
+    a_ad, a_c = _row_sums((p + q).ravel(), 2 * k - 1, a - d, c)
+    coef = np.zeros((g, dim), dtype=complex)
+    coef.real[:, :k] = s_ad[:, k - 1:]
+    coef.imag[:, 1:k] = s_c[:, k:] - s_c[:, :k - 1][:, ::-1]
+    # Anti-diagonal n = dim - 1 - d goes to c_d.
+    coef.real[:, dim - 2 * k + 1:] += 0.5 * a_ad[:, ::-1]
+    coef.imag[:, dim - 2 * k + 1:] -= a_c[:, ::-1]
     if dim % 2:
         mid = np.sqrt(2.0) * r[:, k]
-        c.real[:, 1:k + 1] += mid[:, k - 1::-1]
-        c.imag[:, 1:k + 1] -= mid[:, :k:-1]
-    return c
+        coef.real[:, 0] += r[:, k, k]
+        coef.real[:, 1:k + 1] += mid[:, k - 1::-1]
+        coef.imag[:, 1:k + 1] -= mid[:, :k:-1]
+    return coef
 
 
 def _spectra(s, m, grid_size):
@@ -705,10 +679,9 @@ def music_spectrum(t, m, grid_size=DEFAULT_GRID_SIZE):
         Re c_d = s_d(A + D) + a_n(A - D) / 2,
         Im c_d = s_d(C) - s_{-d}(C) - a_n(C),
     and for odd dim, with R's middle row r = R[k], c_0 gains r[k] and c_d
-    gains sqrt 2 (r[k - d] - j r[h + k - d]) for d = 1 .. k.  R is
-    symmetric, so almost every term is one entry of R, and one np.bincount
-    sums them all (_coefficients).  estimate_doas runs the same steps on a
-    stack of one.
+    gains sqrt 2 (r[k - d] - j r[h + k - d]) for d = 1 .. k: two _row_sums
+    calls (_coefficients).  estimate_doas runs the same steps on a stack of
+    one.
     """
     t = _numeric(t, "matrix")
     if t.ndim != 2 or t.shape[0] != t.shape[1] or len(t) < 2:
@@ -842,11 +815,6 @@ def _estimates(plan, r, m, grid_size):
     their peaks as _picked gives them."""
     # The means at lags 0 .. u, lag 0 being the middle of the symmetric lags.
     cols = _lag_means(r, plan)[:, len(plan.lags) // 2:][:, :plan.u + 1]
-    bad = np.flatnonzero(cols[:, 0].imag)
-    if len(bad):
-        raise InvalidParameterError(
-            "need a Hermitian covariance: its lag-0 mean %r is not real"
-            % cols[bad[0], 0])
     spectra = _spectra(_real_form(_toeplitz(cols)), m, grid_size)
     return spectra, _picked(_grid(grid_size), spectra, m)
 

@@ -128,23 +128,41 @@ def _write_spectrum_csv(path, result):
 _KINDS = {name.replace("_", "-"): spec
           for name, spec in geometry._SFA_FAMILIES.items()}
 _KINDS["cantor"] = (geometry.gen_cantor, ("r",))
+# Every geometry flag, once each: --sub, the families' parameters in order of
+# first use (n, m, n1, n2), and --r.
+_GEOMETRY_FLAGS = ("sub", *dict.fromkeys(
+    name for _, family in geometry._SFA_FAMILIES.values() for name in family),
+    "r")
 
 
-def _build_from_flags(args):
+def _array(args):
+    """The array that --kind and its geometry flags, or --geometry, name.
+    A geometry flag that the source reads and lacks, or that it does not
+    read, is a usage error: --kind sfa reads --sub, its family's parameters
+    and an optional --r, another kind its generator's parameters, and
+    --geometry none."""
+    names, optional = (), ()
+    source = "--geometry" if args.kind is None else "--kind " + args.kind
     if args.kind == "sfa":
-        _, names = geometry._SFA_FAMILIES[_require(args, "sub")]
-        params = {name: _require(args, name) for name in names}
-        return geometry.make_sfa(args.sub, params,
+        names, optional = ("sub",), ("r",)
+        if args.sub is not None:
+            names += geometry._SFA_FAMILIES[args.sub][1]
+            source += " --sub " + args.sub
+    elif args.kind is not None:
+        names = _KINDS[args.kind][1]
+    for name in _GEOMETRY_FLAGS:
+        given = getattr(args, name) is not None
+        if not given and name in names:
+            raise UsageError("%s requires --%s" % (source, name))
+        if given and name not in names + optional:
+            raise UsageError("%s does not read --%s" % (source, name))
+    if args.kind is None:
+        return _load_geometry(args.geometry)
+    params = {name: getattr(args, name) for name in names}
+    if args.kind == "sfa":
+        return geometry.make_sfa(params.pop("sub"), params,
                                  1 if args.r is None else args.r)
-    generator, names = _KINDS[args.kind]
-    return generator(*(_require(args, name) for name in names))
-
-
-def _require(args, name):
-    value = getattr(args, name)
-    if value is None:
-        raise UsageError("--kind %s requires --%s" % (args.kind, name))
-    return value
+    return _KINDS[args.kind][0](**params)
 
 
 def _load_geometry(source):
@@ -174,7 +192,7 @@ def _analysis_bundle(arr, k_max):
 # Subcommand handlers.
 
 def cmd_generate(args):
-    arr = _build_from_flags(args)
+    arr = _array(args)
     _dump(arr.to_dict())
     return 0
 
@@ -187,10 +205,7 @@ def cmd_analyze(args):
 
 
 def cmd_music(args):
-    if args.kind is None:
-        arr = _load_geometry(args.geometry)
-    else:
-        arr = _build_from_flags(args)
+    arr = _array(args)
     m = args.sources
     capacity = _segment_bound(difference_coarray(arr).lags)
     override = m > capacity
@@ -199,6 +214,10 @@ def cmd_music(args):
             raise CapacityError(
                 "%d sources exceed the coarray capacity of %d "
                 "(pass --override-capacity to attempt anyway)" % (m, capacity))
+        if capacity == 0:
+            raise CapacityError(
+                "the coarray capacity is 0, so no pass can be attempted, "
+                "even with --override-capacity")
         sys.stderr.write(
             "warning: attempting %d sources beyond capacity %d\n"
             % (m, capacity))
@@ -365,11 +384,7 @@ def _build_parser():
     def add_geometry_flags(p):
         p.add_argument("--sub", help="SFA subarray family",
                        choices=list(geometry._SFA_FAMILIES))
-        # Every family's parameters, once each in order of first use: n, m,
-        # n1, n2.
-        names = [name for _, family in geometry._SFA_FAMILIES.values()
-                 for name in family]
-        for name in dict.fromkeys(names):
+        for name in _GEOMETRY_FLAGS[1:-1]:
             p.add_argument("--" + name, type=int)
         p.add_argument("--r", type=int, help="fractal scale")
 

@@ -234,6 +234,14 @@ def test_toeplitz_augment_refuses_lag_values_that_are_not_finite_numbers(ac):
         toeplitz_augment(ac, (-1, 1))
 
 
+@pytest.mark.parametrize("lag0", [1 + 1j, 1e-15j])
+def test_toeplitz_augment_refuses_a_lag_0_value_that_is_not_real(lag0):
+    # Its diagonal would not be real, so T would not be Hermitian; it was
+    # returned, and only music_spectrum refused it.
+    with pytest.raises(InvalidParameterError, match="Hermitian"):
+        toeplitz_augment({0: lag0, 1: 0.5, -1: 0.5}, (-1, 1))
+
+
 def test_toeplitz_augment_returns_an_array_the_caller_owns(nfa):
     # _toeplitz is a read-only view of windows; toeplitz_augment copies it.
     ac = coarray_autocorrelation(np.eye(len(nfa.positions)), nfa)

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fractalarrays
 from fractalarrays.doasim import (DEFAULT_GRID_SIZE, MusicResult,
                                   estimate_doas, pick_peaks,
                                   random_scene, run_trial_batch,
@@ -225,6 +230,35 @@ def test_unread_flags_are_usage_errors(capsys, tmp_path, command, flag):
     assert not (tmp_path / "out").exists() and not (tmp_path / "x").exists()
 
 
+# Geometry flags the array source does not read: they were ignored, and
+# generate --kind ula --n 3 --m 7 --r 5 --sub coprime gave ULA(3).
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--kind", "ula", "--n", "3"], ["--m", "7"]),
+    (["generate", "--kind", "ula", "--n", "3"], ["--r", "5"]),
+    (["generate", "--kind", "ula", "--n", "3"], ["--sub", "coprime"]),
+    (["generate", "--kind", "cantor", "--r", "2"], ["--n", "3"]),
+    (["generate", "--kind", "sfa", "--sub", "nested", "--n", "6"],
+     ["--m", "2"]),
+    (["generate", "--kind", "sfa", "--sub", "coprime", "--m", "2", "--n",
+      "3"], ["--n1", "3"]),
+    (["music", "--geometry", "GEOMETRY", "--sources", "1"], ["--n", "40"]),
+    (["music", "--geometry", "GEOMETRY", "--sources", "1"], ["--r", "3"]),
+    (["music", "--geometry", "GEOMETRY", "--sources", "1"],
+     ["--sub", "coprime"]),
+    (["music", "--kind", "ula", "--n", "4", "--sources", "1"],
+     ["--n2", "3"])], ids=" ".join)
+def test_unread_geometry_flags_are_usage_errors(capsys, tmp_path, argv, flag):
+    geometry = tmp_path / "ula.json"
+    geometry.write_text(json.dumps(gen_ula(3).to_dict()))
+    argv = [str(geometry) if a == "GEOMETRY" else a for a in argv]
+    if argv[0] == "music":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv, *flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: ") and "does not read " + flag[0] in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", [["--kind", "ula", "--n", "4",
                                      "--geometry", "g.json"], []])
 def test_music_needs_exactly_one_of_geometry_and_kind(capsys, tmp_path,
@@ -296,6 +330,18 @@ def test_music_capacity_guard(capsys, tmp_path):
                        "--out-dir", str(tmp_path))
     assert code == 2
     assert "capacity" in err
+
+
+def test_music_refuses_an_override_at_capacity_0(capsys, tmp_path):
+    # ULA(1) has capacity 0: the override warned, made the output directory
+    # and then refused a source count of 0, which the user never typed.
+    out_dir = tmp_path / "x"
+    code, out, err = run(capsys, "music", "--kind", "ula", "--n", "1",
+                         "--sources", "1", "--override-capacity",
+                         "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert "capacity is 0" in err and "warning" not in err
+    assert not out_dir.exists()
 
 
 def test_music_capacity_override_flags_under_resolution(capsys, tmp_path):
@@ -536,3 +582,16 @@ def test_paper_cases_build_published_lists():
     for case in PAPER_CASES.values():
         arr = case["build"]()
         assert list(arr.positions) == case["positions"]
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m fractalarrays.experiments runs main and exits with its code.
+    src = str(Path(fractalarrays.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "fractalarrays.experiments", "generate",
+         "--kind", "ula", "--n", "3"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == gen_ula(3).to_dict()

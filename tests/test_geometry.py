@@ -74,6 +74,17 @@ def test_sensor_array_accepts_numpy_integers():
     assert all(type(p) is int for p in arr.positions)
 
 
+def test_sensor_array_iterates_over_its_positions():
+    arr = gen_nested(6)
+    assert list(arr) == list(arr.positions)
+
+
+def test_sensor_array_aperture_is_last_minus_first():
+    # A translated array keeps its aperture: it is not the last position.
+    assert SensorArray((5, 6, 9)).aperture == 4
+    assert gen_ula(1).aperture == 0
+
+
 def test_sensor_array_json_round_trip():
     arr = gen_nested(6)
     again = SensorArray.from_dict(arr.to_dict())
